@@ -186,28 +186,22 @@ impl DeliveryLedger {
     }
 
     /// Sources each processor has received at least one data flit from so
-    /// far (the ack relation).
+    /// far (the ack relation), each list ascending. Sources are walked in
+    /// ascending order, so a repeat source can only be a list's last entry:
+    /// O(messages), with no p×p table.
     fn ack_targets(&self, wl: &Workload) -> Vec<Vec<Pid>> {
-        let p = wl.p();
-        let mut heard: Vec<Vec<bool>> = vec![vec![false; p]; p];
+        let mut acks: Vec<Vec<Pid>> = vec![Vec::new(); wl.p()];
         for (src, msgs) in self.missing.iter().enumerate() {
             for (msg_idx, flits) in msgs.iter().enumerate() {
                 if flits.iter().any(|&m| !m) {
-                    let dest = wl.msgs(src)[msg_idx].dest;
-                    heard[dest][src] = true;
+                    let heard = &mut acks[wl.msgs(src)[msg_idx].dest];
+                    if heard.last() != Some(&src) {
+                        heard.push(src);
+                    }
                 }
             }
         }
-        heard
-            .into_iter()
-            .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .filter(|(_, &h)| h)
-                    .map(|(s, _)| s)
-                    .collect()
-            })
-            .collect()
+        acks
     }
 
     /// The residual workload (one message per original message with missing

@@ -26,9 +26,13 @@ use std::sync::{Mutex, PoisonError};
 use parallel_bandwidth::algos::sample_sort::{
     keyset, KeyDist, SampleSortConfig, SampleSortProgram, Sampling,
 };
+use parallel_bandwidth::faults::FaultScript;
 use parallel_bandwidth::models::MachineParams;
 use parallel_bandwidth::pram::{AccessMode, Pram};
-use parallel_bandwidth::sim::{BspMachine, QsmMachine};
+use parallel_bandwidth::sched::workload::{Msg, Workload};
+use parallel_bandwidth::sched::{EagerSend, RecoveryConfig, RecoveryPhase, RecoverySession};
+use parallel_bandwidth::sim::{BspMachine, Fate, QsmMachine};
+use parallel_bandwidth::trace::NullSink;
 
 /// Counts every allocation and reallocation routed through the global
 /// allocator (deallocations are free and irrelevant to the budget).
@@ -271,6 +275,48 @@ fn sample_sort_exchange_allocs_per_superstep(per: usize) -> u64 {
     (allocs() - before) / MEASURED
 }
 
+/// Allocations of the first ack superstep of a [`RecoverySession`] on a
+/// fixed 8-sender workload inside a `p`-processor machine. One scripted
+/// drop in the send superstep leaves a flit outstanding, so the protocol's
+/// next step is round 1's ack. The ack relation, the ack superstep and the
+/// delivery scan must all cost O(messages) in allocations: the count must
+/// not depend on `p`.
+fn recovery_ack_allocs(p: usize) -> u64 {
+    let sends: Vec<Vec<Msg>> = (0..p)
+        .map(|src| match src {
+            0..=7 => vec![
+                Msg {
+                    dest: 8 + src,
+                    len: 2,
+                },
+                Msg {
+                    dest: 16 + src,
+                    len: 1,
+                },
+            ],
+            _ => Vec::new(),
+        })
+        .collect();
+    let wl = Workload::new(sends);
+    let hook = FaultScript::new().with_fate(0, 0, 0, Fate::Drop);
+    let cfg = RecoveryConfig::default();
+    let mut session = RecoverySession::new(
+        std::sync::Arc::new(NullSink),
+        &wl,
+        &EagerSend,
+        MachineParams::from_gap(p, 2, 4),
+        7,
+        Some(std::sync::Arc::new(hook)),
+        &cfg,
+    );
+    assert_eq!(session.step(), RecoveryPhase::Send);
+    let before = allocs();
+    let phase = session.step();
+    let count = allocs() - before;
+    assert_eq!(phase, RecoveryPhase::Ack(1));
+    count
+}
+
 /// Per-superstep allocation count must not grow with message volume, and
 /// must stay under a small absolute budget. `budget` covers the profile
 /// snapshot, the amortized `profiles` push and the pool dispatch; it is
@@ -418,6 +464,27 @@ fn masked_supersteps_allocate_nothing_at_steady_state() {
                 small, 2,
                 "{small} allocations per masked superstep; the mask path must \
                  allocate nothing beyond the two profile-snapshot clones"
+            );
+        });
+}
+
+/// The recovery ack round: the ack relation is built in O(messages), so
+/// with the workload and the scripted drop held fixed, one ack step
+/// allocates exactly as often on a 1k- as on a 16k-processor machine. A
+/// p×p "heard" table would add one allocation per row.
+#[test]
+fn recovery_ack_round_allocations_do_not_scale_with_p() {
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap()
+        .install(|| {
+            let small = recovery_ack_allocs(1 << 10);
+            let large = recovery_ack_allocs(1 << 14);
+            assert_eq!(
+                small, large,
+                "ack-step allocations scale with p ({small} at p=1k vs {large} at p=16k)"
             );
         });
 }
