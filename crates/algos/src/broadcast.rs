@@ -259,20 +259,11 @@ pub fn bsp_g(params: MachineParams) -> Measured {
             };
         // Early rounds are the sparse regime the active-set path exists
         // for: only `k` senders out of `p`, and the absorb superstep's
-        // frontier is discovered from the retained inboxes alone. Both
-        // splits use the measured crossover (`pbw_sim::density`), not a
-        // hardcoded ratio.
-        if pbw_sim::density::crossover(k, p) {
-            let active: Vec<usize> = (0..k).collect();
-            bsp.superstep_active(&active, send);
-        } else {
-            bsp.superstep(send);
-        }
-        if pbw_sim::density::crossover(upper - k, p) {
-            bsp.superstep_active(&[], absorb);
-        } else {
-            bsp.superstep(absorb);
-        }
+        // frontier is discovered from the retained inboxes alone. The
+        // engine picks the path for each superstep.
+        let active: Vec<usize> = (0..k).collect();
+        bsp.superstep_auto(&active, send);
+        bsp.superstep_auto(&[], absorb);
         known = upper;
         rounds += 1;
     }

@@ -22,12 +22,9 @@
 //!   frontier masks exist for.
 //! * `density_sweep/p65536/active{1,4,16,64,100}pct` — one dense-entry
 //!   superstep whose sender count sweeps the active fraction 1% → 100% in
-//!   ×4 steps, so the measured density crossover (`pbw_sim::density`) is
+//!   ×4 steps, so the engine's density rule (`pbw_sim::density`) is
 //!   exercised on both sides of its break-even point and the regression
 //!   gate pins the whole curve, not one regime.
-//! * `qsm_sparse/p65536` — a QSM phase with 16 active processors (one
-//!   read + one write each) through `phase_active`, pinning the sparse
-//!   contention-audit path.
 //! * `sample_sort_exchange/p32` — the steady-state all-to-all bucket
 //!   exchange of the sample-sort workload (PR 8): every key re-sent every
 //!   superstep through explicit `send_at` slots, pinning the
@@ -36,7 +33,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use pbw_algos::sample_sort::{keyset, KeyDist, SampleSortConfig, SampleSortProgram, Sampling};
 use pbw_models::MachineParams;
-use pbw_sim::{BspMachine, Outbox, QsmMachine};
+use pbw_sim::{BspMachine, Outbox};
 
 /// The fixed unbalanced workload: `SENDERS` processors, each sending
 /// `FANOUT` messages to destinations scattered over the whole machine.
@@ -117,21 +114,6 @@ fn bench_sparse_sweep(c: &mut Criterion) {
         });
     }
     {
-        let p = 1usize << 16;
-        let mp = MachineParams::from_gap(p, 16, 8);
-        let active: Vec<usize> = (0..16).map(|i| i * (p / 16)).collect();
-        group.bench_function(&format!("qsm_sparse/p{p}"), |b| {
-            let mut machine: QsmMachine<u64> = QsmMachine::new(mp, 2 * p, |_| 0);
-            b.iter(|| {
-                machine.phase_active(&active, |pid, s, res, ctx| {
-                    *s = s.wrapping_add(res.iter().map(|r| r.value as u64).sum::<u64>());
-                    ctx.read(p + (pid + 1) % p);
-                    ctx.write(pid, pid as i64);
-                })
-            })
-        });
-    }
-    {
         // The same grid point as `reproduce sorting` (p = 32, n/p = 64,
         // n = 2048 keys moved per iteration), held at the exchange
         // superstep: splitters installed, every send an explicit
@@ -157,8 +139,8 @@ fn bench_sparse_sweep(c: &mut Criterion) {
 }
 
 fn bench_density_sweep(c: &mut Criterion) {
-    // One dense-entry superstep per iteration; the engine's measured
-    // crossover (`pbw_sim::density`) decides per superstep whether the
+    // One dense-entry superstep per iteration; the engine's density rule
+    // (`pbw_sim::density`) decides per superstep whether the
     // delivery side walks all p processors or just the discovered senders.
     // Sweeping the active fraction 1% → 100% in ×4 steps pins both regimes
     // and the neighborhood of the break-even point.

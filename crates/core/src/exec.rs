@@ -49,17 +49,10 @@ pub fn run_schedule_on_bsp(
             }
         }
     };
-    // Sparse workloads (the unbalanced regimes Section 6 studies) go through
-    // the active-set path: identical results, O(senders + flits) engine
-    // cost. Dense workloads keep the parallel all-processor pass. The
-    // branch point is the measured density crossover, not a hardcoded
-    // ratio (see `pbw_sim::density`).
-    let active = schedule.active_senders();
-    let report = if pbw_sim::density::crossover(active.len(), wl.p()) {
-        machine.superstep_active(&active, body)
-    } else {
-        machine.superstep(body)
-    };
+    // The engine picks the path: sparse workloads (the unbalanced regimes
+    // Section 6 studies) run on the active-set path at O(senders + flits)
+    // engine cost, dense ones on the parallel all-processor pass.
+    let report = machine.superstep_auto(&schedule.active_senders(), body);
     // Collect deliveries in a drain superstep (no sends).
     let mut delivered: Vec<Vec<FlitTag>> = vec![Vec::new(); wl.p()];
     {

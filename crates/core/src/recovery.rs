@@ -248,15 +248,9 @@ fn send_round(
         }
     };
     // Retransmission residuals are sparse by construction (a handful of
-    // lossy edges out of p processors); route them through the active-set
-    // path so recovery rounds cost O(senders + flits), not O(p). The
-    // sparse/dense split is the measured crossover from `pbw_sim::density`.
-    let active = wl.active_senders();
-    if pbw_sim::density::crossover(active.len(), wl.p()) {
-        machine.superstep_active(&active, body);
-    } else {
-        machine.superstep(body);
-    }
+    // lossy edges out of p processors), so the engine runs them on the
+    // active-set path: recovery rounds cost O(senders + flits), not O(p).
+    machine.superstep_auto(&wl.active_senders(), body);
 }
 
 /// Run `wl` to completion over a (possibly faulty) network, retransmitting
@@ -461,11 +455,7 @@ impl<'a> RecoverySession<'a> {
                         };
                     let ackers: Vec<Pid> =
                         (0..self.wl.p()).filter(|&d| !acks[d].is_empty()).collect();
-                    if pbw_sim::density::crossover(ackers.len(), self.wl.p()) {
-                        self.machine.superstep_active(&ackers, ack_body);
-                    } else {
-                        self.machine.superstep(ack_body);
-                    }
+                    self.machine.superstep_auto(&ackers, ack_body);
                     self.ack_supersteps += 1;
                     self.scan();
                     self.resume = Resume::BackoffEnter;
@@ -487,7 +477,7 @@ impl<'a> RecoverySession<'a> {
                     let round = self.round;
                     self.machine
                         .set_trace_label(format!("recovery/backoff{round}"));
-                    self.machine.superstep_active(&[], idle);
+                    self.machine.superstep_auto(&[], idle);
                     self.backoff_supersteps += 1;
                     self.scan();
                     self.resume = if left == 1 {
@@ -532,7 +522,7 @@ impl<'a> RecoverySession<'a> {
                         continue;
                     }
                     self.machine.set_trace_label("recovery/drain");
-                    self.machine.superstep_active(&[], idle);
+                    self.machine.superstep_auto(&[], idle);
                     self.backoff_supersteps += 1;
                     self.scan();
                     return RecoveryPhase::Drain;

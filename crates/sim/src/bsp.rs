@@ -21,7 +21,10 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::arena::MsgArena;
-use crate::hook::{BatchDests, DeliveryHook, Fate, FaultStats};
+use crate::hook::{
+    charge_fault_masks, land_due, place_retained, queue_pending, BatchDests, DeliveryHook, Fate,
+    FaultStats, PENDING_POOL_CAP,
+};
 use crate::{Pid, SimError};
 use pbw_models::{EpochCounts, FrontierMask, MachineParams, ProfileBuilder, SuperstepProfile};
 use pbw_trace::{FaultCounters, RecoveryMark, TraceEvent, TraceSink, TraceSource};
@@ -197,10 +200,12 @@ pub struct BspMachine<S, M> {
     /// Counting-pass scratch: exact per-destination arena segment sizes —
     /// dense path.
     arena_counts: Vec<usize>,
-    /// Sparse-path counting scratch: epoch-stamped per-destination segment
-    /// sizes, reset in O(1) by an epoch bump instead of an O(p) `fill(0)`.
+    /// Hooked sparse-path counting scratch: epoch-stamped per-destination
+    /// segment sizes, reset in O(1) by an epoch bump instead of an O(p)
+    /// `fill(0)`.
     sparse_arena_counts: EpochCounts,
-    /// Sparse-path receive counts, epoch-stamped like `sparse_arena_counts`.
+    /// Hooked sparse-path receive counts, epoch-stamped like
+    /// `sparse_arena_counts`.
     sparse_recv_counts: EpochCounts,
     /// Delivery-pass scratch: `seq_lens[k]` counts the senders that posted
     /// exactly `k + 1` all-implicit-slot messages this superstep, feeding
@@ -212,9 +217,9 @@ pub struct BspMachine<S, M> {
     /// whose closures run this superstep, unloaded from `frontier_mask` in
     /// ascending pid order (no sort).
     frontier: Vec<Pid>,
-    /// Sparse-path sender scratch: the frontier pids that actually posted
-    /// messages this superstep, collected by the fused counting pass so the
-    /// delivery drain revisits only them (a wide receive-only frontier
+    /// Fused-path sender scratch: the pids that actually posted messages or
+    /// charged work this superstep, collected by the fused sender tail so
+    /// the delivery drain revisits only them (a wide receive-only frontier
     /// contributes nothing to delivery).
     senders: Vec<Pid>,
     /// Mask twin of `frontier`: the declared active set OR-ed word-at-a-time
@@ -224,9 +229,9 @@ pub struct BspMachine<S, M> {
     /// Dense-path sender discovery: the parallel closure pass writes one
     /// byte per pid ("posted a message or charged work"), folded into
     /// `sender_mask` by a word-building sweep. The resulting sender count
-    /// drives the measured density crossover — a dense superstep whose
-    /// senders are sparse takes the epoch-stamped masked branch instead of
-    /// the O(p) flat-array branch, byte-identically.
+    /// feeds the density rule — a dense superstep whose senders are sparse
+    /// takes the fused path over the sender set instead of the O(p)
+    /// flat-array path, byte-identically.
     sender_flags: Vec<u8>,
     sender_mask: FrontierMask,
     /// Tracing scratch for per-processor send counts.
@@ -496,8 +501,10 @@ impl<S: Send, M: Send> BspMachine<S, M> {
     /// exactly; skipped processors only ever contribute
     /// `record_work(0)`/`record_traffic(0, 0)` no-ops to the profile.
     ///
-    /// # Panics
-    /// Panics if `active` names a pid `>= p`.
+    /// # Errors
+    /// [`SimError::BadActivePid`] if `active` names a pid `>= p`, returned
+    /// before the superstep touches any state (pending inboxes included),
+    /// plus the model-rule violations [`BspMachine::try_superstep`] reports.
     pub fn try_superstep_active<F>(
         &mut self,
         active: &[Pid],
@@ -508,16 +515,59 @@ impl<S: Send, M: Send> BspMachine<S, M> {
         M: Sync + Clone,
         S: Sync,
     {
+        check_active(active, self.params.p)?;
         self.superstep_core(Some(active), f)
     }
 
-    /// The one superstep implementation behind both paths. `active: None`
-    /// is the dense path (closure runs for all `p` processors, in
-    /// parallel); `active: Some(set)` is the sparse path (closure runs
-    /// sequentially over the sorted frontier). Everything downstream of the
-    /// closure pass — counting, arena fill, fate application, profile and
-    /// trace construction — is shared or shape-identical, which is what
-    /// makes the two paths byte-identical by construction.
+    /// Execute one superstep over a declared active set on the path the
+    /// engine picks, panicking on model-rule violations. See
+    /// [`BspMachine::try_superstep_auto`].
+    pub fn superstep_auto<F>(&mut self, active: &[Pid], f: F) -> SuperstepReport
+    where
+        F: Fn(Pid, &mut S, &[M], &mut Outbox<M>) + Sync,
+        M: Sync + Clone,
+        S: Sync,
+    {
+        self.try_superstep_auto(active, f)
+            .unwrap_or_else(|e| panic!("superstep failed: {e}"))
+    }
+
+    /// Execute one superstep over a declared active set, with the closure
+    /// contract of [`BspMachine::try_superstep_active`], on whichever path
+    /// is cheaper: the sparse path when the processors that can wake —
+    /// `active` plus every pid holding an inbox — pass
+    /// [`crate::density::crossover`], the dense path of
+    /// [`BspMachine::try_superstep`] otherwise. Both paths are
+    /// byte-identical, so the choice changes wall time only. `active` is
+    /// checked for out-of-range pids on both paths.
+    ///
+    /// # Errors
+    /// As [`BspMachine::try_superstep_active`].
+    pub fn try_superstep_auto<F>(
+        &mut self,
+        active: &[Pid],
+        f: F,
+    ) -> Result<SuperstepReport, SimError>
+    where
+        F: Fn(Pid, &mut S, &[M], &mut Outbox<M>) + Sync,
+        M: Sync + Clone,
+        S: Sync,
+    {
+        let p = self.params.p;
+        check_active(active, p)?;
+        let waking = active.len() + self.inboxes.touched().count();
+        let sparse = crate::density::crossover(waking, p);
+        self.superstep_core(sparse.then_some(active), f)
+    }
+
+    /// The one superstep implementation behind every entry point. `active:
+    /// None` runs the closure for all `p` processors in parallel (dense);
+    /// `Some(set)` runs it sequentially over the sorted frontier (sparse).
+    /// Delivery then takes one of three [`Path`]s, chosen by the tally
+    /// representation rather than by the caller. Each replays the same
+    /// canonical sequential delivery order (source pid ascending, then send
+    /// order, then due late arrivals), which is what makes them
+    /// byte-identical.
     fn superstep_core<F>(
         &mut self,
         active: Option<&[Pid]>,
@@ -529,7 +579,6 @@ impl<S: Send, M: Send> BspMachine<S, M> {
         S: Sync,
     {
         let p = self.params.p;
-        let step = self.superstep as u64;
         // Rotate the arenas: `spare` becomes the read side (last boundary's
         // deliveries), and the arena the previous superstep read from is
         // cleared for refill. If this superstep is rejected below, `inboxes`
@@ -543,841 +592,565 @@ impl<S: Send, M: Send> BspMachine<S, M> {
         // *and* loses every payload whose custody would transfer to it this
         // superstep. The masks are cleared in O(1) (epoch bumps) and filled
         // in one hook call — `fill_fault_masks` lets a hook that knows its
-        // fault windows in closed form (FaultPlan with zero rates) insert
-        // O(windows) bits instead of answering p per-pid queries. The masks
-        // are only ever read behind `hooked`, so the unhooked paths touch
-        // nothing p-sized here.
+        // fault windows in closed form insert O(windows) bits instead of
+        // answering p per-pid queries. They are only ever read behind
+        // `hooked`, so the unhooked paths touch nothing p-sized here.
         let hook = self.hook.clone();
-        let hooked = hook.is_some();
         let tracing = self.sink.enabled();
-        // *Taken*, not read: if this superstep errors or panics the flag
-        // stays false and the next superstep resets as usual; only the
-        // clean unhooked exit at the bottom re-establishes it.
-        let outboxes_were_clean = std::mem::take(&mut self.outboxes_clean);
+        let st = Step {
+            index: self.superstep as u64,
+            hooked: hook.is_some(),
+            tracing,
+            materialize_slots: hook.is_some() || tracing,
+            // *Taken*, not read: if this superstep errors or panics the flag
+            // stays false and the next superstep resets as usual.
+            outboxes_clean: std::mem::take(&mut self.outboxes_clean),
+        };
         if let Some(h) = &hook {
             self.stalled.clear();
             self.crashed.clear();
-            h.fill_fault_masks(step, &mut self.stalled, &mut self.crashed);
+            h.fill_fault_masks(st.index, &mut self.stalled, &mut self.crashed);
         }
-
-        // Sparse path: build the frontier — the caller's declared active set
-        // plus every processor whose inbox from the last boundary is
-        // non-empty (ordinary deliveries, retained stalled inboxes, and
-        // landed delayed payloads all live there, so `spare.touched()`
-        // covers them without scanning p inboxes). The mask OR is the dedup
-        // and its ascending-pid unload is the sort, so the old
-        // sort+dedup over the concatenated lists is gone. Sorted pid order
-        // is what replays the dense path's canonical delivery order exactly.
-        if let Some(declared) = active {
-            self.frontier.clear();
-            if declared.is_empty() {
-                // Nothing declared: the frontier is exactly the touched
-                // mask, already deduplicated and ascending — skip the
-                // scratch mask entirely. Unhooked, the pid list itself is
-                // skipped too: the closure pass iterates the mask directly
-                // and every later stage walks the sender list instead.
-                if hooked {
-                    self.spare.touched().push_to(&mut self.frontier);
-                }
-            } else {
-                self.frontier_mask.clear();
-                for &pid in declared {
-                    assert!(
-                        pid < p,
-                        "active set names processor {pid}, but the machine has {p} processors"
-                    );
-                    self.frontier_mask.insert(pid);
-                }
-                self.frontier_mask.union_with(self.spare.touched());
-                self.frontier_mask.push_to(&mut self.frontier);
-            }
-        }
-
-        // Individual slot values are only ever read by the hooked fate
-        // machinery and the trace multiplicity scan; plain unhooked,
-        // untraced supersteps keep the all-implicit marker instead.
-        let materialize_slots = hooked || tracing;
         if tracing {
-            // Trace events carry dense per-processor traffic vectors; the
-            // sparse path materializes them too (O(p), tracing only).
+            // Trace events carry dense per-processor traffic vectors.
             self.per_proc_sent.clear();
             self.per_proc_sent.resize(p, 0);
         }
-        // First resolution error found by the fused sparse closure pass
-        // below (reported only after every frontier closure has run, like
-        // the unfused paths), and the max messages any one sender posted.
-        let mut sparse_err: Option<SimError> = None;
-        let mut sparse_max_sent = 0u64;
 
-        // Closure pass. Dense: all p processors in parallel, each filling
-        // its recycled outbox and flagging itself as a sender (one byte,
-        // written unconditionally — the flag lane is what the density
-        // crossover below folds into the sender mask, and writing it here
-        // costs nothing next to the outbox reset it shares a cache line
-        // with). Sparse: sequentially over the sorted frontier — the
-        // frontier is small by contract, and a sequential pass is trivially
-        // deterministic at every PBW_THREADS width. Unhooked, each sender's
-        // slot resolution, destination counting, and profile facts run
-        // right after its closure returns, while the outbox is hot in
-        // cache — see `fused_sender_pass`.
-        //
-        // The macro is the per-sender tail of that fused pass: record the
-        // sender, resolve/validate its slots (first error wins, reported
-        // only after every closure has run, exactly like the unfused
-        // paths), bucket the injection histogram, count destinations
-        // straight into the arena's segment table, and track the traffic
-        // maximum. A sender whose validation fails contributes nothing
-        // further — everything already recorded is discarded wholesale by
-        // the error unwind in the delivery arm below.
-        macro_rules! fused_sender_pass {
-            ($pid:expr) => {{
-                let pid = $pid;
-                let out = &self.outboxes[pid];
-                if !out.envelopes.is_empty() || out.work != 0 {
-                    self.senders.push(pid);
-                    if out.work != 0 {
-                        self.builder.record_work(out.work);
-                    }
-                    if out.envelopes.is_empty() {
-                        // Work-only sender: nothing to resolve or count,
-                        // but the trace multiplicity scan walks this pid's
-                        // slot buffer — keep it cleared.
-                        if materialize_slots {
-                            self.resolved[pid].clear();
-                        }
-                    } else {
-                        let n = out.envelopes.len();
-                        let mut ok = true;
-                        if !materialize_slots && out.explicit == 0 {
-                            // Plain `send`s, slots unread anywhere:
-                            // validate the dests lane inline and bucket the
-                            // all-implicit histogram marker without
-                            // touching the slot buffer —
-                            // `resolve_slots_into`'s fast path minus the
-                            // call and the buffer clear (stale slots are
-                            // fine: no consumer reads them when
-                            // `materialize` is off).
-                            let mut max = 0usize;
-                            for &d in &out.dests {
-                                max = max.max(d);
-                            }
-                            if max >= p {
-                                if sparse_err.is_none() {
-                                    let dest =
-                                        out.dests.iter().copied().find(|&d| d >= p).unwrap_or(max);
-                                    sparse_err = Some(SimError::BadDestination { pid, dest });
-                                }
-                                ok = false;
-                            } else {
-                                if self.seq_lens.len() < n {
-                                    self.seq_lens.resize(n, 0);
-                                }
-                                self.seq_lens[n - 1] += 1;
-                            }
-                        } else {
-                            match resolve_slots_into(
-                                pid,
-                                p,
-                                out,
-                                &mut self.resolved[pid],
-                                materialize_slots,
-                            ) {
-                                Err(e) => {
-                                    if sparse_err.is_none() {
-                                        sparse_err = Some(e);
-                                    }
-                                    ok = false;
-                                }
-                                Ok(()) => {
-                                    let slots = &self.resolved[pid];
-                                    if slots.is_empty() {
-                                        if self.seq_lens.len() < n {
-                                            self.seq_lens.resize(n, 0);
-                                        }
-                                        self.seq_lens[n - 1] += 1;
-                                    } else {
-                                        debug_assert_eq!(slots.len(), n);
-                                        self.builder.record_injections_batch(slots);
-                                    }
-                                }
-                            }
-                        }
-                        if ok {
-                            if tracing {
-                                self.per_proc_sent[pid] = n as u64;
-                            }
-                            self.inboxes.count_ones(out.dests());
-                            sparse_max_sent = sparse_max_sent.max(n as u64);
-                        }
-                    }
-                }
-            }};
-        }
-        match active {
+        let mut tail = SenderTail::default();
+        let path = match active {
             None => {
-                let f = &f;
-                let stalled = &self.stalled;
-                let crashed = &self.crashed;
-                let spare = &self.spare;
-                let _: Vec<()> = self
-                    .states
-                    .par_iter_mut()
-                    .zip(self.outboxes.par_iter_mut())
-                    .zip(self.sender_flags.par_iter_mut())
-                    .enumerate()
-                    .map(|(pid, ((state, out), flag))| {
-                        if !outboxes_were_clean {
-                            out.reset();
-                        }
-                        if !(hooked && (stalled.contains(pid) || crashed.contains(pid))) {
-                            f(pid, state, spare.inbox(pid), out);
-                        }
-                        *flag = (!out.envelopes.is_empty() || out.work != 0) as u8;
-                    })
-                    .collect();
-            }
-            Some(declared) if !hooked && declared.is_empty() => {
-                // Frontier = touched mask verbatim: iterate it in place —
-                // same ascending pid order, no materialized pid list. The
-                // sender check runs while the outbox is hot in cache; the
-                // fused pass below then revisits only senders, never the
-                // (typically much wider) receive-only part of the frontier.
-                self.senders.clear();
-                for (w, word) in self.spare.touched().words() {
-                    let base = w * 64;
-                    let mut bits = word;
-                    while bits != 0 {
-                        let pid = base + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        if !outboxes_were_clean {
-                            self.outboxes[pid].reset();
-                        }
-                        f(
-                            pid,
-                            &mut self.states[pid],
-                            self.spare.inbox(pid),
-                            &mut self.outboxes[pid],
-                        );
-                        fused_sender_pass!(pid);
-                    }
+                self.dense_closure_pass(&f, st);
+                if !st.hooked && self.mask_sparse_senders(st, &mut tail) {
+                    Path::Fused
+                } else {
+                    Path::Dense
                 }
             }
-            Some(_) => {
-                self.senders.clear();
-                for i in 0..self.frontier.len() {
-                    let pid = self.frontier[i];
-                    if !outboxes_were_clean {
-                        self.outboxes[pid].reset();
-                    }
-                    if !(hooked && (self.stalled.contains(pid) || self.crashed.contains(pid))) {
-                        f(
-                            pid,
-                            &mut self.states[pid],
-                            self.spare.inbox(pid),
-                            &mut self.outboxes[pid],
-                        );
-                    }
-                    if !hooked {
-                        fused_sender_pass!(pid);
-                    }
+            Some(declared) => {
+                self.load_frontier(declared);
+                self.sparse_closure_pass(&f, st, &mut tail);
+                if st.hooked {
+                    Path::SparseHooked
+                } else {
+                    Path::Fused
                 }
             }
-        }
-
-        // Measured density crossover (dense, unhooked): fold the sender
-        // flags into a mask, and if the senders are sparse enough — per the
-        // once-per-process calibration in `crate::density` — run the rest
-        // of the superstep over the sender set with the epoch-stamped
-        // tallies, exactly as `superstep_active` would. Byte-identical
-        // either way: a flag-less processor has an empty outbox and zero
-        // work, so the only facts it would contribute downstream are
-        // `record_work(0)`/`record_traffic(0, 0)` no-ops, and the parallel
-        // pass above has already reset *all* p outboxes, so no stale buffer
-        // can be read. Hooked dense supersteps keep the flat-array branch:
-        // stall retention and crash accounting want the full-width scans.
-        let mut dense_masked = false;
-        if active.is_none() && !hooked {
-            self.sender_mask.clear();
-            let mut senders = 0usize;
-            for (leaf, chunk) in self.sender_flags.chunks(64).enumerate() {
-                let mut word = 0u64;
-                for (bit, &flag) in chunk.iter().enumerate() {
-                    word |= (flag as u64) << bit;
-                }
-                if word != 0 {
-                    self.sender_mask.insert_word(leaf, word);
-                    senders += word.count_ones() as usize;
-                }
-            }
-            dense_masked = crate::density::crossover(senders, p);
-            if dense_masked {
-                self.frontier.clear();
-                self.sender_mask.push_to(&mut self.frontier);
-            }
-        }
-        // Everything below branches on the tally representation, not on the
-        // caller's path: the masked dense branch *is* the sparse branch run
-        // over the sender set.
-        let sparse_tallies = active.is_some() || dense_masked;
-
-        // Slot resolution + validation of the one-injection-per-step rule,
-        // into the recycled slot buffers. Dense: a parallel fallible collect
-        // that surfaces the lowest-pid error. Sparse (and masked dense):
-        // sequential over the frontier — non-frontier outboxes are either
-        // stale from an earlier superstep (sparse) or freshly reset and
-        // empty (masked dense), and are neither resolved nor read anywhere
-        // below; ascending frontier order surfaces the same lowest-pid
-        // error, since only senders can err.
-        match sparse_tallies {
-            false => {
-                let validated: Result<Vec<()>, SimError> = self
-                    .outboxes
-                    .par_iter()
-                    .zip(self.resolved.par_iter_mut())
-                    .enumerate()
-                    .map(|(pid, (out, slots))| {
-                        resolve_slots_into(pid, p, out, slots, materialize_slots)
-                    })
-                    .collect();
-                validated?;
-            }
-            true => {
-                // Hooked sparse supersteps resolve up front: the fate batch
-                // below consumes the slot sequences. Unhooked ones defer
-                // resolution into the fused counting pass further down —
-                // one streaming pass over the frontier outboxes, not two.
-                if hooked {
-                    for &pid in &self.frontier {
-                        resolve_slots_into(
-                            pid,
-                            p,
-                            &self.outboxes[pid],
-                            &mut self.resolved[pid],
-                            materialize_slots,
-                        )?;
-                    }
-                }
-            }
-        }
-
-        // Fates are pure in `(superstep, src, dest, msg_idx, slot)`, so on
-        // the dense path they are *computed* in a parallel pass; the
-        // sequential loop below only *applies* them, preserving the fixed
-        // delivery order the ledger, pending queue, and traces are defined
-        // by. The sparse path computes them sequentially over the frontier
-        // (purity makes the two orders indistinguishable).
-        if let Some(h) = &hook {
-            if self.fates.len() != p {
-                self.fates.resize_with(p, Vec::new);
-            }
-            match active {
-                None => {
-                    let _: Vec<()> = self
-                        .outboxes
-                        .par_iter()
-                        .zip(self.resolved.par_iter())
-                        .zip(self.fates.par_iter_mut())
-                        .enumerate()
-                        .map(|(pid, ((out, slots), fates))| {
-                            fates.clear();
-                            h.fate_batch(step, pid, BatchDests::Lane(out.dests()), slots, fates);
-                        })
-                        .collect();
-                }
-                Some(_) => {
-                    for &pid in &self.frontier {
-                        let out = &self.outboxes[pid];
-                        let slots = &self.resolved[pid];
-                        let fates = &mut self.fates[pid];
-                        fates.clear();
-                        h.fate_batch(step, pid, BatchDests::Lane(out.dests()), slots, fates);
-                    }
-                }
-            }
-        }
-
-        // From here on everything is sequential and deterministic. Borrow
-        // the machine's parts individually so the delivery loop can fill the
-        // arena while queueing pending payloads.
-        let Self {
-            ref params,
-            ref mut inboxes,
-            ref spare,
-            ref mut outboxes,
-            ref mut outboxes_clean,
-            ref mut resolved,
-            ref fates,
-            ref stalled,
-            ref crashed,
-            ref mut recv_counts,
-            ref mut arena_counts,
-            ref mut sparse_arena_counts,
-            ref mut sparse_recv_counts,
-            ref mut seq_lens,
-            ref frontier,
-            ref mut senders,
-            ref mut per_proc_sent,
-            ref mut builder,
-            ref mut profiles,
-            superstep: ref mut superstep_idx,
-            ref sink,
-            ref trace_label,
-            ref mut pending,
-            ref mut pending_pool,
-            ref mut fault_stats,
-            ref fault_round,
-            ref mut recovery_mark,
-            ..
-        } = *self;
-
-        let mut counters = FaultCounters {
-            retransmit_round: *fault_round,
-            ..Default::default()
         };
 
+        // Slot resolution + validation of the one-injection-per-step rule,
+        // into the recycled slot buffers; ascending pid order surfaces the
+        // lowest-pid error on every path. The fused path resolved each
+        // sender in its tail; hooked sparse supersteps resolve up front
+        // because the fate batch consumes the slot sequences.
+        match path {
+            Path::Dense => self.resolve_all_slots(st.materialize_slots)?,
+            Path::SparseHooked => {
+                for &pid in &self.frontier {
+                    resolve_slots_into(
+                        pid,
+                        p,
+                        &self.outboxes[pid],
+                        &mut self.resolved[pid],
+                        st.materialize_slots,
+                    )?;
+                }
+            }
+            Path::Fused => {}
+        }
+        if let Some(h) = &hook {
+            self.compute_fates(h.as_ref(), st.index, path == Path::Dense);
+        }
+
+        let mut counters = FaultCounters {
+            retransmit_round: self.fault_round,
+            ..Default::default()
+        };
         // Payloads the network is due to release at this boundary (queued by
         // earlier Delay/Duplicate fates). Popped before this superstep's
         // sends are queued, so a `Delay(k)` waits exactly `k` extra steps.
-        let due: Vec<(Pid, M)> = pending.pop_front().unwrap_or_default();
-
-        // Counting pass + delivery. Both branches run the identical
-        // sequence — stall accounting, per-destination counting, arena
-        // layout, retained-inbox re-placement, then `delivery_pass` — over
-        // the same pids in the same order (every non-frontier pid the dense
-        // branch additionally visits holds no messages, by the
-        // `try_superstep_active` contract, so it contributes nothing). Only
-        // the tally representation differs: dense `fill(0)` vectors vs
-        // O(1)-reset epoch-stamped counts.
-        // Unhooked with no late arrivals, the per-destination receive
-        // tallies are bit-for-bit the arena counts (every counted message
-        // is placed, nothing else is); the sparse arm exploits this below
-        // and the trace row reads the arena counts in that case.
-        let fuse_recv = !hooked && due.is_empty();
-        let delivered = match sparse_tallies {
-            false => {
-                // Stalled processors keep their undrained inbox (already
-                // counted as delivered at the previous boundary — not
-                // recounted in `recv_counts`); it is retained ahead of this
-                // superstep's deliveries, exactly where the per-destination
-                // push used to put it. A *crashed* processor gets no
-                // retention even if simultaneously stalled: its undrained
-                // inbox simply evaporates at the arena swap, exactly as it
-                // does for a live processor that ignores its inbox, so the
-                // ledger (which counted those payloads delivered at the
-                // previous boundary) is untouched. Both scans walk the
-                // masks word-at-a-time — O(fault-words), not O(p); the
-                // counters are sums and the per-pid updates are disjoint,
-                // so the mask order (ascending pid) reproduces the old
-                // 0..p scan exactly.
-                arena_counts.fill(0);
-                if hooked {
-                    let down = crashed.count() as u64;
-                    fault_stats.crash_steps += down;
-                    counters.crashed_procs += down;
-                    for (leaf, word) in stalled.words() {
-                        let live = word & !crashed.word(leaf);
-                        let retained = u64::from(live.count_ones());
-                        fault_stats.stalled_steps += retained;
-                        counters.stalled_procs += retained;
-                        let mut bits = live;
-                        while bits != 0 {
-                            let pid = leaf * 64 + bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            arena_counts[pid] += spare.len(pid);
-                        }
-                    }
-                }
-                for (pid, out) in outboxes.iter().enumerate() {
-                    if hooked {
-                        crate::kernels::count_dests_hooked(
-                            out.dests(),
-                            &fates[pid],
-                            crashed,
-                            arena_counts,
-                        );
-                    } else {
-                        crate::kernels::count_dests(out.dests(), arena_counts);
-                    }
-                }
-                for &(dest, _) in due.iter() {
-                    if !(hooked && crashed.contains(dest)) {
-                        arena_counts[dest] += 1;
-                    }
-                }
-                inboxes.begin(arena_counts);
-                if hooked {
-                    for (leaf, word) in stalled.words() {
-                        let mut bits = word & !crashed.word(leaf);
-                        while bits != 0 {
-                            let pid = leaf * 64 + bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            for msg in spare.inbox(pid) {
-                                inboxes.place(pid, msg.clone());
-                            }
-                        }
-                    }
-                }
-                recv_counts.fill(0);
-                let delivered = delivery_pass(
-                    0..p,
-                    outboxes,
-                    resolved,
-                    fates,
-                    hooked,
-                    crashed,
-                    tracing,
-                    per_proc_sent,
-                    inboxes,
-                    builder,
-                    pending,
-                    pending_pool,
-                    fault_stats,
-                    &mut counters,
-                    due,
-                    seq_lens,
-                    |dest| recv_counts[dest] += 1,
-                );
-                inboxes.finish();
-                for &r in recv_counts.iter() {
-                    builder.record_traffic(0, r);
-                }
-                delivered
-            }
-            // Unhooked sparse superstep: one fused streaming pass over the
-            // frontier outboxes does slot resolution, destination counting,
-            // and the per-sender profile facts together (the unfused path
-            // walks the same outboxes three times), and remembers who
-            // actually sent so the delivery drain revisits only senders — a
-            // wide receive-only frontier contributes nothing to delivery.
-            // Every fact lands in the same value the unfused path produces:
-            // work/traffic records are max-updates, the injection histogram
-            // and the destination counts are sums, and the drain places
-            // payloads in the identical ascending (sender pid, send order)
-            // sequence, so the arena bytes and the profile are unchanged.
-            true if !hooked => {
-                // Sparse path: the closure pass recorded the senders *and*
-                // already ran the fused per-sender tail (resolution,
-                // counting, profile facts) while each outbox was hot.
-                // Masked dense: the frontier was *built* from the sender
-                // flags, so it already is the sender set — but its closure
-                // pass ran in parallel over all p, so the fused tail runs
-                // here instead.
-                let live: &[Pid] = if active.is_some() {
-                    &senders[..]
-                } else {
-                    &frontier[..]
-                };
-                let mut err = sparse_err;
-                let mut max_sent = sparse_max_sent;
-                if active.is_none() {
-                    for &pid in live.iter() {
-                        let out = &outboxes[pid];
-                        if out.work != 0 {
-                            builder.record_work(out.work);
-                        }
-                        if out.envelopes.is_empty() {
-                            // Work-only sender: nothing to resolve or
-                            // count, but the trace multiplicity scan walks
-                            // this pid's slot buffer — keep it cleared.
-                            if materialize_slots {
-                                resolved[pid].clear();
-                            }
-                            continue;
-                        }
-                        let n = out.envelopes.len();
-                        if !materialize_slots && out.explicit == 0 {
-                            // Plain `send`s, slots unread anywhere: validate
-                            // the dests lane inline and bucket the
-                            // all-implicit histogram marker without touching
-                            // the slot buffer — `resolve_slots_into`'s fast
-                            // path minus the call and the buffer clear
-                            // (stale slots are fine: no consumer reads them
-                            // when `materialize` is off).
-                            let mut max = 0usize;
-                            for &d in &out.dests {
-                                max = max.max(d);
-                            }
-                            if max >= p {
-                                let dest =
-                                    out.dests.iter().copied().find(|&d| d >= p).unwrap_or(max);
-                                err = Some(SimError::BadDestination { pid, dest });
-                                break;
-                            }
-                            if seq_lens.len() < n {
-                                seq_lens.resize(n, 0);
-                            }
-                            seq_lens[n - 1] += 1;
-                        } else {
-                            if let Err(e) = resolve_slots_into(
-                                pid,
-                                p,
-                                out,
-                                &mut resolved[pid],
-                                materialize_slots,
-                            ) {
-                                err = Some(e);
-                                break;
-                            }
-                            let slots = &resolved[pid];
-                            if slots.is_empty() {
-                                if seq_lens.len() < n {
-                                    seq_lens.resize(n, 0);
-                                }
-                                seq_lens[n - 1] += 1;
-                            } else {
-                                debug_assert_eq!(slots.len(), n);
-                                builder.record_injections_batch(slots);
-                            }
-                        }
-                        if tracing {
-                            per_proc_sent[pid] = n as u64;
-                        }
-                        // Counts accumulate straight into the arena's
-                        // segment table — no second tally structure between
-                        // the counting pass and the layout.
-                        inboxes.count_ones(out.dests());
-                        max_sent = max_sent.max(n as u64);
-                    }
-                }
-                builder.record_traffic(max_sent, 0);
-                if let Some(e) = err {
-                    // A failed superstep must leave the builder and the
-                    // length buckets empty, exactly as the unfused paths do
-                    // (they resolve everything before recording anything),
-                    // and the arena cleared — one epoch bump discards the
-                    // partial counts.
-                    let _ = builder.snapshot_reset();
-                    for c in seq_lens.iter_mut() {
-                        *c = 0;
-                    }
-                    inboxes.clear();
-                    return Err(e);
-                }
-                for &(dest, _) in due.iter() {
-                    inboxes.count(dest, 1);
-                }
-                let max_recv = inboxes.begin_counted();
-                sparse_recv_counts.reset();
-                let mut delivered = 0u64;
-                for &pid in live.iter() {
-                    let out = &mut outboxes[pid];
-                    let n = out.envelopes.len() as u64;
-                    for env in out.envelopes.drain(..) {
-                        if !fuse_recv {
-                            sparse_recv_counts.add(env.dest, 1);
-                        }
-                        inboxes.place(env.dest, env.payload);
-                    }
-                    // Leave the outbox fully zeroed, not just drained, so
-                    // the next superstep's closure pass can skip its reset
-                    // (`outboxes_clean`).
-                    out.dests.clear();
-                    out.work = 0;
-                    out.explicit = 0;
-                    fault_stats.injected += n;
-                    fault_stats.delivered += n;
-                    delivered += n;
-                }
-                builder.record_injections_by_len(seq_lens);
-                for c in seq_lens.iter_mut() {
-                    *c = 0;
-                }
-                let mut due = due;
-                for (dest, payload) in due.drain(..) {
-                    fault_stats.in_flight -= 1;
-                    if !fuse_recv {
-                        sparse_recv_counts.add(dest, 1);
-                    }
-                    inboxes.place(dest, payload);
-                    delivered += 1;
-                    fault_stats.delivered += 1;
-                    counters.late_arrivals += 1;
-                }
-                if due.capacity() > 0 && pending_pool.len() < PENDING_POOL_CAP {
-                    pending_pool.push(due);
-                }
-                inboxes.finish();
-                if fuse_recv {
-                    builder.record_traffic(0, max_recv);
-                } else {
-                    builder.record_recv_sparse(sparse_recv_counts);
-                }
-                delivered
-            }
-            true => {
-                // Same sequence, epoch-stamped tallies, hooked: the stall
-                // scans iterate the fault masks word-at-a-time —
-                // O(fault-words), never O(p).
-                sparse_arena_counts.reset();
-                if hooked {
-                    let down = crashed.count() as u64;
-                    fault_stats.crash_steps += down;
-                    counters.crashed_procs += down;
-                    for (leaf, word) in stalled.words() {
-                        let live = word & !crashed.word(leaf);
-                        let retained = u64::from(live.count_ones());
-                        fault_stats.stalled_steps += retained;
-                        counters.stalled_procs += retained;
-                        let mut bits = live;
-                        while bits != 0 {
-                            let pid = leaf * 64 + bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            sparse_arena_counts.add(pid, spare.len(pid) as u64);
-                        }
-                    }
-                }
-                for &pid in frontier.iter() {
-                    let out = &outboxes[pid];
-                    if hooked {
-                        crate::kernels::count_dests_sparse_hooked(
-                            out.dests(),
-                            &fates[pid],
-                            crashed,
-                            sparse_arena_counts,
-                        );
-                    } else {
-                        crate::kernels::count_dests_sparse(out.dests(), sparse_arena_counts);
-                    }
-                }
-                for &(dest, _) in due.iter() {
-                    if !(hooked && crashed.contains(dest)) {
-                        sparse_arena_counts.add(dest, 1);
-                    }
-                }
-                let max_recv = inboxes.begin_sparse(sparse_arena_counts);
-                if hooked {
-                    for (leaf, word) in stalled.words() {
-                        let mut bits = word & !crashed.word(leaf);
-                        while bits != 0 {
-                            let pid = leaf * 64 + bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            for msg in spare.inbox(pid) {
-                                inboxes.place(pid, msg.clone());
-                            }
-                        }
-                    }
-                }
-                // With `fuse_recv`, the only profile fact the receive
-                // tallies feed is the receive maximum — which the layout
-                // pass above already computed. Skip the per-message recv
-                // bump and the second touched sweep entirely.
-                sparse_recv_counts.reset();
-                let delivered = if fuse_recv {
-                    delivery_pass(
-                        frontier.iter().copied(),
-                        outboxes,
-                        resolved,
-                        fates,
-                        hooked,
-                        crashed,
-                        tracing,
-                        per_proc_sent,
-                        inboxes,
-                        builder,
-                        pending,
-                        pending_pool,
-                        fault_stats,
-                        &mut counters,
-                        due,
-                        seq_lens,
-                        |_| {},
-                    )
-                } else {
-                    delivery_pass(
-                        frontier.iter().copied(),
-                        outboxes,
-                        resolved,
-                        fates,
-                        hooked,
-                        crashed,
-                        tracing,
-                        per_proc_sent,
-                        inboxes,
-                        builder,
-                        pending,
-                        pending_pool,
-                        fault_stats,
-                        &mut counters,
-                        due,
-                        seq_lens,
-                        |dest| sparse_recv_counts.add(dest, 1),
-                    )
-                };
-                inboxes.finish();
-                if fuse_recv {
-                    builder.record_traffic(0, max_recv);
-                } else {
-                    builder.record_recv_sparse(sparse_recv_counts);
-                }
-                delivered
-            }
+        let due = self.pending.pop_front().unwrap_or_default();
+        let delivered = match path {
+            Path::Dense => self.deliver_dense(st, due, &mut counters),
+            Path::Fused => self.deliver_fused(tail, due, &mut counters)?,
+            Path::SparseHooked => self.deliver_sparse_hooked(st, due, &mut counters),
         };
+        // Unhooked supersteps leave every dirtied outbox drained and zeroed;
+        // combined with an all-clean entry — or the dense pass's reset of
+        // all p — the whole population is clean again, and the next
+        // superstep's closure pass skips its resets. Hooked supersteps make
+        // no such claim.
+        self.outboxes_clean = !st.hooked && (st.outboxes_clean || active.is_none());
+        Ok(self.finish_superstep(st, path, delivered, counters))
+    }
 
-        let profile = builder.snapshot_reset();
+    /// Dense closure pass: all p processors in parallel, each filling its
+    /// recycled outbox and flagging itself as a sender (one byte, written
+    /// unconditionally — [`BspMachine::mask_sparse_senders`] folds the flag
+    /// lane into the sender mask, and writing it costs nothing next to the
+    /// outbox reset it shares a cache line with).
+    fn dense_closure_pass<F>(&mut self, f: &F, st: Step)
+    where
+        F: Fn(Pid, &mut S, &[M], &mut Outbox<M>) + Sync,
+        M: Sync,
+    {
+        let stalled = &self.stalled;
+        let crashed = &self.crashed;
+        let spare = &self.spare;
+        let _: Vec<()> = self
+            .states
+            .par_iter_mut()
+            .zip(self.outboxes.par_iter_mut())
+            .zip(self.sender_flags.par_iter_mut())
+            .enumerate()
+            .map(|(pid, ((state, out), flag))| {
+                if !st.outboxes_clean {
+                    out.reset();
+                }
+                if !(st.hooked && (stalled.contains(pid) || crashed.contains(pid))) {
+                    f(pid, state, spare.inbox(pid), out);
+                }
+                *flag = (!out.envelopes.is_empty() || out.work != 0) as u8;
+            })
+            .collect();
+    }
+
+    /// Sender discovery after an unhooked dense closure pass: fold the
+    /// sender flags into `sender_mask`, and if the senders are sparse enough
+    /// (per [`crate::density::crossover`]) run the fused sender tail over
+    /// them, so the rest of the superstep takes [`Path::Fused`] over the
+    /// sender set, exactly as `superstep_active` would. Byte-identical
+    /// either way: a flag-less processor has an empty outbox and zero work,
+    /// so it would contribute only `record_work(0)`/`record_traffic(0, 0)`
+    /// no-ops downstream, and the dense pass has reset all p outboxes, so no
+    /// stale buffer can be read.
+    fn mask_sparse_senders(&mut self, st: Step, tail: &mut SenderTail) -> bool {
+        self.sender_mask.clear();
+        let mut senders = 0usize;
+        for (leaf, chunk) in self.sender_flags.chunks(64).enumerate() {
+            let mut word = 0u64;
+            for (bit, &flag) in chunk.iter().enumerate() {
+                word |= (flag as u64) << bit;
+            }
+            if word != 0 {
+                self.sender_mask.insert_word(leaf, word);
+                senders += word.count_ones() as usize;
+            }
+        }
+        if !crate::density::crossover(senders, self.params.p) {
+            return false;
+        }
+        self.senders.clear();
+        let mask = std::mem::take(&mut self.sender_mask);
+        for pid in mask.iter() {
+            self.fused_sender_tail(pid, st, tail);
+        }
+        self.sender_mask = mask;
+        true
+    }
+
+    /// Build the sparse frontier: the caller's declared active set plus
+    /// every processor whose inbox from the last boundary is non-empty
+    /// (ordinary deliveries, retained stalled inboxes, and landed delayed
+    /// payloads all live there, so `spare.touched()` covers them without
+    /// scanning p inboxes). The mask OR is the dedup and its ascending-pid
+    /// unload is the sort — the order that replays the dense path's
+    /// canonical delivery order exactly.
+    fn load_frontier(&mut self, declared: &[Pid]) {
+        self.frontier_mask.clear();
+        for &pid in declared {
+            self.frontier_mask.insert(pid);
+        }
+        self.frontier_mask.union_with(self.spare.touched());
+        self.frontier.clear();
+        self.frontier_mask.push_to(&mut self.frontier);
+    }
+
+    /// Sparse closure pass: sequentially over the sorted frontier — small by
+    /// contract, and trivially deterministic at every pool width.
+    /// Unhooked, each closure is followed by its fused sender tail while the
+    /// outbox is hot in cache.
+    fn sparse_closure_pass<F>(&mut self, f: &F, st: Step, tail: &mut SenderTail)
+    where
+        F: Fn(Pid, &mut S, &[M], &mut Outbox<M>),
+    {
+        self.senders.clear();
+        for i in 0..self.frontier.len() {
+            let pid = self.frontier[i];
+            if !st.outboxes_clean {
+                self.outboxes[pid].reset();
+            }
+            if !(st.hooked && (self.stalled.contains(pid) || self.crashed.contains(pid))) {
+                f(
+                    pid,
+                    &mut self.states[pid],
+                    self.spare.inbox(pid),
+                    &mut self.outboxes[pid],
+                );
+            }
+            if !st.hooked {
+                self.fused_sender_tail(pid, st, tail);
+            }
+        }
+    }
+
+    /// The per-sender tail of [`Path::Fused`], run while the outbox is hot:
+    /// record the sender, resolve and validate its slots, bucket the
+    /// injection histogram, count its destinations straight into the
+    /// arena's segment table, and track the traffic maximum. The first error
+    /// wins and is reported only after every closure has run, like the
+    /// unfused paths; a sender that fails validation contributes nothing
+    /// further, and everything already recorded is discarded wholesale by
+    /// [`BspMachine::deliver_fused`]'s error unwind.
+    fn fused_sender_tail(&mut self, pid: Pid, st: Step, tail: &mut SenderTail) {
+        let p = self.params.p;
+        let out = &self.outboxes[pid];
+        if out.envelopes.is_empty() && out.work == 0 {
+            return;
+        }
+        self.senders.push(pid);
+        if out.work != 0 {
+            self.builder.record_work(out.work);
+        }
+        let n = out.envelopes.len();
+        if n == 0 {
+            // Work-only sender: nothing to resolve or count, but the trace
+            // multiplicity scan walks this pid's slot buffer — keep it
+            // cleared.
+            if st.materialize_slots {
+                self.resolved[pid].clear();
+            }
+            return;
+        }
+        // Plain `send`s with slots unread anywhere: validate the dests lane
+        // and bucket the all-implicit histogram marker without touching the
+        // slot buffer (stale slots are fine: nothing reads them when
+        // `materialize_slots` is off).
+        let implicit = !st.materialize_slots && out.explicit == 0;
+        let checked = if implicit {
+            check_dests(pid, p, &out.dests)
+        } else {
+            resolve_slots_into(pid, p, out, &mut self.resolved[pid], st.materialize_slots)
+        };
+        if let Err(e) = checked {
+            if tail.err.is_none() {
+                tail.err = Some(e);
+            }
+            return;
+        }
+        if implicit {
+            bucket_len(&mut self.seq_lens, n);
+        } else {
+            self.builder.record_injections_batch(&self.resolved[pid]);
+        }
+        if st.tracing {
+            self.per_proc_sent[pid] = n as u64;
+        }
+        self.inboxes.count_ones(&out.dests);
+        tail.max_sent = tail.max_sent.max(n as u64);
+    }
+
+    /// Resolve every processor's slots in a parallel fallible pass that
+    /// surfaces the lowest-pid error.
+    fn resolve_all_slots(&mut self, materialize: bool) -> Result<(), SimError>
+    where
+        M: Sync,
+    {
+        let p = self.params.p;
+        let validated: Result<Vec<()>, SimError> = self
+            .outboxes
+            .par_iter()
+            .zip(self.resolved.par_iter_mut())
+            .enumerate()
+            .map(|(pid, (out, slots))| resolve_slots_into(pid, p, out, slots, materialize))
+            .collect();
+        validated.map(drop)
+    }
+
+    /// Fates are pure in `(superstep, src, dest, msg_idx, slot)`, so they are
+    /// *computed* here — in parallel over all p on the dense path,
+    /// sequentially over the frontier otherwise (purity makes the orders
+    /// indistinguishable) — and only *applied* by the sequential delivery
+    /// pass, preserving the fixed order the ledger, pending queue, and
+    /// traces are defined by.
+    fn compute_fates(&mut self, h: &dyn DeliveryHook, step: u64, dense: bool)
+    where
+        M: Sync,
+    {
+        let p = self.params.p;
+        if self.fates.len() != p {
+            self.fates.resize_with(p, Vec::new);
+        }
+        if dense {
+            let _: Vec<()> = self
+                .outboxes
+                .par_iter()
+                .zip(self.resolved.par_iter())
+                .zip(self.fates.par_iter_mut())
+                .enumerate()
+                .map(|(pid, ((out, slots), fates))| {
+                    fates.clear();
+                    h.fate_batch(step, pid, BatchDests::Lane(out.dests()), slots, fates);
+                })
+                .collect();
+        } else {
+            for &pid in &self.frontier {
+                let fates = &mut self.fates[pid];
+                fates.clear();
+                h.fate_batch(
+                    step,
+                    pid,
+                    BatchDests::Lane(self.outboxes[pid].dests()),
+                    &self.resolved[pid],
+                    fates,
+                );
+            }
+        }
+    }
+
+    /// [`Path::Dense`] delivery: flat per-processor tallies over `0..p`.
+    /// Stall accounting, per-destination counting, arena layout,
+    /// retained-inbox re-placement, then [`delivery_pass`].
+    fn deliver_dense(&mut self, st: Step, due: Vec<(Pid, M)>, counters: &mut FaultCounters) -> u64
+    where
+        M: Clone,
+    {
+        let p = self.params.p;
+        self.arena_counts.fill(0);
+        if st.hooked {
+            let (counts, spare) = (&mut self.arena_counts, &self.spare);
+            charge_fault_masks(
+                &self.stalled,
+                &self.crashed,
+                &mut self.fault_stats,
+                counters,
+                |pid| counts[pid] += spare.len(pid),
+            );
+        }
+        for (pid, out) in self.outboxes.iter().enumerate() {
+            if st.hooked {
+                crate::kernels::count_dests_hooked(
+                    out.dests(),
+                    &self.fates[pid],
+                    &self.crashed,
+                    &mut self.arena_counts,
+                );
+            } else {
+                crate::kernels::count_dests(out.dests(), &mut self.arena_counts);
+            }
+        }
+        for &(dest, _) in &due {
+            if !(st.hooked && self.crashed.contains(dest)) {
+                self.arena_counts[dest] += 1;
+            }
+        }
+        self.inboxes.begin(&self.arena_counts);
+        if st.hooked {
+            place_retained(&self.spare, &self.stalled, &self.crashed, &mut self.inboxes);
+        }
+        self.recv_counts.fill(0);
+        let recv = &mut self.recv_counts;
+        let delivered = delivery_pass(
+            0..p,
+            &mut self.outboxes,
+            &self.resolved,
+            &self.fates,
+            st.hooked.then_some(&self.crashed),
+            st.tracing.then_some(&mut self.per_proc_sent[..]),
+            &mut self.inboxes,
+            &mut self.builder,
+            &mut self.pending,
+            &mut self.pending_pool,
+            &mut self.fault_stats,
+            counters,
+            due,
+            &mut self.seq_lens,
+            |dest| recv[dest] += 1,
+        );
+        self.inboxes.finish();
+        for &r in &self.recv_counts {
+            self.builder.record_traffic(0, r);
+        }
+        delivered
+    }
+
+    /// [`Path::Fused`] delivery: every sender was already resolved, counted
+    /// and recorded by its fused tail, so what remains is the arena layout
+    /// and the drain over `senders` — a wide receive-only frontier
+    /// contributes nothing here. Unhooked, every counted payload is placed,
+    /// so the arena segments themselves are the receive tallies.
+    fn deliver_fused(
+        &mut self,
+        tail: SenderTail,
+        due: Vec<(Pid, M)>,
+        counters: &mut FaultCounters,
+    ) -> Result<u64, SimError> {
+        self.builder.record_traffic(tail.max_sent, 0);
+        if let Some(e) = tail.err {
+            // A failed superstep must leave the builder and the length
+            // buckets empty, exactly as the unfused paths do (they resolve
+            // everything before recording anything), and the arena cleared
+            // — one epoch bump discards the partial counts.
+            let _ = self.builder.snapshot_reset();
+            self.seq_lens.fill(0);
+            self.inboxes.clear();
+            return Err(e);
+        }
+        for &(dest, _) in &due {
+            self.inboxes.count(dest, 1);
+        }
+        let max_recv = self.inboxes.begin_counted();
+        let mut delivered = 0u64;
+        for &pid in &self.senders {
+            let out = &mut self.outboxes[pid];
+            delivered += out.envelopes.len() as u64;
+            for env in out.envelopes.drain(..) {
+                self.inboxes.place(env.dest, env.payload);
+            }
+            // Leave the outbox fully zeroed, not just drained, so the next
+            // superstep's closure pass can skip its reset.
+            out.dests.clear();
+            out.work = 0;
+            out.explicit = 0;
+        }
+        self.fault_stats.injected += delivered;
+        self.fault_stats.delivered += delivered;
+        self.builder.record_injections_by_len(&self.seq_lens);
+        self.seq_lens.fill(0);
+        delivered += land_due(
+            due,
+            None,
+            &mut self.inboxes,
+            &mut self.fault_stats,
+            counters,
+            &mut self.pending_pool,
+            |_| {},
+        );
+        self.inboxes.finish();
+        self.builder.record_traffic(0, max_recv);
+        Ok(delivered)
+    }
+
+    /// [`Path::SparseHooked`] delivery: the [`Path::Dense`] sequence over
+    /// the frontier, with epoch-stamped tallies. The stall scans iterate
+    /// the fault masks word-at-a-time — O(fault-words), never O(p).
+    fn deliver_sparse_hooked(
+        &mut self,
+        st: Step,
+        due: Vec<(Pid, M)>,
+        counters: &mut FaultCounters,
+    ) -> u64
+    where
+        M: Clone,
+    {
+        self.sparse_arena_counts.reset();
+        let (counts, spare) = (&mut self.sparse_arena_counts, &self.spare);
+        charge_fault_masks(
+            &self.stalled,
+            &self.crashed,
+            &mut self.fault_stats,
+            counters,
+            |pid| counts.add(pid, spare.len(pid) as u64),
+        );
+        for &pid in &self.frontier {
+            crate::kernels::count_dests_sparse_hooked(
+                self.outboxes[pid].dests(),
+                &self.fates[pid],
+                &self.crashed,
+                &mut self.sparse_arena_counts,
+            );
+        }
+        for &(dest, _) in &due {
+            if !self.crashed.contains(dest) {
+                self.sparse_arena_counts.add(dest, 1);
+            }
+        }
+        self.inboxes.begin_sparse(&self.sparse_arena_counts);
+        place_retained(&self.spare, &self.stalled, &self.crashed, &mut self.inboxes);
+        self.sparse_recv_counts.reset();
+        let recv = &mut self.sparse_recv_counts;
+        let delivered = delivery_pass(
+            self.frontier.iter().copied(),
+            &mut self.outboxes,
+            &self.resolved,
+            &self.fates,
+            Some(&self.crashed),
+            st.tracing.then_some(&mut self.per_proc_sent[..]),
+            &mut self.inboxes,
+            &mut self.builder,
+            &mut self.pending,
+            &mut self.pending_pool,
+            &mut self.fault_stats,
+            counters,
+            due,
+            &mut self.seq_lens,
+            |dest| recv.add(dest, 1),
+        );
+        self.inboxes.finish();
+        self.builder.record_recv_sparse(&self.sparse_recv_counts);
+        delivered
+    }
+
+    /// Snapshot the profile, emit the trace event, and advance the
+    /// superstep index. Trace rows are dense by format (length p); the
+    /// sparse paths fill a zeroed row O(touched) from their tallies.
+    fn finish_superstep(
+        &mut self,
+        st: Step,
+        path: Path,
+        delivered: u64,
+        counters: FaultCounters,
+    ) -> SuperstepReport {
+        let p = self.params.p;
+        let profile = self.builder.snapshot_reset();
         // Taken unconditionally so mark consumption is sink-independent.
-        let mark = recovery_mark.take();
-        if tracing {
-            // Trace rows are dense by format (length p), but the sparse
-            // fill is O(touched): a zeroed row plus one write per receiver
-            // named by the dirty mask, instead of p stamp-checked reads.
-            let per_proc_recv: Vec<u64> = match sparse_tallies {
-                false => recv_counts.clone(),
-                true => {
-                    let mut row = vec![0u64; p];
-                    if fuse_recv {
-                        // Unhooked with no late arrivals: the published
-                        // arena segments *are* the receive tallies.
-                        for d in inboxes.touched().iter() {
-                            row[d] = inboxes.len(d) as u64;
-                        }
-                    } else {
-                        for d in sparse_recv_counts.touched().iter() {
-                            row[d] = sparse_recv_counts.get(d);
-                        }
+        let mark = self.recovery_mark.take();
+        if st.tracing {
+            let mut row = vec![0u64; p];
+            // Each path's max-multiplicity scan walks exactly the slot
+            // buffers it resolved this superstep; the others may hold stale
+            // earlier-superstep data (a pid outside the scan has no resolved
+            // slots, so restricting it cannot change the maximum).
+            let max_mult = match path {
+                Path::Dense => {
+                    row.copy_from_slice(&self.recv_counts);
+                    crate::max_slot_multiplicity(&self.resolved, 0..p)
+                }
+                Path::Fused => {
+                    for d in self.inboxes.touched().iter() {
+                        row[d] = self.inboxes.len(d) as u64;
                     }
-                    row
+                    crate::max_slot_multiplicity(&self.resolved, self.senders.iter().copied())
                 }
-            };
-            let max_mult = match sparse_tallies {
-                false => crate::max_slot_multiplicity(resolved, 0..p),
-                // Unhooked sparse supersteps resolve only the senders (the
-                // fused pass skips receive-only frontier pids, whose slot
-                // buffers may hold stale earlier-superstep data); scan
-                // exactly the resolved set — quiet pids have no envelopes
-                // and would contribute nothing anyway.
-                true if !hooked && active.is_some() => {
-                    crate::max_slot_multiplicity(resolved, senders.iter().copied())
+                Path::SparseHooked => {
+                    for d in self.sparse_recv_counts.touched().iter() {
+                        row[d] = self.sparse_recv_counts.get(d);
+                    }
+                    crate::max_slot_multiplicity(&self.resolved, self.frontier.iter().copied())
                 }
-                true => crate::max_slot_multiplicity(resolved, frontier.iter().copied()),
             };
             let mut ev = TraceEvent::for_superstep(
                 TraceSource::Bsp,
-                trace_label.clone(),
-                step,
-                *params,
+                self.trace_label.clone(),
+                st.index,
+                self.params,
                 profile.clone(),
-                std::mem::take(per_proc_sent),
-                per_proc_recv,
+                std::mem::take(&mut self.per_proc_sent),
+                row,
                 max_mult,
                 delivered,
             );
-            if hooked {
+            if st.hooked {
                 ev = ev.with_faults(counters);
             }
             if let Some(m) = mark {
                 ev = ev.with_recovery(m);
             }
-            sink.record(ev);
+            self.sink.record(ev);
         }
-        profiles.push(profile.clone());
-        // Unhooked supersteps leave every dirtied outbox drained and zeroed
-        // (see the delivery drains above); combined with an all-clean entry
-        // — or the dense pass's reset of all p — the whole population is
-        // clean again, and the next superstep's closure pass skips its
-        // resets. Hooked supersteps make no such claim.
-        *outboxes_clean = !hooked && (outboxes_were_clean || active.is_none());
-        *superstep_idx += 1;
-        Ok(SuperstepReport { profile, delivered })
+        self.profiles.push(profile.clone());
+        self.superstep += 1;
+        SuperstepReport { profile, delivered }
     }
 
     /// Run supersteps until `f` posts no messages anywhere (quiescence) or
@@ -1556,60 +1329,116 @@ impl<S: Send + Clone, M: Send + Clone> BspMachine<S, M> {
     }
 }
 
-/// How many drained pending-delivery buffers a machine keeps for reuse.
-const PENDING_POOL_CAP: usize = 16;
-
-/// Queue `payload` for delivery at the boundary `k ≥ 1` supersteps from now,
-/// reusing drained level buffers from `pool`.
-fn queue_pending<M>(
-    pending: &mut VecDeque<Vec<(Pid, M)>>,
-    pool: &mut Vec<Vec<(Pid, M)>>,
-    fault_stats: &mut FaultStats,
-    k: u32,
-    dest: Pid,
-    payload: M,
-) {
-    let idx = (k.max(1) - 1) as usize;
-    while pending.len() <= idx {
-        pending.push_back(pool.pop().unwrap_or_default());
-    }
-    pending[idx].push((dest, payload));
-    fault_stats.in_flight += 1;
+/// Per-superstep facts every phase of [`BspMachine::superstep_core`] reads.
+#[derive(Clone, Copy)]
+struct Step {
+    /// Index of the superstep being executed.
+    index: u64,
+    /// Whether a delivery hook is attached.
+    hooked: bool,
+    /// Whether the trace sink is enabled.
+    tracing: bool,
+    /// Whether individual slot values are read downstream. Only the hooked
+    /// fate machinery and the trace multiplicity scan read them, so plain
+    /// unhooked, untraced supersteps keep the all-implicit marker instead.
+    materialize_slots: bool,
+    /// Whether every outbox was empty and zeroed at entry, so the closure
+    /// passes may skip the per-pid reset.
+    outboxes_clean: bool,
 }
 
-/// The sequential, deterministic heart of a superstep: walk `pids`'
-/// outboxes in order, record their work/send traffic, apply each envelope's
-/// fate in the canonical delivery order (source pid ascending, then send
-/// order), place surviving payloads into the arena, then land the due late
-/// arrivals after them. Returns the number of payloads delivered.
+/// The delivery path a superstep takes (see
+/// [`BspMachine::superstep_core`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Path {
+    /// Flat per-processor tallies over all p: dense supersteps whose
+    /// senders are not sparse, and every hooked dense superstep.
+    Dense,
+    /// Unhooked sparse supersteps, and unhooked dense supersteps whose
+    /// senders pass the density rule: the per-sender work runs in the
+    /// closure pass, and delivery walks only the senders.
+    Fused,
+    /// Hooked sparse supersteps: the dense sequence over the frontier, with
+    /// epoch-stamped tallies.
+    SparseHooked,
+}
+
+/// What the fused sender tails accumulate over one closure pass.
+#[derive(Default)]
+struct SenderTail {
+    /// First validation error, reported after every closure has run.
+    err: Option<SimError>,
+    /// Most messages any one sender posted.
+    max_sent: u64,
+}
+
+/// Reject a declared active set that names a pid `>= p`.
+fn check_active(active: &[Pid], p: usize) -> Result<(), SimError> {
+    match active.iter().find(|&&pid| pid >= p) {
+        Some(&pid) => Err(SimError::BadActivePid { pid, p }),
+        None => Ok(()),
+    }
+}
+
+/// Check a destination lane against `p`: a vectorizable max over the flat
+/// lane (no envelope walk), and on violation a rescan for the first
+/// offender — the envelope the general slot resolution would name.
+fn check_dests(pid: Pid, p: usize, dests: &[Pid]) -> Result<(), SimError> {
+    let mut max = 0usize;
+    for &d in dests {
+        max = max.max(d);
+    }
+    if max >= p {
+        let dest = dests.iter().copied().find(|&d| d >= p).unwrap_or(max);
+        return Err(SimError::BadDestination { pid, dest });
+    }
+    Ok(())
+}
+
+/// Bucket one all-implicit sender of `n ≥ 1` messages (slots `0..n`) by
+/// length; one `record_injections_by_len` call per superstep replays the
+/// whole population's histogram contributions in bulk (sums — order
+/// unobservable).
+fn bucket_len(seq_lens: &mut Vec<u64>, n: usize) {
+    if seq_lens.len() < n {
+        seq_lens.resize(n, 0);
+    }
+    seq_lens[n - 1] += 1;
+}
+
+/// The sequential, deterministic heart of the [`Path::Dense`] and
+/// [`Path::SparseHooked`] supersteps: walk `pids`' outboxes in order,
+/// record their work/send traffic, apply each envelope's fate in the
+/// canonical delivery order (source pid ascending, then send order), place
+/// surviving payloads into the arena, then land the due late arrivals after
+/// them. Returns the number of payloads delivered.
 ///
-/// Shared verbatim between the dense path (`pids` = `0..p`) and the sparse
-/// path (`pids` = the sorted frontier): every pid the dense iteration
-/// additionally visits holds an empty outbox, whose only effect is
-/// `record_work(0)`/`record_traffic(0, 0)` — no-ops on the profile's maxima
-/// — so the two instantiations are byte-identical by construction.
+/// Shared verbatim between `pids` = `0..p` and `pids` = the sorted
+/// frontier: every pid the dense iteration additionally visits holds an
+/// empty outbox, whose only effect is `record_work(0)`/`record_traffic(0,
+/// 0)` — no-ops on the profile's maxima — so the two instantiations are
+/// byte-identical by construction.
 ///
+/// `dead` is the crash set, `Some` exactly when a hook is attached; `sent`
+/// is the trace row of per-processor send counts, `Some` when tracing.
 /// `bump_recv` abstracts the receive-count tally (dense `Vec` vs
 /// epoch-stamped [`EpochCounts`]); it is a generic parameter, not a dyn
-/// call, so the dense instantiation compiles to exactly the old inline
-/// increment.
+/// call, so the dense instantiation compiles to a plain inline increment.
 #[allow(clippy::too_many_arguments)]
 fn delivery_pass<M: Clone>(
     pids: impl Iterator<Item = Pid>,
     outboxes: &mut [Outbox<M>],
     resolved: &[Vec<u64>],
     fates: &[Vec<Fate>],
-    hooked: bool,
-    crashed: &FrontierMask,
-    tracing: bool,
-    per_proc_sent: &mut [u64],
+    dead: Option<&FrontierMask>,
+    mut sent: Option<&mut [u64]>,
     inboxes: &mut MsgArena<M>,
     builder: &mut ProfileBuilder,
     pending: &mut VecDeque<Vec<(Pid, M)>>,
     pending_pool: &mut Vec<Vec<(Pid, M)>>,
     fault_stats: &mut FaultStats,
     counters: &mut FaultCounters,
-    mut due: Vec<(Pid, M)>,
+    due: Vec<(Pid, M)>,
     seq_lens: &mut Vec<u64>,
     mut bump_recv: impl FnMut(Pid),
 ) -> u64 {
@@ -1624,36 +1453,27 @@ fn delivery_pass<M: Clone>(
             builder.record_work(out.work);
             // Zeroed where recorded (never unconditionally): quiet outboxes
             // stay untouched, and a fully drained-and-zeroed population is
-            // what lets the next superstep skip its resets
-            // (`outboxes_clean`).
+            // what lets the next superstep skip its resets.
             out.work = 0;
         }
-        if tracing {
-            per_proc_sent[pid] = out.envelopes.len() as u64;
+        if let Some(sent) = sent.as_deref_mut() {
+            sent[pid] = out.envelopes.len() as u64;
         }
-        if !hooked {
+        let Some(crashed) = dead else {
             // Unhooked batch branch: every fate is `Deliver` and no
             // destination can be dead, so the per-message ledger updates
             // collapse to bulk arithmetic and the slot charges to one
-            // batched scatter — bit-identical to the loop below with
-            // `fate = Deliver` and `dest_dead = false` throughout. Empty
-            // outboxes (the common case on a dense near-idle machine) skip
-            // even the bulk arithmetic: a p-sized sweep of quiet
-            // processors must stay a p-sized sweep of nothing.
+            // batched scatter. Empty outboxes (the common case on a dense
+            // near-idle machine) skip even the bulk arithmetic: a p-sized
+            // sweep of quiet processors must stay a p-sized sweep of
+            // nothing.
             if !out.envelopes.is_empty() {
                 let n = out.envelopes.len() as u64;
                 builder.record_traffic(n, 0);
                 if slots.is_empty() {
                     // All-implicit marker from the slot resolution: this
-                    // sender's slots are exactly `0..n`. Bucket it by
-                    // length; one `record_injections_by_len` call after the
-                    // loop replays the whole population's histogram
-                    // contributions in bulk (sums — order unobservable).
-                    let k = out.envelopes.len() - 1;
-                    if seq_lens.len() <= k {
-                        seq_lens.resize(k + 1, 0);
-                    }
-                    seq_lens[k] += 1;
+                    // sender's slots are exactly `0..n`.
+                    bucket_len(seq_lens, out.envelopes.len());
                 } else {
                     debug_assert_eq!(slots.len(), out.envelopes.len());
                     builder.record_injections_batch(slots);
@@ -1669,61 +1489,23 @@ fn delivery_pass<M: Clone>(
                 delivered += n;
             }
             continue;
-        }
+        };
         builder.record_traffic(out.envelopes.len() as u64, 0);
         for (msg_idx, (env, &slot)) in out.envelopes.drain(..).zip(slots.iter()).enumerate() {
-            let fate = if hooked {
-                fates[pid][msg_idx]
-            } else {
-                Fate::Deliver
-            };
+            let fate = fates[pid][msg_idx];
             fault_stats.injected += 1;
-            // A payload bound for a crash-stopped destination is destroyed
-            // at the custody transfer: bandwidth and the injection slot
-            // were consumed (the network accepted the send), but nothing
-            // lands and the `crashed` ledger column is charged instead of
-            // `delivered`.
-            let dest_dead = hooked && crashed.contains(env.dest);
+            // Every fate consumes bandwidth and an injection slot — the
+            // network accepted the send — displaced ones a later slot.
+            builder.record_injection(match fate {
+                Fate::Displace(d) => slot + d,
+                _ => slot,
+            });
             match fate {
-                Fate::Deliver => {
-                    builder.record_injection(slot);
-                    if dest_dead {
-                        fault_stats.crashed += 1;
-                        counters.crashed += 1;
-                    } else {
-                        bump_recv(env.dest);
-                        inboxes.place(env.dest, env.payload);
-                        delivered += 1;
-                        fault_stats.delivered += 1;
-                    }
-                }
                 Fate::Drop => {
-                    // The send consumed bandwidth and a slot; nothing
-                    // arrives.
-                    builder.record_injection(slot);
                     fault_stats.dropped += 1;
                     counters.dropped += 1;
                 }
-                Fate::Duplicate => {
-                    builder.record_injection(slot);
-                    let copy = env.payload.clone();
-                    if dest_dead {
-                        fault_stats.crashed += 1;
-                        counters.crashed += 1;
-                    } else {
-                        bump_recv(env.dest);
-                        inboxes.place(env.dest, env.payload);
-                        delivered += 1;
-                        fault_stats.delivered += 1;
-                    }
-                    // The spurious copy arrives next superstep and meets
-                    // *that* superstep's crash set when it lands.
-                    queue_pending(pending, pending_pool, fault_stats, 1, env.dest, copy);
-                    fault_stats.duplicated += 1;
-                    counters.duplicated += 1;
-                }
                 Fate::Delay(k) => {
-                    builder.record_injection(slot);
                     queue_pending(
                         pending,
                         pending_pool,
@@ -1735,9 +1517,13 @@ fn delivery_pass<M: Clone>(
                     fault_stats.delayed += 1;
                     counters.delayed += 1;
                 }
-                Fate::Displace(d) => {
-                    builder.record_injection(slot + d);
-                    if dest_dead {
+                Fate::Deliver | Fate::Duplicate | Fate::Displace(_) => {
+                    let copy = (fate == Fate::Duplicate).then(|| env.payload.clone());
+                    // A payload bound for a crash-stopped destination is
+                    // destroyed at the custody transfer: nothing lands, and
+                    // the `crashed` ledger column is charged instead of
+                    // `delivered`.
+                    if crashed.contains(env.dest) {
                         fault_stats.crashed += 1;
                         counters.crashed += 1;
                     } else {
@@ -1746,8 +1532,17 @@ fn delivery_pass<M: Clone>(
                         delivered += 1;
                         fault_stats.delivered += 1;
                     }
-                    fault_stats.displaced += 1;
-                    counters.displaced += 1;
+                    if let Some(copy) = copy {
+                        // The spurious copy arrives next superstep and meets
+                        // *that* superstep's crash set when it lands.
+                        queue_pending(pending, pending_pool, fault_stats, 1, env.dest, copy);
+                        fault_stats.duplicated += 1;
+                        counters.duplicated += 1;
+                    }
+                    if let Fate::Displace(_) = fate {
+                        fault_stats.displaced += 1;
+                        counters.displaced += 1;
+                    }
                 }
             }
         }
@@ -1755,30 +1550,21 @@ fn delivery_pass<M: Clone>(
         out.explicit = 0;
     }
     builder.record_injections_by_len(seq_lens);
-    for c in seq_lens.iter_mut() {
-        *c = 0;
-    }
+    seq_lens.fill(0);
     // Late arrivals land at the same boundary as this superstep's sends,
     // after them, and are charged receive bandwidth here. A late arrival
     // whose destination is dead *now* is destroyed now — its earlier delay
     // only deferred the custody transfer.
-    for (dest, payload) in due.drain(..) {
-        fault_stats.in_flight -= 1;
-        if hooked && crashed.contains(dest) {
-            fault_stats.crashed += 1;
-            counters.crashed += 1;
-            continue;
-        }
-        bump_recv(dest);
-        inboxes.place(dest, payload);
-        delivered += 1;
-        fault_stats.delivered += 1;
-        counters.late_arrivals += 1;
-    }
-    if due.capacity() > 0 && pending_pool.len() < PENDING_POOL_CAP {
-        pending_pool.push(due);
-    }
     delivered
+        + land_due(
+            due,
+            dead,
+            inboxes,
+            fault_stats,
+            counters,
+            pending_pool,
+            bump_recv,
+        )
 }
 
 /// Assign injection slots to a processor's envelopes, refilling the recycled
@@ -1800,22 +1586,13 @@ fn resolve_slots_into<M>(
     slots.clear();
     // Fast path: plain `send` calls only (the outbox counted zero `send_at`
     // posts) — slots are simply `0..n`, and the only remaining check is
-    // destination bounds, a vectorizable max over the flat dests lane (no
-    // envelope walk). On violation the lane is rescanned for the first
-    // offender, the same envelope the general first pass names. When no
-    // consumer reads individual slots (`materialize` false: unhooked,
-    // untraced), the sequence isn't even written — the empty buffer is the
-    // marker the delivery pass aggregates sequentially-slotted senders on.
+    // destination bounds over the flat dests lane. When no consumer reads
+    // individual slots (`materialize` false: unhooked, untraced), the
+    // sequence isn't even written — the empty buffer is the marker the
+    // delivery pass aggregates sequentially-slotted senders on.
     let envelopes = &out.envelopes;
     if out.explicit == 0 {
-        let mut max = 0usize;
-        for &d in &out.dests {
-            max = max.max(d);
-        }
-        if max >= p {
-            let dest = out.dests.iter().copied().find(|&d| d >= p).unwrap_or(max);
-            return Err(SimError::BadDestination { pid, dest });
-        }
+        check_dests(pid, p, &out.dests)?;
         if materialize {
             slots.extend(0..envelopes.len() as u64);
         }
@@ -2290,6 +2067,29 @@ mod tests {
     fn active_superstep_rejects_out_of_range_pid() {
         let mut m: BspMachine<(), u8> = BspMachine::new(params(4), |_| ());
         m.superstep_active(&[4], |_pid, _s, _in, _out| {});
+    }
+
+    #[test]
+    fn out_of_range_active_pid_is_an_error_that_keeps_pending_inboxes() {
+        let mut m: BspMachine<Vec<u8>, u8> = BspMachine::new(params(64), |_| Vec::new());
+        m.superstep(|pid, _s, _in, out| {
+            if pid == 0 {
+                out.send(5, 9);
+            }
+        });
+        let before = m.canonical_hash();
+        let noop = |_: Pid, _: &mut Vec<u8>, _: &[u8], _: &mut Outbox<u8>| {};
+        let bad = SimError::BadActivePid { pid: 64, p: 64 };
+        // The declared path, then both branches of the engine-picked path:
+        // 2 waking processors out of 64 run sparse, 66 run dense.
+        assert_eq!(m.try_superstep_active(&[64], noop).unwrap_err(), bad);
+        assert_eq!(m.try_superstep_auto(&[64], noop).unwrap_err(), bad);
+        let wide: Vec<Pid> = (0..=64).collect();
+        assert_eq!(m.try_superstep_auto(&wide, noop).unwrap_err(), bad);
+        assert_eq!(m.canonical_hash(), before);
+        assert_eq!(m.superstep_index(), 1);
+        m.superstep(|_pid, s, inbox, _out| s.extend_from_slice(inbox));
+        assert_eq!(m.state(5), &vec![9]);
     }
 
     #[test]

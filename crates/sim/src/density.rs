@@ -1,193 +1,35 @@
-//! Measured density crossover: when is the active-set (sparse) execution
-//! path cheaper than the dense all-processor pass?
+//! The density rule: when does the active-set (sparse) superstep path run
+//! instead of the dense all-processor pass?
 //!
-//! The engines and the scheduling/recovery layers all face the same choice
-//! every superstep: walk all `p` processors (dense — O(p), but with perfect
-//! streaming constants), or walk only the active senders (sparse —
-//! O(active + flits), but with stamp checks and indirection per touched
-//! slot). Both
-//! paths are byte-identical in every observable (inboxes, profiles, traces,
-//! `canonical_hash`), so the choice is *purely* a performance decision —
-//! which is exactly why it should be measured, not guessed. Historically
-//! five call sites each hardcoded `active.len() * 4 <= p`; the magic `4`
-//! lives here now, as the *default* for a factor a once-per-process probe
-//! calibrates on the machine actually running (same shape as the
-//! scheduling-floor autotuner in `rayon::tune`).
+//! The dense path walks all `p` processors (O(p), with perfect streaming
+//! constants); the sparse path walks only the processors that can act
+//! (O(active + messages), with stamp checks and indirection per touched
+//! slot). Both are byte-identical in every observable (inboxes, profiles,
+//! traces, `canonical_hash`), so the choice is wall time only, and the BSP
+//! engine makes it itself: [`crate::BspMachine::superstep_auto`] for a
+//! declared active set, and the sender-mask check after every unhooked
+//! dense closure pass.
 //!
-//! The calibrated `factor` approximates (sparse cost per active sender) /
-//! (dense cost per processor): the sparse path wins while `active * factor
-//! <= p`, i.e. the break-even active fraction is `1/factor`. The factor is
-//! clamped to [`FACTOR_MIN`]`..=`[`FACTOR_MAX`] so a noisy probe can never
-//! push the crossover outside a sane band, and because both paths are
-//! byte-identical, a *different* factor on a different machine changes
-//! nothing but wall-clock — the conformance suites hold at any pin.
-//!
-//! Overrides, highest precedence first:
-//!
-//! 1. [`pin_factor`] — in-process test pin (0 = off), used by the
-//!    calibration tests and anything that needs a branch held still.
-//! 2. `PBW_DENSITY_FACTOR` — environment override, read once. `1` forces
-//!    the sparse path whenever `active <= p`; a huge value forces dense.
-//!    The CI `density-crossover` stage diffs traces across forced-sparse /
-//!    forced-dense / probed runs to pin the byte-identity this module's
-//!    freedom rests on.
-//! 3. The cached probe.
+//! The rule is a constant: sparse while `active · FACTOR ≤ p`. A
+//! once-per-process timing probe used to calibrate the factor within
+//! `2..=16`; its reading sat at the ceiling in almost every process, so the
+//! rule fixes the factor there (DESIGN.md §14).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
-use std::time::Instant;
+/// The break-even ratio: the sparse path runs while at most `1/FACTOR` of
+/// the processors are active.
+pub const FACTOR: usize = 16;
 
-use pbw_models::MachineParams;
-
-use crate::bsp::BspMachine;
-
-/// Lowest crossover factor the probe may report: even on hardware where the
-/// stamp-checked sparse path is nearly free, a majority-active superstep
-/// stays dense (the dense pass also feeds the cache-blocked kernels).
-pub const FACTOR_MIN: usize = 2;
-
-/// Highest crossover factor the probe may report: even where dense
-/// streaming is very cheap per processor, a ≤1/16-active superstep goes
-/// sparse — at bench scale (p = 2¹⁶, 10 senders) the sparse win is ~100×,
-/// so the clamp only guards the probe, it never flips a clear-cut regime.
-pub const FACTOR_MAX: usize = 16;
-
-/// The historical hardcoded crossover (`active * 4 <= p`), used before the
-/// probe has run (re-entrant calls from inside the probe itself) and as the
-/// fallback for degenerate probe readings.
-pub const DEFAULT_FACTOR: usize = 4;
-
-/// Probe shape: one dense superstep over `PROBE_P` processors vs one
-/// active-set superstep with `PROBE_ACTIVE` senders, same per-sender
-/// traffic. Small enough to stay cache-resident and fast (the whole probe
-/// is a few hundred microseconds, paid once per process), large enough
-/// that per-superstep constants don't dominate the per-slot costs being
-/// compared.
-const PROBE_P: usize = 2048;
-const PROBE_ACTIVE: usize = 16;
-const PROBE_FANOUT: usize = 4;
-const PROBE_ROUNDS: usize = 6;
-
-/// Should `active` senders out of `p` processors take the sparse
-/// (active-set) path? `true` = sparse. The implicit contract at every call
-/// site: both branches produce byte-identical observables, so this is free
-/// to be a measured, machine-dependent decision.
+/// Should `active` processors out of `p` take the sparse (active-set) path?
+/// `true` = sparse.
 #[inline]
 pub fn crossover(active: usize, p: usize) -> bool {
-    active.saturating_mul(crossover_factor()) <= p
+    active.saturating_mul(FACTOR) <= p
 }
 
-/// The crossover factor in effect: pin, then environment, then the cached
-/// probe (run on first use).
+/// The factor [`crossover`] applies.
 #[inline]
 pub fn crossover_factor() -> usize {
-    match PINNED_FACTOR.load(Ordering::Relaxed) {
-        0 => {}
-        pinned => return pinned,
-    }
-    if in_probe() {
-        // The probe's own dense superstep lands here (the engine consults
-        // `crossover` internally); answer with the default instead of
-        // re-entering the OnceLock initializer, which would deadlock.
-        return DEFAULT_FACTOR;
-    }
-    static CACHED: OnceLock<usize> = OnceLock::new();
-    *CACHED.get_or_init(|| env_factor().unwrap_or_else(probed_factor))
-}
-
-/// Pin the factor for the current process (tests, experiments). `None` or
-/// `Some(0)` unpins. Safe to flip at any time: the pinned and unpinned
-/// branches are byte-identical, so concurrent work only ever sees its
-/// wall-clock change.
-pub fn pin_factor(factor: Option<usize>) {
-    PINNED_FACTOR.store(factor.unwrap_or(0), Ordering::Relaxed);
-}
-
-/// The current pin, if any.
-pub fn pinned_factor() -> Option<usize> {
-    match PINNED_FACTOR.load(Ordering::Relaxed) {
-        0 => None,
-        n => Some(n),
-    }
-}
-
-/// Derive a clamped crossover factor from one probe reading: the best
-/// dense-superstep and sparse-superstep times observed. Pure and total —
-/// the calibration tests pin determinism and the clamp edges directly.
-pub fn factor_from_probe(dense_ns: u64, sparse_ns: u64) -> usize {
-    if dense_ns == 0 || sparse_ns == 0 {
-        // A sub-nanosecond reading means the clock, not the path, won the
-        // race; fall back rather than extrapolate from noise.
-        return DEFAULT_FACTOR;
-    }
-    // factor = (sparse_ns / PROBE_ACTIVE) / (dense_ns / PROBE_P), in
-    // integer arithmetic with the division last.
-    let num = (sparse_ns as u128) * (PROBE_P as u128);
-    let den = (dense_ns as u128) * (PROBE_ACTIVE as u128);
-    let factor = (num / den) as usize;
-    factor.clamp(FACTOR_MIN, FACTOR_MAX)
-}
-
-static PINNED_FACTOR: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static IN_PROBE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-#[inline]
-fn in_probe() -> bool {
-    IN_PROBE.with(|f| f.get())
-}
-
-fn env_factor() -> Option<usize> {
-    let raw = std::env::var("PBW_DENSITY_FACTOR").ok()?;
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n > 0 => Some(n),
-        _ => None,
-    }
-}
-
-/// Time the two paths on a real (small) machine and derive the factor.
-/// Runs once per process, on the thread that first asks.
-fn probed_factor() -> usize {
-    IN_PROBE.with(|f| f.set(true));
-    let mp = MachineParams::from_gap(PROBE_P, 16, 8);
-    let mut machine: BspMachine<u64, u64> = BspMachine::new(mp, |_| 0);
-    // The probe must be unobservable: machines capture the process-global
-    // trace sink at construction, so without this a traced run (e.g.
-    // `reproduce --trace`) would find the probe's own supersteps spliced
-    // into its event stream the first time a crossover was consulted.
-    machine.set_sink(std::sync::Arc::new(pbw_trace::NullSink));
-    let body = |pid: usize, s: &mut u64, inbox: &[u64], out: &mut crate::bsp::Outbox<u64>| {
-        *s = s.wrapping_add(inbox.iter().sum::<u64>());
-        if pid < PROBE_ACTIVE {
-            for k in 0..PROBE_FANOUT {
-                out.send((pid * 97 + k * 31 + 1) % PROBE_P, (pid + k) as u64);
-            }
-        }
-    };
-    let active: Vec<usize> = (0..PROBE_ACTIVE).collect();
-    // Warm both paths once (allocations, page faults), then take the best
-    // of PROBE_ROUNDS — min is the right estimator for "cost of the path",
-    // since every source of noise only ever adds time.
-    machine.superstep(body);
-    machine.superstep_active(&active, body);
-    let mut dense_ns = u64::MAX;
-    let mut sparse_ns = u64::MAX;
-    for _ in 0..PROBE_ROUNDS {
-        let t0 = Instant::now();
-        machine.superstep(body);
-        dense_ns = dense_ns.min(elapsed_ns(t0));
-        let t0 = Instant::now();
-        machine.superstep_active(&active, body);
-        sparse_ns = sparse_ns.min(elapsed_ns(t0));
-    }
-    IN_PROBE.with(|f| f.set(false));
-    factor_from_probe(dense_ns, sparse_ns)
-}
-
-fn elapsed_ns(t0: Instant) -> u64 {
-    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    FACTOR
 }
 
 #[cfg(test)]
@@ -195,61 +37,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn factor_from_probe_is_deterministic_and_clamped() {
-        // Fixed probe reading -> fixed factor, twice over.
-        assert_eq!(
-            factor_from_probe(10_000, 1_000),
-            factor_from_probe(10_000, 1_000)
-        );
-        // dense 10µs over 2048 pids ≈ 4.9ns/pid; sparse 1µs over 16
-        // senders = 62.5ns/sender -> factor 12, inside the band.
-        assert_eq!(factor_from_probe(10_000, 1_000), 12);
-        // A very cheap sparse path clamps to the low edge...
-        assert_eq!(factor_from_probe(1_000_000, 1), FACTOR_MIN);
-        // ...and a very cheap dense path to the high edge.
-        assert_eq!(factor_from_probe(1, 1_000_000), FACTOR_MAX);
-        // Degenerate (clock-resolution) readings fall back to the default.
-        assert_eq!(factor_from_probe(0, 5_000), DEFAULT_FACTOR);
-        assert_eq!(factor_from_probe(5_000, 0), DEFAULT_FACTOR);
-        // No overflow at the extremes: equal path times mean equal
-        // per-superstep cost, i.e. per-slot the sparse path is
-        // PROBE_P/PROBE_ACTIVE = 128× dearer — clamped to the high edge.
-        assert_eq!(factor_from_probe(u64::MAX, u64::MAX), FACTOR_MAX);
-    }
-
-    #[test]
-    fn calibrated_factor_is_in_band_and_cached() {
-        // Leave any test pin out of the way for this read.
-        let saved = pinned_factor();
-        pin_factor(None);
-        let f1 = crossover_factor();
-        let f2 = crossover_factor();
-        pin_factor(saved);
-        assert_eq!(f1, f2);
-        // Env override may name any positive factor; the probe is clamped.
-        if std::env::var("PBW_DENSITY_FACTOR").is_err() {
-            assert!((FACTOR_MIN..=FACTOR_MAX).contains(&f1), "factor={f1}");
+    fn crossover_is_the_constant_rule_on_both_sides_of_p_over_16() {
+        assert_eq!(crossover_factor(), 16);
+        for p in [16usize, 1024, 1 << 16] {
+            assert!(crossover(0, p));
+            assert!(crossover(p / 16, p), "p/16 active out of {p} is sparse");
+            assert!(
+                !crossover(p / 16 + 1, p),
+                "p/16 + 1 active out of {p} is dense"
+            );
+            assert!(!crossover(p, p));
         }
-    }
-
-    #[test]
-    fn pin_roundtrips_and_steers_crossover() {
-        // One test owns the pin end-to-end so parallel test threads never
-        // race each other's flips; flipping is harmless to *results*
-        // either way (the branches are byte-identical).
-        pin_factor(Some(7));
-        assert_eq!(pinned_factor(), Some(7));
-        assert!(crossover(1, 7)); // 1*7 <= 7
-        assert!(!crossover(2, 13)); // 2*7 > 13
-        pin_factor(Some(0));
-        assert_eq!(pinned_factor(), None);
-        pin_factor(Some(3));
-        pin_factor(None);
-        assert_eq!(pinned_factor(), None);
-        // Unpinned, the default band still separates the regimes the five
-        // historical call sites cared about: a handful of senders out of
-        // 2¹⁶ is sparse, an all-sender superstep is dense.
-        assert!(crossover(10, 1 << 16));
-        assert!(!crossover(1 << 16, 1 << 16));
+        assert!(!crossover(usize::MAX, 1 << 16));
     }
 }

@@ -30,7 +30,12 @@
 //!   rollback stay inside the same balance sheet instead of silently
 //!   resetting it.
 
+use std::collections::VecDeque;
+
+use crate::arena::MsgArena;
 use crate::Pid;
+use pbw_models::FrontierMask;
+use pbw_trace::FaultCounters;
 
 /// What happens to one in-flight message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -227,6 +232,118 @@ impl FaultStats {
         self.injected + self.duplicated + self.restored
             == self.delivered + self.dropped + self.crashed + self.in_flight
     }
+}
+
+// ---------------------------------------------------------------------------
+// Engine-side fault bookkeeping, shared by the BSP and QSM engines.
+// ---------------------------------------------------------------------------
+
+/// How many drained pending-delivery buffers an engine keeps for reuse.
+pub(crate) const PENDING_POOL_CAP: usize = 16;
+
+/// Queue `payload` for delivery to `dest` at the boundary `k ≥ 1` steps
+/// from now (`pending[k - 1]`), reusing drained level buffers from `pool`.
+pub(crate) fn queue_pending<T>(
+    pending: &mut VecDeque<Vec<(Pid, T)>>,
+    pool: &mut Vec<Vec<(Pid, T)>>,
+    stats: &mut FaultStats,
+    k: u32,
+    dest: Pid,
+    payload: T,
+) {
+    let idx = (k.max(1) - 1) as usize;
+    while pending.len() <= idx {
+        pending.push_back(pool.pop().unwrap_or_default());
+    }
+    pending[idx].push((dest, payload));
+    stats.in_flight += 1;
+}
+
+/// Call `f` for every processor that keeps its inbox this step — stalled
+/// and not crashed — in ascending pid order. Crash overrides stall: a
+/// crashed processor's undrained inbox evaporates at the arena swap,
+/// uncharged (it was counted delivered at the previous boundary). Walks the
+/// masks word-at-a-time: O(fault-words), not O(p).
+fn for_each_retained(stalled: &FrontierMask, crashed: &FrontierMask, mut f: impl FnMut(Pid)) {
+    for (leaf, word) in stalled.words() {
+        let mut bits = word & !crashed.word(leaf);
+        while bits != 0 {
+            f(leaf * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// Charge this step's crash-stopped and stalled processors to the ledger
+/// and the trace counters, and hand every processor that retains its inbox
+/// to `retain` (ascending), so the caller can count the retained payloads
+/// into its arena layout.
+pub(crate) fn charge_fault_masks(
+    stalled: &FrontierMask,
+    crashed: &FrontierMask,
+    stats: &mut FaultStats,
+    counters: &mut FaultCounters,
+    mut retain: impl FnMut(Pid),
+) {
+    let down = crashed.count() as u64;
+    stats.crash_steps += down;
+    counters.crashed_procs += down;
+    for_each_retained(stalled, crashed, |pid| {
+        stats.stalled_steps += 1;
+        counters.stalled_procs += 1;
+        retain(pid);
+    });
+}
+
+/// Re-place every retained inbox of `spare` into the open fill of `arena`,
+/// ahead of this step's deliveries (the retaining processor sees it again
+/// next step).
+pub(crate) fn place_retained<T: Clone>(
+    spare: &MsgArena<T>,
+    stalled: &FrontierMask,
+    crashed: &FrontierMask,
+    arena: &mut MsgArena<T>,
+) {
+    for_each_retained(stalled, crashed, |pid| {
+        for payload in spare.inbox(pid) {
+            arena.place(pid, payload.clone());
+        }
+    });
+}
+
+/// Land the late arrivals due at this boundary, after the step's own
+/// deliveries. A payload due at a destination in `dead` (the crash set,
+/// hooked engines only) dies in the network, charged to the crash column;
+/// every other one is placed, reported to `on_place`, and counted as
+/// delivered. The drained level buffer goes back to `pool`. Returns the
+/// number placed.
+pub(crate) fn land_due<T>(
+    mut due: Vec<(Pid, T)>,
+    dead: Option<&FrontierMask>,
+    arena: &mut MsgArena<T>,
+    stats: &mut FaultStats,
+    counters: &mut FaultCounters,
+    pool: &mut Vec<Vec<(Pid, T)>>,
+    mut on_place: impl FnMut(Pid),
+) -> u64 {
+    let mut placed = 0u64;
+    for (dest, payload) in due.drain(..) {
+        stats.in_flight -= 1;
+        if dead.is_some_and(|d| d.contains(dest)) {
+            stats.crashed += 1;
+            counters.crashed += 1;
+            continue;
+        }
+        on_place(dest);
+        arena.place(dest, payload);
+        placed += 1;
+        stats.delivered += 1;
+        counters.late_arrivals += 1;
+    }
+    if due.capacity() > 0 && pool.len() < PENDING_POOL_CAP {
+        pool.push(due);
+    }
+    placed
 }
 
 #[cfg(test)]

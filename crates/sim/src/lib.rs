@@ -101,6 +101,9 @@ pub enum SimError {
     ReadWriteConflict { addr: usize },
     /// A QSM access was outside the shared address space.
     BadAddress { addr: usize, size: usize },
+    /// A declared active set named a processor id `>= p`. Rejected before
+    /// the superstep touches any state, so pending inboxes survive.
+    BadActivePid { pid: Pid, p: usize },
 }
 
 impl std::fmt::Display for SimError {
@@ -123,6 +126,10 @@ impl std::fmt::Display for SimError {
             SimError::BadAddress { addr, size } => {
                 write!(f, "shared address {addr} out of bounds (size {size})")
             }
+            SimError::BadActivePid { pid, p } => write!(
+                f,
+                "active set names processor {pid}, but the machine has {p} processors"
+            ),
         }
     }
 }

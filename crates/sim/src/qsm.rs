@@ -22,9 +22,12 @@
 //!   into the earliest free slots.
 
 use crate::arena::MsgArena;
-use crate::hook::{BatchDests, DeliveryHook, Fate, FaultStats};
+use crate::hook::{
+    charge_fault_masks, land_due, place_retained, queue_pending, BatchDests, DeliveryHook, Fate,
+    FaultStats,
+};
 use crate::{Pid, SimError};
-use pbw_models::{EpochCounts, FrontierMask, MachineParams, ProfileBuilder, SuperstepProfile};
+use pbw_models::{FrontierMask, MachineParams, ProfileBuilder, SuperstepProfile};
 use pbw_trace::{FaultCounters, TraceEvent, TraceSink, TraceSource};
 use rayon::prelude::*;
 use std::collections::{BTreeSet, VecDeque};
@@ -57,6 +60,14 @@ enum Request {
         value: Word,
         slot: Option<u64>,
     },
+}
+
+impl Request {
+    fn addr(&self) -> Addr {
+        match self {
+            Request::Read { addr, .. } | Request::Write { addr, .. } => *addr,
+        }
+    }
 }
 
 /// Per-processor request buffer for one QSM phase.
@@ -174,23 +185,9 @@ pub struct QsmMachine<S> {
     crashed: FrontierMask,
     /// Counting-pass scratch: per-processor result segment sizes.
     arena_counts: Vec<usize>,
-    /// Counting-pass scratch for the active-set path: epoch-stamped, so the
-    /// reset is O(1) instead of an O(p) `fill(0)`.
-    sparse_arena_counts: EpochCounts,
     /// Contention audit scratch: readers/writers per location.
     readers: Vec<u64>,
     writers: Vec<u64>,
-    /// Contention audit scratch for the active-set path: epoch-stamped
-    /// per-location tallies, reset in O(1) and walked via their dirty lists.
-    sparse_readers: EpochCounts,
-    sparse_writers: EpochCounts,
-    /// Active-set scratch: the sorted frontier of pids visited this phase,
-    /// unloaded from `frontier_mask` in ascending pid order.
-    frontier: Vec<Pid>,
-    /// Mask twin of `frontier`: declared active set OR-ed word-at-a-time
-    /// with the arena's touched mask — insertion is the dedup, iteration
-    /// the sort.
-    frontier_mask: FrontierMask,
     /// Distinct-address scratch for the per-processor contention audit.
     audit_reads: Vec<Addr>,
     audit_writes: Vec<Addr>,
@@ -206,7 +203,7 @@ pub struct QsmMachine<S> {
     /// `pending_results[k]` holds read results the memory system will hand
     /// back `k + 1` phases from now (delayed responses, duplicate copies).
     pending_results: VecDeque<Vec<(Pid, ReadResult)>>,
-    /// Drained pending-level buffers kept for reuse by `queue_result`.
+    /// Drained pending-level buffers kept for reuse by `queue_pending`.
     pending_pool: Vec<Vec<(Pid, ReadResult)>>,
     fault_stats: FaultStats,
 }
@@ -233,13 +230,8 @@ impl<S: Send + Sync> QsmMachine<S> {
             stalled: FrontierMask::new(p),
             crashed: FrontierMask::new(p),
             arena_counts: vec![0; p],
-            sparse_arena_counts: EpochCounts::new(p),
             readers: vec![0; size],
             writers: vec![0; size],
-            sparse_readers: EpochCounts::new(size),
-            sparse_writers: EpochCounts::new(size),
-            frontier: Vec::new(),
-            frontier_mask: FrontierMask::new(p),
             audit_reads: Vec::new(),
             audit_writes: Vec::new(),
             pending_writes: Vec::new(),
@@ -364,62 +356,15 @@ impl<S: Send + Sync> QsmMachine<S> {
     }
 
     /// Execute one phase, returning model-rule violations as errors.
+    ///
+    /// Every pass visits all `p` processors (the parallel ones in parallel)
+    /// in ascending pid order where order is observable. Each pass is a
+    /// named method below; a rejected phase returns before anything is
+    /// recorded into the persistent profile builder.
     pub fn try_phase<F>(&mut self, f: F) -> Result<PhaseReport, SimError>
     where
         F: Fn(Pid, &mut S, &[ReadResult], &mut QsmCtx) + Sync,
     {
-        self.phase_core(None, f)
-    }
-
-    /// Execute one phase over an explicit active set, panicking on
-    /// model-rule violations. See [`QsmMachine::try_phase_active`].
-    pub fn phase_active<F>(&mut self, active: &[Pid], f: F) -> PhaseReport
-    where
-        F: Fn(Pid, &mut S, &[ReadResult], &mut QsmCtx) + Sync,
-    {
-        self.try_phase_active(active, f)
-            .unwrap_or_else(|e| panic!("QSM phase failed: {e}"))
-    }
-
-    /// Execute one phase visiting only the *frontier*: the declared
-    /// `active` pids plus every pid still holding undelivered read results
-    /// (retained after a stall, or released late by a `Delay`/`Duplicate`
-    /// fate). Phase cost is O(frontier + requests) instead of O(p).
-    ///
-    /// The run is byte-identical to [`QsmMachine::try_phase`] — same
-    /// states, shared memory, profiles, fault ledger, and trace events —
-    /// provided `f` is a *no-op* for every pid outside `active` whose
-    /// result inbox is empty: it must not mutate that pid's state, post
-    /// requests, or charge work. The frontier is visited in ascending pid
-    /// order, which replays the dense path's canonical serve order, and a
-    /// skipped pid contributes only zero-valued observations that cannot
-    /// move any profile maximum.
-    ///
-    /// Two caveats: a machine with a delivery hook consults the stall and
-    /// crash masks, filled once per phase via
-    /// [`DeliveryHook::fill_fault_masks`] and scanned word-at-a-time —
-    /// O(fault-words), not O(p) — and an enabled trace sink materializes
-    /// dense per-processor vectors (zeroed rows filled O(frontier);
-    /// tracing is the observability path).
-    ///
-    /// # Panics
-    /// Panics if `active` names a pid `>= p`.
-    pub fn try_phase_active<F>(&mut self, active: &[Pid], f: F) -> Result<PhaseReport, SimError>
-    where
-        F: Fn(Pid, &mut S, &[ReadResult], &mut QsmCtx) + Sync,
-    {
-        self.phase_core(Some(active), f)
-    }
-
-    /// Shared phase body: `active = None` is the dense path (all `p`
-    /// processors, parallel passes), `Some(pids)` the sparse path
-    /// (sequential passes over the sorted frontier).
-    fn phase_core<F>(&mut self, active: Option<&[Pid]>, f: F) -> Result<PhaseReport, SimError>
-    where
-        F: Fn(Pid, &mut S, &[ReadResult], &mut QsmCtx) + Sync,
-    {
-        let p = self.params.p;
-        let size = self.shared.len();
         let step = self.phase as u64;
         // Rotate the arenas: `spare` becomes the read side (last phase's
         // responses), and the arena the previous phase read from is cleared
@@ -433,8 +378,7 @@ impl<S: Send + Sync> QsmMachine<S> {
         // in O(1) (epoch bumps) and filled in one
         // [`DeliveryHook::fill_fault_masks`] call, so a hook that knows its
         // fault windows in closed form never pays the per-pid O(p) scan.
-        // Unhooked machines never read the masks (every use below is
-        // guarded by `hooked`).
+        // Unhooked machines never read the masks.
         let hook = self.hook.clone();
         let hooked = hook.is_some();
         if let Some(h) = &hook {
@@ -443,654 +387,335 @@ impl<S: Send + Sync> QsmMachine<S> {
             h.fill_fault_masks(step, &mut self.stalled, &mut self.crashed);
         }
 
-        // The frontier: declared-active pids plus every pid with read
-        // results to consume (`spare.touched()` — retained or late
-        // responses landed there last phase). The mask OR is the dedup and
-        // its ascending-pid unload the sort, so every sparse pass replays
-        // the dense path's canonical pid order.
-        if let Some(declared) = active {
-            self.frontier_mask.clear();
-            for &pid in declared {
-                assert!(
-                    pid < p,
-                    "active set names processor {pid}, but the machine has {p} processors"
-                );
-                self.frontier_mask.insert(pid);
-            }
-            self.frontier_mask.union_with(self.spare.touched());
-            self.frontier.clear();
-            self.frontier_mask.push_to(&mut self.frontier);
-        }
-
-        // Run the frontier's processors, each filling its recycled context.
-        match active {
-            None => {
-                let f = &f;
-                let stalled = &self.stalled;
-                let crashed = &self.crashed;
-                let spare = &self.spare;
-                let _: Vec<()> = self
-                    .states
-                    .par_iter_mut()
-                    .zip(self.ctxs.par_iter_mut())
-                    .enumerate()
-                    .map(|(pid, (state, ctx))| {
-                        ctx.reset();
-                        if !(hooked && (stalled.contains(pid) || crashed.contains(pid))) {
-                            f(pid, state, spare.inbox(pid), ctx);
-                        }
-                    })
-                    .collect();
-            }
-            Some(_) => {
-                // Sequential: the frontier is expected to be far smaller
-                // than `p`, and the passes below need its sorted order
-                // anyway. Contexts outside the frontier keep stale requests
-                // from an earlier phase; no later pass reads them.
-                for i in 0..self.frontier.len() {
-                    let pid = self.frontier[i];
-                    self.ctxs[pid].reset();
-                    if !(hooked && (self.stalled.contains(pid) || self.crashed.contains(pid))) {
-                        f(
-                            pid,
-                            &mut self.states[pid],
-                            self.spare.inbox(pid),
-                            &mut self.ctxs[pid],
-                        );
-                    }
-                }
-            }
-        }
-
-        // Validate addresses and resolve per-processor injection slots into
-        // the recycled slot buffers.
-        match active {
-            None => {
-                for ctx in &self.ctxs {
-                    for req in &ctx.requests {
-                        let addr = match req {
-                            Request::Read { addr, .. } | Request::Write { addr, .. } => *addr,
-                        };
-                        if addr >= size {
-                            return Err(SimError::BadAddress { addr, size });
-                        }
-                    }
-                }
-                let validated: Result<Vec<()>, SimError> = self
-                    .ctxs
-                    .par_iter()
-                    .zip(self.resolved.par_iter_mut())
-                    .enumerate()
-                    .map(|(pid, (ctx, slots))| assign_slots_into(pid, &ctx.requests, slots))
-                    .collect();
-                validated?;
-            }
-            Some(_) => {
-                for &pid in &self.frontier {
-                    for req in &self.ctxs[pid].requests {
-                        let addr = match req {
-                            Request::Read { addr, .. } | Request::Write { addr, .. } => *addr,
-                        };
-                        if addr >= size {
-                            return Err(SimError::BadAddress { addr, size });
-                        }
-                    }
-                }
-                for &pid in &self.frontier {
-                    assign_slots_into(pid, &self.ctxs[pid].requests, &mut self.resolved[pid])?;
-                }
-            }
-        }
-
-        // Fates are pure in `(phase, pid, msg_idx, slot)`, so they are
-        // *computed* here in a parallel (dense) or frontier-only (sparse)
-        // pass; the sequential serve loop below only *applies* them,
-        // preserving the fixed order the ledger, pending-result queue, and
-        // traces are defined by. Fate buffers outside the frontier go
-        // stale; no later pass reads them.
+        self.run_closures(&f, hooked);
+        self.resolve_requests()?;
         if let Some(h) = &hook {
-            if self.fates.len() != p {
-                self.fates.resize_with(p, Vec::new);
-            }
-            match active {
-                None => {
-                    let _: Vec<()> = self
-                        .resolved
-                        .par_iter()
-                        .zip(self.fates.par_iter_mut())
-                        .enumerate()
-                        .map(|(pid, (slots, fates))| {
-                            fates.clear();
-                            // Every request in a QSM phase belongs to the
-                            // requesting processor, so the batch sees one
-                            // uniform destination.
-                            h.fate_batch(step, pid, BatchDests::Uniform(pid), slots, fates);
-                        })
-                        .collect();
-                }
-                Some(_) => {
-                    for &pid in &self.frontier {
-                        let slots = &self.resolved[pid];
-                        let fates = &mut self.fates[pid];
-                        fates.clear();
-                        h.fate_batch(step, pid, BatchDests::Uniform(pid), slots, fates);
-                    }
-                }
-            }
+            self.compute_fates(h.as_ref(), step);
         }
-
-        // Contention audit: readers and writers per location, counting each
-        // processor once per distinct address (the paper counts processors
-        // per location). The distinct-address scratch replaces a per-
-        // processor `BTreeSet`, so the audit is allocation-free at steady
-        // state. The sparse path tallies into epoch-stamped tables, so the
-        // audit costs O(frontier requests) rather than O(memory size).
-        // Either way every conflict check happens before anything is
-        // recorded into the persistent profile builder, so a rejected phase
-        // leaves it untouched.
-        match active {
-            None => {
-                self.readers.fill(0);
-                self.writers.fill(0);
-                for ctx in &self.ctxs {
-                    self.audit_reads.clear();
-                    self.audit_writes.clear();
-                    for req in &ctx.requests {
-                        match req {
-                            Request::Read { addr, .. } => self.audit_reads.push(*addr),
-                            Request::Write { addr, .. } => self.audit_writes.push(*addr),
-                        }
-                    }
-                    self.audit_reads.sort_unstable();
-                    self.audit_reads.dedup();
-                    self.audit_writes.sort_unstable();
-                    self.audit_writes.dedup();
-                    for &addr in &self.audit_reads {
-                        self.readers[addr] += 1;
-                    }
-                    for &addr in &self.audit_writes {
-                        self.writers[addr] += 1;
-                    }
-                }
-                for addr in 0..size {
-                    if self.readers[addr] > 0 && self.writers[addr] > 0 {
-                        return Err(SimError::ReadWriteConflict { addr });
-                    }
-                }
-            }
-            Some(_) => {
-                self.sparse_readers.reset();
-                self.sparse_writers.reset();
-                for i in 0..self.frontier.len() {
-                    let pid = self.frontier[i];
-                    self.audit_reads.clear();
-                    self.audit_writes.clear();
-                    for req in &self.ctxs[pid].requests {
-                        match req {
-                            Request::Read { addr, .. } => self.audit_reads.push(*addr),
-                            Request::Write { addr, .. } => self.audit_writes.push(*addr),
-                        }
-                    }
-                    self.audit_reads.sort_unstable();
-                    self.audit_reads.dedup();
-                    self.audit_writes.sort_unstable();
-                    self.audit_writes.dedup();
-                    for &addr in &self.audit_reads {
-                        self.sparse_readers.add(addr, 1);
-                    }
-                    for &addr in &self.audit_writes {
-                        self.sparse_writers.add(addr, 1);
-                    }
-                }
-                // The dense scan reports the *lowest* conflicting address;
-                // the touched mask already iterates ascending, but keep the
-                // explicit minimum on the (cold) conflict path so the
-                // equivalence doesn't lean on iteration order.
-                let mut conflict: Option<Addr> = None;
-                for addr in self.sparse_readers.touched().iter() {
-                    if self.sparse_writers.get(addr) > 0 {
-                        conflict = Some(conflict.map_or(addr, |c| c.min(addr)));
-                    }
-                }
-                if let Some(addr) = conflict {
-                    return Err(SimError::ReadWriteConflict { addr });
-                }
-            }
-        }
-
-        // From here on everything is sequential and deterministic. Borrow
-        // the machine's parts individually so the serve loop can fill the
-        // arena while queueing pending responses.
-        let Self {
-            ref params,
-            ref mut shared,
-            ref mut read_results,
-            ref spare,
-            ref ctxs,
-            ref resolved,
-            ref fates,
-            ref stalled,
-            ref crashed,
-            ref mut arena_counts,
-            ref mut sparse_arena_counts,
-            ref readers,
-            ref writers,
-            ref sparse_readers,
-            ref sparse_writers,
-            ref frontier,
-            ref mut pending_writes,
-            ref mut builder,
-            ref mut profiles,
-            phase: ref mut phase_idx,
-            ref sink,
-            ref trace_label,
-            ref mut pending_results,
-            ref mut pending_pool,
-            ref mut fault_stats,
-            ..
-        } = *self;
-
-        // κ only feeds a maximum, so walking the touched masks (ascending)
-        // is equivalent to the dense ascending address scan.
-        match active {
-            None => {
-                for addr in 0..size {
-                    let kappa = readers[addr].max(writers[addr]);
-                    if kappa > 0 {
-                        builder.record_contention(kappa);
-                    }
-                }
-            }
-            Some(_) => {
-                for addr in sparse_readers.touched().iter() {
-                    builder
-                        .record_contention(sparse_readers.get(addr).max(sparse_writers.get(addr)));
-                }
-                for addr in sparse_writers.touched().iter() {
-                    if sparse_readers.get(addr) == 0 {
-                        builder.record_contention(sparse_writers.get(addr));
-                    }
-                }
-            }
-        }
+        self.audit_contention()?;
 
         let mut counters = FaultCounters::default();
         // Responses the memory system is due to release this phase (queued
         // by earlier Delay/Duplicate fates).
-        let mut due: Vec<(Pid, ReadResult)> = pending_results.pop_front().unwrap_or_default();
-
-        // Counting pass: exact per-processor response counts (results a
-        // stalled processor retains, reads served now by fate, plus due
-        // late responses) lay out the arena segments before any result
-        // moves. Stalls are whole-processor facts the hook filled into the
-        // fault masks, so both paths scan O(stalled-words) rather than O(p)
-        // (see `try_phase_active`).
-        match active {
-            None => {
-                arena_counts.fill(0);
-                if hooked {
-                    // Crash overrides stall: a down processor retains
-                    // nothing (its unseen results evaporate, uncharged —
-                    // they were already counted delivered).
-                    let down = crashed.count() as u64;
-                    fault_stats.crash_steps += down;
-                    counters.crashed_procs += down;
-                    for (leaf, word) in stalled.words() {
-                        let live = word & !crashed.word(leaf);
-                        let retained = u64::from(live.count_ones());
-                        fault_stats.stalled_steps += retained;
-                        counters.stalled_procs += retained;
-                        let mut bits = live;
-                        while bits != 0 {
-                            let pid = leaf * 64 + bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            arena_counts[pid] += spare.len(pid);
-                        }
-                    }
-                }
-                for (pid, ctx) in ctxs.iter().enumerate() {
-                    for (msg_idx, req) in ctx.requests.iter().enumerate() {
-                        if let Request::Read { .. } = req {
-                            let fate = if hooked {
-                                fates[pid][msg_idx]
-                            } else {
-                                Fate::Deliver
-                            };
-                            match fate {
-                                Fate::Deliver | Fate::Duplicate | Fate::Displace(_) => {
-                                    arena_counts[pid] += 1
-                                }
-                                Fate::Drop | Fate::Delay(_) => {}
-                            }
-                        }
-                    }
-                }
-                for &(pid, _) in due.iter() {
-                    if !(hooked && crashed.contains(pid)) {
-                        arena_counts[pid] += 1;
-                    }
-                }
-                read_results.begin(arena_counts);
-            }
-            Some(_) => {
-                sparse_arena_counts.reset();
-                if hooked {
-                    let down = crashed.count() as u64;
-                    fault_stats.crash_steps += down;
-                    counters.crashed_procs += down;
-                    for (leaf, word) in stalled.words() {
-                        let live = word & !crashed.word(leaf);
-                        let retained = u64::from(live.count_ones());
-                        fault_stats.stalled_steps += retained;
-                        counters.stalled_procs += retained;
-                        let mut bits = live;
-                        while bits != 0 {
-                            let pid = leaf * 64 + bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            sparse_arena_counts.add(pid, spare.len(pid) as u64);
-                        }
-                    }
-                }
-                for &pid in frontier.iter() {
-                    for (msg_idx, req) in ctxs[pid].requests.iter().enumerate() {
-                        if let Request::Read { .. } = req {
-                            let fate = if hooked {
-                                fates[pid][msg_idx]
-                            } else {
-                                Fate::Deliver
-                            };
-                            match fate {
-                                Fate::Deliver | Fate::Duplicate | Fate::Displace(_) => {
-                                    sparse_arena_counts.add(pid, 1)
-                                }
-                                Fate::Drop | Fate::Delay(_) => {}
-                            }
-                        }
-                    }
-                }
-                for &(pid, _) in due.iter() {
-                    if !(hooked && crashed.contains(pid)) {
-                        sparse_arena_counts.add(pid, 1);
-                    }
-                }
-                read_results.begin_sparse(sparse_arena_counts);
-            }
-        }
-        // Stalled processors keep their unseen read results (consumed next
-        // phase instead); they are retained ahead of this phase's serves.
-        if hooked {
-            for (leaf, word) in stalled.words() {
-                let mut bits = word & !crashed.word(leaf);
-                while bits != 0 {
-                    let pid = leaf * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    for result in spare.inbox(pid) {
-                        read_results.place(pid, *result);
-                    }
-                }
-            }
-        }
-
-        // Serve reads against the pre-phase memory; collect writes into
-        // (addr, pid, value) for min-pid arbitration per address.
-        pending_writes.clear();
-        let (mut total_reads, total_writes) = match active {
-            None => serve_pass(
-                0..p,
-                ctxs,
-                resolved,
-                fates,
-                hooked,
-                shared,
-                read_results,
-                pending_writes,
-                builder,
-                pending_results,
-                pending_pool,
-                fault_stats,
-                &mut counters,
-            ),
-            Some(_) => serve_pass(
-                frontier.iter().copied(),
-                ctxs,
-                resolved,
-                fates,
-                hooked,
-                shared,
-                read_results,
-                pending_writes,
-                builder,
-                pending_results,
-                pending_pool,
-                fault_stats,
-                &mut counters,
-            ),
-        };
+        let due = self.pending_results.pop_front().unwrap_or_default();
+        self.lay_out_results(&due, hooked, &mut counters);
+        let (mut reads, writes) = self.serve(hooked, &mut counters);
         // Late responses land after this phase's on-time serves. A response
         // falling due while its processor is down dies in the network,
         // charged to the crash column.
-        for (pid, result) in due.drain(..) {
-            fault_stats.in_flight -= 1;
-            if hooked && crashed.contains(pid) {
-                fault_stats.crashed += 1;
-                counters.crashed += 1;
-                continue;
-            }
-            read_results.place(pid, result);
-            fault_stats.delivered += 1;
-            counters.late_arrivals += 1;
-            total_reads += 1;
-        }
-        if due.capacity() > 0 && pending_pool.len() < RESULT_POOL_CAP {
-            pending_pool.push(due);
-        }
-        read_results.finish();
-
-        // Arbitrary-rule write resolution: deterministic min-pid winner.
-        // Sort by (addr, pid) and keep the first writer per address.
-        pending_writes.sort_unstable_by_key(|&(addr, pid, _)| (addr, pid));
-        let mut last_addr = usize::MAX;
-        for &(addr, _pid, value) in pending_writes.iter() {
-            if addr != last_addr {
-                shared[addr] = value;
-                last_addr = addr;
-            }
-        }
-
-        let profile = builder.snapshot_reset();
-        if sink.enabled() {
-            // The trace contract is dense per-processor vectors; the sparse
-            // path fills zeroed rows from the frontier / touched mask, so
-            // beyond the unavoidable O(p) allocation the fill itself is
-            // O(frontier).
-            let per_proc_sent: Vec<u64> = match active {
-                None => ctxs
-                    .iter()
-                    .map(|ctx| {
-                        let (r_i, w_i) = ctx.counts();
-                        r_i + w_i
-                    })
-                    .collect(),
-                Some(_) => {
-                    let mut sent = vec![0u64; p];
-                    for &pid in frontier.iter() {
-                        let (r_i, w_i) = ctxs[pid].counts();
-                        sent[pid] = r_i + w_i;
-                    }
-                    sent
-                }
-            };
-            let per_proc_recv: Vec<u64> = match active {
-                None => (0..p).map(|d| read_results.len(d) as u64).collect(),
-                Some(_) => {
-                    // O(touched) fill of the dense-by-contract row: only
-                    // pids with live arena segments can hold results.
-                    let mut recv = vec![0u64; p];
-                    for pid in read_results.touched().iter() {
-                        recv[pid] = read_results.len(pid) as u64;
-                    }
-                    recv
-                }
-            };
-            let max_mult = match active {
-                None => crate::max_slot_multiplicity(resolved, 0..p),
-                Some(_) => crate::max_slot_multiplicity(resolved, frontier.iter().copied()),
-            };
-            let mut ev = TraceEvent::for_superstep(
-                TraceSource::Qsm,
-                trace_label.clone(),
-                step,
-                *params,
-                profile.clone(),
-                per_proc_sent,
-                per_proc_recv,
-                max_mult,
-                total_reads + total_writes,
-            );
-            if hooked {
-                ev = ev.with_faults(counters);
-            }
-            sink.record(ev);
-        }
-        profiles.push(profile.clone());
-        *phase_idx += 1;
-        Ok(PhaseReport {
-            profile,
-            reads: total_reads,
-            writes: total_writes,
-        })
+        reads += land_due(
+            due,
+            hooked.then_some(&self.crashed),
+            &mut self.read_results,
+            &mut self.fault_stats,
+            &mut counters,
+            &mut self.pending_pool,
+            |_| {},
+        );
+        self.read_results.finish();
+        self.arbitrate_writes();
+        Ok(self.finish_phase(step, hooked, reads, writes, counters))
     }
-}
 
-/// The sequential serve loop, shared by both execution paths: visit `pids`
-/// in order, record each context's memory-op and work observations, then
-/// apply each request's (precomputed) fate — serving reads against the
-/// pre-phase memory and collecting writes for arbitration. Returns
-/// `(reads_served_on_time, writes_collected)`.
-///
-/// Monomorphized per iterator type: the dense instantiation (`0..p`)
-/// compiles to the loop the dense engine always ran, the sparse one walks
-/// only the frontier. A pid outside the frontier issued no requests, so
-/// skipping it drops only `record_memory_ops(0, 0)` / `record_work(0)`
-/// observations, which cannot move any profile maximum.
-#[allow(clippy::too_many_arguments)]
-fn serve_pass(
-    pids: impl Iterator<Item = Pid>,
-    ctxs: &[QsmCtx],
-    resolved: &[Vec<u64>],
-    fates: &[Vec<Fate>],
-    hooked: bool,
-    shared: &[Word],
-    read_results: &mut MsgArena<ReadResult>,
-    pending_writes: &mut Vec<(Addr, Pid, Word)>,
-    builder: &mut ProfileBuilder,
-    pending_results: &mut VecDeque<Vec<(Pid, ReadResult)>>,
-    pending_pool: &mut Vec<Vec<(Pid, ReadResult)>>,
-    fault_stats: &mut FaultStats,
-    counters: &mut FaultCounters,
-) -> (u64, u64) {
-    let mut total_reads = 0u64;
-    let mut total_writes = 0u64;
-    for pid in pids {
-        let ctx = &ctxs[pid];
-        let (r_i, w_i) = ctx.counts();
-        builder.record_memory_ops(r_i, w_i);
-        builder.record_work(ctx.work);
-        for (msg_idx, (req, &slot)) in ctx.requests.iter().zip(resolved[pid].iter()).enumerate() {
-            let fate = if hooked {
-                fates[pid][msg_idx]
-            } else {
-                Fate::Deliver
-            };
-            fault_stats.injected += 1;
-            let charged_slot = match fate {
-                Fate::Displace(d) => {
-                    fault_stats.displaced += 1;
-                    counters.displaced += 1;
-                    slot + d
+    /// Run every processor's closure in parallel, each filling its recycled
+    /// context; stalled and crashed processors skip theirs.
+    fn run_closures<F>(&mut self, f: &F, hooked: bool)
+    where
+        F: Fn(Pid, &mut S, &[ReadResult], &mut QsmCtx) + Sync,
+    {
+        let stalled = &self.stalled;
+        let crashed = &self.crashed;
+        let spare = &self.spare;
+        let _: Vec<()> = self
+            .states
+            .par_iter_mut()
+            .zip(self.ctxs.par_iter_mut())
+            .enumerate()
+            .map(|(pid, (state, ctx))| {
+                ctx.reset();
+                if !(hooked && (stalled.contains(pid) || crashed.contains(pid))) {
+                    f(pid, state, spare.inbox(pid), ctx);
                 }
-                _ => slot,
-            };
-            builder.record_injection(charged_slot);
-            if fate == Fate::Drop {
-                fault_stats.dropped += 1;
-                counters.dropped += 1;
-                continue;
+            })
+            .collect();
+    }
+
+    /// Validate every address, then resolve each processor's injection
+    /// slots into its recycled slot buffer.
+    fn resolve_requests(&mut self) -> Result<(), SimError> {
+        let size = self.shared.len();
+        for ctx in &self.ctxs {
+            for req in &ctx.requests {
+                let addr = req.addr();
+                if addr >= size {
+                    return Err(SimError::BadAddress { addr, size });
+                }
             }
-            match req {
-                Request::Read { addr, .. } => {
-                    let result = ReadResult {
-                        addr: *addr,
-                        value: shared[*addr],
+        }
+        let validated: Result<Vec<()>, SimError> = self
+            .ctxs
+            .par_iter()
+            .zip(self.resolved.par_iter_mut())
+            .enumerate()
+            .map(|(pid, (ctx, slots))| assign_slots_into(pid, &ctx.requests, slots))
+            .collect();
+        validated.map(drop)
+    }
+
+    /// Fates are pure in `(phase, pid, msg_idx, slot)`, so they are
+    /// *computed* here in a parallel pass; the sequential serve loop only
+    /// *applies* them, preserving the fixed order the ledger, pending-result
+    /// queue, and traces are defined by.
+    fn compute_fates(&mut self, h: &dyn DeliveryHook, step: u64) {
+        let p = self.params.p;
+        if self.fates.len() != p {
+            self.fates.resize_with(p, Vec::new);
+        }
+        let _: Vec<()> = self
+            .resolved
+            .par_iter()
+            .zip(self.fates.par_iter_mut())
+            .enumerate()
+            .map(|(pid, (slots, fates))| {
+                fates.clear();
+                // Every request in a QSM phase belongs to the requesting
+                // processor, so the batch sees one uniform destination.
+                h.fate_batch(step, pid, BatchDests::Uniform(pid), slots, fates);
+            })
+            .collect();
+    }
+
+    /// Contention audit: readers and writers per location, counting each
+    /// processor once per distinct address (the paper counts processors per
+    /// location). The distinct-address scratch replaces a per-processor
+    /// `BTreeSet`, so the audit is allocation-free at steady state. The
+    /// lowest address both read and written is an error; otherwise every
+    /// location's κ is recorded.
+    fn audit_contention(&mut self) -> Result<(), SimError> {
+        let size = self.shared.len();
+        self.readers.fill(0);
+        self.writers.fill(0);
+        for ctx in &self.ctxs {
+            self.audit_reads.clear();
+            self.audit_writes.clear();
+            for req in &ctx.requests {
+                match req {
+                    Request::Read { addr, .. } => self.audit_reads.push(*addr),
+                    Request::Write { addr, .. } => self.audit_writes.push(*addr),
+                }
+            }
+            self.audit_reads.sort_unstable();
+            self.audit_reads.dedup();
+            self.audit_writes.sort_unstable();
+            self.audit_writes.dedup();
+            for &addr in &self.audit_reads {
+                self.readers[addr] += 1;
+            }
+            for &addr in &self.audit_writes {
+                self.writers[addr] += 1;
+            }
+        }
+        if let Some(addr) = (0..size).find(|&a| self.readers[a] > 0 && self.writers[a] > 0) {
+            return Err(SimError::ReadWriteConflict { addr });
+        }
+        for addr in 0..size {
+            let kappa = self.readers[addr].max(self.writers[addr]);
+            if kappa > 0 {
+                self.builder.record_contention(kappa);
+            }
+        }
+        Ok(())
+    }
+
+    /// Counting pass: exact per-processor response counts (results a
+    /// stalled processor retains, reads served now by fate, plus due late
+    /// responses) lay out the arena segments before any result moves; the
+    /// retained results are then re-placed ahead of this phase's serves.
+    fn lay_out_results(
+        &mut self,
+        due: &[(Pid, ReadResult)],
+        hooked: bool,
+        counters: &mut FaultCounters,
+    ) {
+        self.arena_counts.fill(0);
+        if hooked {
+            let (counts, spare) = (&mut self.arena_counts, &self.spare);
+            charge_fault_masks(
+                &self.stalled,
+                &self.crashed,
+                &mut self.fault_stats,
+                counters,
+                |pid| counts[pid] += spare.len(pid),
+            );
+        }
+        for (pid, ctx) in self.ctxs.iter().enumerate() {
+            for (msg_idx, req) in ctx.requests.iter().enumerate() {
+                if let Request::Read { .. } = req {
+                    let fate = if hooked {
+                        self.fates[pid][msg_idx]
+                    } else {
+                        Fate::Deliver
                     };
-                    match fate {
-                        Fate::Delay(k) => {
-                            queue_result(
-                                pending_results,
-                                pending_pool,
-                                fault_stats,
+                    if matches!(fate, Fate::Deliver | Fate::Duplicate | Fate::Displace(_)) {
+                        self.arena_counts[pid] += 1;
+                    }
+                }
+            }
+        }
+        for &(pid, _) in due {
+            if !(hooked && self.crashed.contains(pid)) {
+                self.arena_counts[pid] += 1;
+            }
+        }
+        self.read_results.begin(&self.arena_counts);
+        if hooked {
+            place_retained(
+                &self.spare,
+                &self.stalled,
+                &self.crashed,
+                &mut self.read_results,
+            );
+        }
+    }
+
+    /// The sequential serve loop: visit every processor in pid order,
+    /// record its memory-op and work observations, then apply each
+    /// request's (precomputed) fate — serving reads against the pre-phase
+    /// memory and collecting writes into `(addr, pid, value)` for
+    /// arbitration. Returns `(reads_served_on_time, writes_collected)`.
+    fn serve(&mut self, hooked: bool, counters: &mut FaultCounters) -> (u64, u64) {
+        self.pending_writes.clear();
+        let mut total_reads = 0u64;
+        let mut total_writes = 0u64;
+        for (pid, ctx) in self.ctxs.iter().enumerate() {
+            let (r_i, w_i) = ctx.counts();
+            self.builder.record_memory_ops(r_i, w_i);
+            self.builder.record_work(ctx.work);
+            for (msg_idx, (req, &slot)) in ctx.requests.iter().zip(&self.resolved[pid]).enumerate()
+            {
+                let fate = if hooked {
+                    self.fates[pid][msg_idx]
+                } else {
+                    Fate::Deliver
+                };
+                self.fault_stats.injected += 1;
+                let charged_slot = match fate {
+                    Fate::Displace(d) => {
+                        self.fault_stats.displaced += 1;
+                        counters.displaced += 1;
+                        slot + d
+                    }
+                    _ => slot,
+                };
+                self.builder.record_injection(charged_slot);
+                if fate == Fate::Drop {
+                    self.fault_stats.dropped += 1;
+                    counters.dropped += 1;
+                    continue;
+                }
+                match *req {
+                    Request::Read { addr, .. } => {
+                        let result = ReadResult {
+                            addr,
+                            value: self.shared[addr],
+                        };
+                        if let Fate::Delay(k) = fate {
+                            queue_pending(
+                                &mut self.pending_results,
+                                &mut self.pending_pool,
+                                &mut self.fault_stats,
                                 k.max(1),
                                 pid,
                                 result,
                             );
-                            fault_stats.delayed += 1;
+                            self.fault_stats.delayed += 1;
                             counters.delayed += 1;
+                            continue;
                         }
-                        Fate::Duplicate => {
-                            read_results.place(pid, result);
-                            fault_stats.delivered += 1;
-                            queue_result(
-                                pending_results,
-                                pending_pool,
-                                fault_stats,
+                        self.read_results.place(pid, result);
+                        self.fault_stats.delivered += 1;
+                        total_reads += 1;
+                        if fate == Fate::Duplicate {
+                            queue_pending(
+                                &mut self.pending_results,
+                                &mut self.pending_pool,
+                                &mut self.fault_stats,
                                 1,
                                 pid,
                                 result,
                             );
-                            fault_stats.duplicated += 1;
+                            self.fault_stats.duplicated += 1;
                             counters.duplicated += 1;
-                            total_reads += 1;
-                        }
-                        _ => {
-                            read_results.place(pid, result);
-                            fault_stats.delivered += 1;
-                            total_reads += 1;
                         }
                     }
-                }
-                Request::Write { addr, value, .. } => {
-                    // Delayed/duplicated writes are absorbed in order by
-                    // the memory system (see
-                    // [`QsmMachine::set_delivery_hook`]).
-                    pending_writes.push((*addr, pid, *value));
-                    fault_stats.delivered += 1;
-                    total_writes += 1;
+                    Request::Write { addr, value, .. } => {
+                        // Delayed/duplicated writes are absorbed in order by
+                        // the memory system (see
+                        // [`QsmMachine::set_delivery_hook`]).
+                        self.pending_writes.push((addr, pid, value));
+                        self.fault_stats.delivered += 1;
+                        total_writes += 1;
+                    }
                 }
             }
         }
+        (total_reads, total_writes)
     }
-    (total_reads, total_writes)
-}
 
-/// How many drained pending-response buffers a machine keeps for reuse.
-const RESULT_POOL_CAP: usize = 16;
-
-/// Queue a read response for release `k ≥ 1` phases from now, reusing
-/// drained level buffers from `pool`.
-fn queue_result(
-    pending_results: &mut VecDeque<Vec<(Pid, ReadResult)>>,
-    pool: &mut Vec<Vec<(Pid, ReadResult)>>,
-    fault_stats: &mut FaultStats,
-    k: u32,
-    pid: Pid,
-    result: ReadResult,
-) {
-    let idx = (k.max(1) - 1) as usize;
-    while pending_results.len() <= idx {
-        pending_results.push_back(pool.pop().unwrap_or_default());
+    /// Arbitrary-rule write resolution: deterministic min-pid winner. Sort
+    /// by (addr, pid) and keep the first writer per address.
+    fn arbitrate_writes(&mut self) {
+        self.pending_writes
+            .sort_unstable_by_key(|&(addr, pid, _)| (addr, pid));
+        let mut last_addr = usize::MAX;
+        for &(addr, _pid, value) in &self.pending_writes {
+            if addr != last_addr {
+                self.shared[addr] = value;
+                last_addr = addr;
+            }
+        }
     }
-    pending_results[idx].push((pid, result));
-    fault_stats.in_flight += 1;
+
+    /// Snapshot the profile, emit the trace event, and advance the phase
+    /// index.
+    fn finish_phase(
+        &mut self,
+        step: u64,
+        hooked: bool,
+        reads: u64,
+        writes: u64,
+        counters: FaultCounters,
+    ) -> PhaseReport {
+        let p = self.params.p;
+        let profile = self.builder.snapshot_reset();
+        if self.sink.enabled() {
+            let mut ev = TraceEvent::for_superstep(
+                TraceSource::Qsm,
+                self.trace_label.clone(),
+                step,
+                self.params,
+                profile.clone(),
+                self.ctxs
+                    .iter()
+                    .map(|ctx| ctx.requests.len() as u64)
+                    .collect(),
+                (0..p).map(|d| self.read_results.len(d) as u64).collect(),
+                crate::max_slot_multiplicity(&self.resolved, 0..p),
+                reads + writes,
+            );
+            if hooked {
+                ev = ev.with_faults(counters);
+            }
+            self.sink.record(ev);
+        }
+        self.profiles.push(profile.clone());
+        self.phase += 1;
+        PhaseReport {
+            profile,
+            reads,
+            writes,
+        }
+    }
 }
 
 /// Assign injection slots into the recycled buffer `out`: explicit slots
@@ -1504,125 +1129,9 @@ mod tests {
     }
 
     #[test]
-    fn sparse_and_dense_qsm_agree_under_crashes() {
-        struct CrashP1;
-        impl crate::hook::DeliveryHook for CrashP1 {
-            fn crashed(&self, phase: u64, pid: Pid) -> bool {
-                pid == 1 && phase == 1
-            }
-        }
-        let actors = [1usize, 5];
-        let program = |pid: Pid, s: &mut Word, res: &[ReadResult], ctx: &mut QsmCtx, ph: usize| {
-            if let Some(r) = res.first() {
-                *s = r.value;
-            }
-            if actors.contains(&pid) && ph < 2 {
-                ctx.read(pid);
-            }
-        };
-        let mut dense: QsmMachine<Word> = QsmMachine::new(params(8), 16, |_| 0);
-        dense.set_delivery_hook(Arc::new(CrashP1));
-        dense.shared_mut()[1] = 11;
-        dense.shared_mut()[5] = 55;
-        let mut sparse: QsmMachine<Word> = QsmMachine::new(params(8), 16, |_| 0);
-        sparse.set_delivery_hook(Arc::new(CrashP1));
-        sparse.shared_mut()[1] = 11;
-        sparse.shared_mut()[5] = 55;
-        for ph in 0..3 {
-            dense.phase(|pid, s, res, ctx| program(pid, s, res, ctx, ph));
-            sparse.phase_active(&actors, |pid, s, res, ctx| program(pid, s, res, ctx, ph));
-        }
-        assert_eq!(dense.states(), sparse.states());
-        assert_eq!(dense.profiles(), sparse.profiles());
-        assert_eq!(dense.fault_stats(), sparse.fault_stats());
-    }
-
-    #[test]
     fn work_charges_take_max() {
         let mut m: QsmMachine<()> = QsmMachine::new(params(4), 8, |_| ());
         m.phase(|pid, _s, _res, ctx| ctx.charge_work(pid as u64));
         assert_eq!(m.profiles()[0].max_work, 3);
-    }
-
-    #[test]
-    fn active_phase_matches_dense_phase() {
-        use pbw_trace::RecordingSink;
-        // The same 3-phase program (two writers, then a cross-read, then a
-        // consume) run dense and sparse must agree on everything observable.
-        let writers = [1usize, 5];
-        let program = |pid: Pid, s: &mut Word, res: &[ReadResult], ctx: &mut QsmCtx, ph: usize| {
-            if !writers.contains(&pid) {
-                return;
-            }
-            match ph {
-                0 => ctx.write(pid, 10 * pid as Word),
-                1 => ctx.read(writers[usize::from(pid == writers[0])]),
-                _ => *s = res[0].value,
-            }
-        };
-        let dense_sink = Arc::new(RecordingSink::new());
-        let mut dense: QsmMachine<Word> = QsmMachine::new(params(8), 16, |_| 0);
-        dense.set_sink(dense_sink.clone());
-        let sparse_sink = Arc::new(RecordingSink::new());
-        let mut sparse: QsmMachine<Word> = QsmMachine::new(params(8), 16, |_| 0);
-        sparse.set_sink(sparse_sink.clone());
-        for ph in 0..3 {
-            dense.phase(|pid, s, res, ctx| program(pid, s, res, ctx, ph));
-            sparse.phase_active(&writers, |pid, s, res, ctx| program(pid, s, res, ctx, ph));
-        }
-        assert_eq!(dense.states(), sparse.states());
-        assert_eq!(dense.shared(), sparse.shared());
-        assert_eq!(dense.profiles(), sparse.profiles());
-        assert_eq!(dense_sink.take(), sparse_sink.take());
-    }
-
-    #[test]
-    fn active_phase_keeps_result_holders_in_the_frontier() {
-        // pid 2 reads in phase 0; the next phase declares *nobody* active,
-        // yet pid 2 must still run (it holds an undelivered result).
-        let mut m: QsmMachine<Word> = QsmMachine::new(params(8), 8, |_| -1);
-        m.shared_mut()[4] = 33;
-        m.phase_active(&[2], |pid, _s, _res, ctx| {
-            if pid == 2 {
-                ctx.read(4);
-            }
-        });
-        m.phase_active(&[], |_pid, s, res, _ctx| {
-            if let Some(r) = res.first() {
-                *s = r.value;
-            }
-        });
-        let mut want = vec![-1; 8];
-        want[2] = 33;
-        assert_eq!(m.states(), want.as_slice());
-    }
-
-    #[test]
-    fn active_phase_reports_sparse_conflicts_like_dense() {
-        let body = |pid: Pid, _s: &mut (), _res: &[ReadResult], ctx: &mut QsmCtx| match pid {
-            1 => {
-                ctx.read(6);
-                ctx.write(3, 1);
-            }
-            5 => {
-                ctx.write(6, 9);
-                ctx.read(3);
-            }
-            _ => {}
-        };
-        let mut dense: QsmMachine<()> = QsmMachine::new(params(8), 8, |_| ());
-        let mut sparse: QsmMachine<()> = QsmMachine::new(params(8), 8, |_| ());
-        let want = dense.try_phase(body).unwrap_err();
-        let got = sparse.try_phase_active(&[1, 5], body).unwrap_err();
-        // Both paths must report the lowest conflicting address.
-        assert_eq!(want, SimError::ReadWriteConflict { addr: 3 });
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    #[should_panic(expected = "active set names processor")]
-    fn active_phase_rejects_out_of_range_pid() {
-        let mut m: QsmMachine<()> = QsmMachine::new(params(4), 8, |_| ());
-        m.phase_active(&[4], |_pid, _s, _res, _ctx| {});
     }
 }

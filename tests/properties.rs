@@ -827,11 +827,13 @@ proptest! {
     /// 2. `superstep_active` with the frontier *declared* as the sorted
     ///    `Vec` the test computes by hand, and
     /// 3. `superstep_active(&[])` after the send step, so the frontier is
-    ///    discovered purely by iterating the inbox [`FrontierMask`].
+    ///    discovered purely by iterating the inbox [`FrontierMask`], and
+    /// 4. `superstep_auto`, which lets the engine pick the path per
+    ///    superstep.
     ///
     /// Modes 2 and 3 agreeing is the engine-level statement that mask
-    /// iteration ≡ the sorted-Vec frontier; mode 1 agreeing pins the
-    /// density crossover's freedom — either branch of
+    /// iteration ≡ the sorted-Vec frontier; modes 1 and 4 agreeing pin the
+    /// density rule's freedom — either branch of
     /// `pbw_sim::density::crossover` gives the same bytes.
     #[test]
     fn masked_declared_and_dense_paths_agree_at_any_density(
@@ -879,6 +881,7 @@ proptest! {
             Dense,
             Declared,
             Masked,
+            Auto,
         }
 
         let run = |mode: Mode, width: usize| -> (Vec<String>, Vec<u64>, u64) {
@@ -918,6 +921,11 @@ proptest! {
                             machine.superstep_active(&[], drain);
                             machine.superstep_active(&[], drain);
                         }
+                        Mode::Auto => {
+                            machine.superstep_auto(&senders, send);
+                            machine.superstep_auto(&[], drain);
+                            machine.superstep_auto(&[], drain);
+                        }
                     }
                     let events: Vec<String> = sink.take().iter().map(|e| e.to_json()).collect();
                     let hash = machine.canonical_hash();
@@ -926,7 +934,7 @@ proptest! {
         };
 
         let baseline = run(Mode::Dense, 1);
-        for mode in [Mode::Dense, Mode::Declared, Mode::Masked] {
+        for mode in [Mode::Dense, Mode::Declared, Mode::Masked, Mode::Auto] {
             for width in [1usize, 8] {
                 if mode == Mode::Dense && width == 1 {
                     continue;
@@ -939,6 +947,7 @@ proptest! {
                         Mode::Dense => "dense",
                         Mode::Declared => "declared",
                         Mode::Masked => "masked",
+                        Mode::Auto => "auto",
                     },
                     width, p, sender_pct
                 );
