@@ -286,6 +286,36 @@ impl FrontierMask {
         }
     }
 
+    /// The first non-empty leaf word at index `>= from`, as `(leaf_index,
+    /// word)`: the cursor form of [`FrontierMask::words`], for loops that
+    /// must mutate the mask's owner between words. Empty regions are
+    /// skipped through the summary level, so a full walk costs what
+    /// [`FrontierMask::words`] costs.
+    #[inline]
+    pub fn next_word(&self, from: usize) -> Option<(usize, u64)> {
+        let mut s = from / 64;
+        let mut bits = match self.summary.get(s) {
+            Some(sum) if sum.stamp == self.epoch => sum.bits & (!0u64 << (from % 64)),
+            Some(_) => 0,
+            None => return None,
+        };
+        loop {
+            while bits != 0 {
+                let w = s * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                // Summary bit set this epoch ⟹ the leaf was stamped this
+                // epoch, so its bits are valid without a stamp check.
+                let word = self.leaves[w].bits;
+                if word != 0 {
+                    return Some((w, word));
+                }
+            }
+            s += 1;
+            let sum = self.summary.get(s)?;
+            bits = if sum.stamp == self.epoch { sum.bits } else { 0 };
+        }
+    }
+
     /// The members in ascending order.
     #[inline]
     pub fn iter(&self) -> MaskIter<'_> {
@@ -342,6 +372,17 @@ mod tests {
         m.iter().collect()
     }
 
+    /// Walk the mask with the `next_word` cursor.
+    fn cursor_words(m: &FrontierMask) -> Vec<(usize, u64)> {
+        let mut out = Vec::new();
+        let mut from = 0;
+        while let Some((w, word)) = m.next_word(from) {
+            out.push((w, word));
+            from = w + 1;
+        }
+        out
+    }
+
     #[test]
     fn fresh_mask_is_empty() {
         let m = FrontierMask::new(200);
@@ -392,6 +433,12 @@ mod tests {
             m.insert(i);
         }
         assert_eq!(collect(&m), edges.to_vec());
+        assert_eq!(cursor_words(&m), m.words().collect::<Vec<_>>());
+        // A cursor starting mid-summary-word skips the leaf words before
+        // it, and crosses into the next summary word.
+        assert_eq!(m.next_word(3), Some((63, 1 << 63)));
+        assert_eq!(m.next_word(64), Some((64, 0b11)));
+        assert_eq!(m.next_word(128), None);
     }
 
     #[test]
@@ -427,9 +474,10 @@ mod tests {
         d.and_not(&b);
         let want: Vec<usize> = (0..500).filter(|i| i % 3 == 0 && i % 5 != 0).collect();
         assert_eq!(collect(&d), want);
-        // and_not may leave empty words behind the summary; count and
-        // iteration must agree anyway.
+        // and_not may leave empty words behind the summary; count,
+        // iteration and the cursor must agree anyway.
         assert_eq!(d.count(), want.len());
+        assert_eq!(cursor_words(&d), d.words().collect::<Vec<_>>());
     }
 
     #[test]

@@ -86,24 +86,6 @@ impl EpochCounts {
         }
     }
 
-    /// Add 1 to every slot named by `idxs` — the batched form of
-    /// [`EpochCounts::add`]`(idx, 1)` per element, with the epoch and slot
-    /// base hoisted out of the loop. This is the engines' per-message
-    /// destination-counting kernel.
-    pub fn add_ones(&mut self, idxs: &[usize]) {
-        let epoch = self.epoch;
-        for &idx in idxs {
-            let slot = &mut self.slots[idx];
-            if slot.stamp != epoch {
-                slot.stamp = epoch;
-                slot.count = 1;
-                self.touched.insert(idx);
-            } else {
-                slot.count += 1;
-            }
-        }
-    }
-
     /// Slot `idx`'s count this epoch (0 if untouched since the last reset).
     #[inline]
     pub fn get(&self, idx: usize) -> u64 {

@@ -213,18 +213,14 @@ pub struct BspMachine<S, M> {
     /// Zeroed (never shrunk) after each flush, so it allocates only when a
     /// sender exceeds every previous length.
     seq_lens: Vec<u64>,
-    /// Sparse-path frontier scratch: the sorted, deduplicated set of pids
-    /// whose closures run this superstep, unloaded from `frontier_mask` in
-    /// ascending pid order (no sort).
-    frontier: Vec<Pid>,
     /// Fused-path sender scratch: the pids that actually posted messages or
     /// charged work this superstep, collected by the fused sender tail so
     /// the delivery drain revisits only them (a wide receive-only frontier
     /// contributes nothing to delivery).
     senders: Vec<Pid>,
-    /// Mask twin of `frontier`: the declared active set OR-ed word-at-a-time
-    /// with the arena's touched mask — insertion *is* dedup, iteration *is*
-    /// the sort.
+    /// Sparse-path frontier: the pids whose closures run this superstep —
+    /// the declared active set OR-ed word-at-a-time with the arena's
+    /// touched mask. Insertion *is* dedup, iteration *is* the sort.
     frontier_mask: FrontierMask,
     /// Dense-path sender discovery: the parallel closure pass writes one
     /// byte per pid ("posted a message or charged work"), folded into
@@ -282,7 +278,6 @@ impl<S: Send, M: Send> BspMachine<S, M> {
             sparse_arena_counts: EpochCounts::new(p),
             sparse_recv_counts: EpochCounts::new(p),
             seq_lens: Vec::new(),
-            frontier: Vec::new(),
             senders: Vec::new(),
             frontier_mask: FrontierMask::new(p),
             sender_flags: vec![0; p],
@@ -592,9 +587,10 @@ impl<S: Send, M: Send> BspMachine<S, M> {
         // *and* loses every payload whose custody would transfer to it this
         // superstep. The masks are cleared in O(1) (epoch bumps) and filled
         // in one hook call — `fill_fault_masks` lets a hook that knows its
-        // fault windows in closed form insert O(windows) bits instead of
-        // answering p per-pid queries. They are only ever read behind
-        // `hooked`, so the unhooked paths touch nothing p-sized here.
+        // fault windows in closed form (FaultPlan with zero rates) insert
+        // O(windows) bits instead of answering p per-pid queries. The masks
+        // are only ever read behind `hooked`, so the unhooked paths touch
+        // nothing p-sized here.
         let hook = self.hook.clone();
         let tracing = self.sink.enabled();
         let st = Step {
@@ -646,7 +642,7 @@ impl<S: Send, M: Send> BspMachine<S, M> {
         match path {
             Path::Dense => self.resolve_all_slots(st.materialize_slots)?,
             Path::SparseHooked => {
-                for &pid in &self.frontier {
+                for pid in self.frontier_mask.iter() {
                     resolve_slots_into(
                         pid,
                         p,
@@ -741,11 +737,15 @@ impl<S: Send, M: Send> BspMachine<S, M> {
             return false;
         }
         self.senders.clear();
-        let mask = std::mem::take(&mut self.sender_mask);
-        for pid in mask.iter() {
-            self.fused_sender_tail(pid, st, tail);
+        let mut from = 0;
+        while let Some((leaf, word)) = self.sender_mask.next_word(from) {
+            from = leaf + 1;
+            let mut bits = word;
+            while bits != 0 {
+                self.fused_sender_tail(leaf * 64 + bits.trailing_zeros() as usize, st, tail);
+                bits &= bits - 1;
+            }
         }
-        self.sender_mask = mask;
         true
     }
 
@@ -754,7 +754,7 @@ impl<S: Send, M: Send> BspMachine<S, M> {
     /// (ordinary deliveries, retained stalled inboxes, and landed delayed
     /// payloads all live there, so `spare.touched()` covers them without
     /// scanning p inboxes). The mask OR is the dedup and its ascending-pid
-    /// unload is the sort — the order that replays the dense path's
+    /// iteration is the sort — the order that replays the dense path's
     /// canonical delivery order exactly.
     fn load_frontier(&mut self, declared: &[Pid]) {
         self.frontier_mask.clear();
@@ -762,34 +762,38 @@ impl<S: Send, M: Send> BspMachine<S, M> {
             self.frontier_mask.insert(pid);
         }
         self.frontier_mask.union_with(self.spare.touched());
-        self.frontier.clear();
-        self.frontier_mask.push_to(&mut self.frontier);
     }
 
-    /// Sparse closure pass: sequentially over the sorted frontier — small by
-    /// contract, and trivially deterministic at every pool width.
-    /// Unhooked, each closure is followed by its fused sender tail while the
-    /// outbox is hot in cache.
+    /// Sparse closure pass: sequentially over the frontier, walked word by
+    /// word in place — small by contract, and trivially deterministic at
+    /// every pool width. Unhooked, each closure is followed by its fused
+    /// sender tail while the outbox is hot in cache.
     fn sparse_closure_pass<F>(&mut self, f: &F, st: Step, tail: &mut SenderTail)
     where
         F: Fn(Pid, &mut S, &[M], &mut Outbox<M>),
     {
         self.senders.clear();
-        for i in 0..self.frontier.len() {
-            let pid = self.frontier[i];
-            if !st.outboxes_clean {
-                self.outboxes[pid].reset();
-            }
-            if !(st.hooked && (self.stalled.contains(pid) || self.crashed.contains(pid))) {
-                f(
-                    pid,
-                    &mut self.states[pid],
-                    self.spare.inbox(pid),
-                    &mut self.outboxes[pid],
-                );
-            }
-            if !st.hooked {
-                self.fused_sender_tail(pid, st, tail);
+        let mut from = 0;
+        while let Some((leaf, word)) = self.frontier_mask.next_word(from) {
+            from = leaf + 1;
+            let mut bits = word;
+            while bits != 0 {
+                let pid = leaf * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if !st.outboxes_clean {
+                    self.outboxes[pid].reset();
+                }
+                if !(st.hooked && (self.stalled.contains(pid) || self.crashed.contains(pid))) {
+                    f(
+                        pid,
+                        &mut self.states[pid],
+                        self.spare.inbox(pid),
+                        &mut self.outboxes[pid],
+                    );
+                }
+                if !st.hooked {
+                    self.fused_sender_tail(pid, st, tail);
+                }
             }
         }
     }
@@ -802,6 +806,7 @@ impl<S: Send, M: Send> BspMachine<S, M> {
     /// unfused paths; a sender that fails validation contributes nothing
     /// further, and everything already recorded is discarded wholesale by
     /// [`BspMachine::deliver_fused`]'s error unwind.
+    #[inline]
     fn fused_sender_tail(&mut self, pid: Pid, st: Step, tail: &mut SenderTail) {
         let p = self.params.p;
         let out = &self.outboxes[pid];
@@ -894,7 +899,7 @@ impl<S: Send, M: Send> BspMachine<S, M> {
                 })
                 .collect();
         } else {
-            for &pid in &self.frontier {
+            for pid in self.frontier_mask.iter() {
                 let fates = &mut self.fates[pid];
                 fates.clear();
                 h.fate_batch(
@@ -1052,7 +1057,7 @@ impl<S: Send, M: Send> BspMachine<S, M> {
             counters,
             |pid| counts.add(pid, spare.len(pid) as u64),
         );
-        for &pid in &self.frontier {
+        for pid in self.frontier_mask.iter() {
             crate::kernels::count_dests_sparse_hooked(
                 self.outboxes[pid].dests(),
                 &self.fates[pid],
@@ -1070,7 +1075,7 @@ impl<S: Send, M: Send> BspMachine<S, M> {
         self.sparse_recv_counts.reset();
         let recv = &mut self.sparse_recv_counts;
         let delivered = delivery_pass(
-            self.frontier.iter().copied(),
+            self.frontier_mask.iter(),
             &mut self.outboxes,
             &self.resolved,
             &self.fates,
@@ -1126,7 +1131,7 @@ impl<S: Send, M: Send> BspMachine<S, M> {
                     for d in self.sparse_recv_counts.touched().iter() {
                         row[d] = self.sparse_recv_counts.get(d);
                     }
-                    crate::max_slot_multiplicity(&self.resolved, self.frontier.iter().copied())
+                    crate::max_slot_multiplicity(&self.resolved, self.frontier_mask.iter())
                 }
             };
             let mut ev = TraceEvent::for_superstep(
