@@ -40,7 +40,7 @@ STAGES=(
   sorting-determinism
   cross-width-determinism
   chaos-soak
-  density-crossover
+  perfbench
   bench-gate
   parallel-gate
   tsan
@@ -170,25 +170,28 @@ stage_sorting-determinism() {
   echo "ok: $(wc -l < "$sort_a") sorting-run trace events, replayed bit-identically"
 }
 
-# Three-way width matrix: the same seeded fault run at pool widths 1, 4,
-# and 8 must produce byte-identical traces. Width 4 is the interesting
-# middle — it exercises chunk boundaries neither the degenerate width-1
-# pool nor the wide-8 pool hits.
+# Three-way width matrix: the same seeded run at pool widths 1, 4, and 8
+# must produce byte-identical traces. Width 4 is the interesting middle —
+# it exercises chunk boundaries neither the degenerate width-1 pool nor the
+# wide-8 pool hits. `faults` drives the hooked recovery supersteps,
+# `broadcast-lb` the broadcast tree's sparse and dense rounds (the engine
+# picks the path per superstep; both paths must give the same bytes).
 stage_cross-width-determinism() {
-  local fault_w1 fault_w4 fault_w8
-  fault_w1="$(mktemp)"
-  fault_w4="$(mktemp)"
-  fault_w8="$(mktemp)"
-  trap "rm -f '$fault_w1' '$fault_w4' '$fault_w8'" EXIT
-  PBW_THREADS=1 cargo run --release -q -p pbw-bench --bin reproduce -- --quick --seed 7 --trace "$fault_w1" faults >/dev/null
-  PBW_THREADS=4 cargo run --release -q -p pbw-bench --bin reproduce -- --quick --seed 7 --trace "$fault_w4" faults >/dev/null
-  PBW_THREADS=8 cargo run --release -q -p pbw-bench --bin reproduce -- --quick --seed 7 --trace "$fault_w8" faults >/dev/null
-  # Guard against the vacuous pass: if tracing silently broke and the files
-  # are empty, diff would succeed while proving nothing.
-  [ -s "$fault_w1" ] || { echo "width-1 fault trace is empty" >&2; exit 1; }
-  diff -q "$fault_w1" "$fault_w4" || { echo "fault traces differ between 1 and 4 threads" >&2; exit 1; }
-  diff -q "$fault_w1" "$fault_w8" || { echo "fault traces differ between 1 and 8 threads" >&2; exit 1; }
-  echo "ok: fault-run trace is byte-identical at PBW_THREADS=1, 4, and 8"
+  local w1 wn scen w
+  w1="$(mktemp)"
+  wn="$(mktemp)"
+  trap "rm -f '$w1' '$wn'" EXIT
+  for scen in faults broadcast-lb; do
+    PBW_THREADS=1 cargo run --release -q -p pbw-bench --bin reproduce -- --quick --seed 7 --trace "$w1" "$scen" >/dev/null
+    # Guard against the vacuous pass: if tracing silently broke and the
+    # files are empty, diff would succeed while proving nothing.
+    [ -s "$w1" ] || { echo "width-1 $scen trace is empty" >&2; exit 1; }
+    for w in 4 8; do
+      PBW_THREADS="$w" cargo run --release -q -p pbw-bench --bin reproduce -- --quick --seed 7 --trace "$wn" "$scen" >/dev/null
+      diff -q "$w1" "$wn" || { echo "$scen traces differ between 1 and $w threads" >&2; exit 1; }
+    done
+    echo "ok: $scen trace is byte-identical at PBW_THREADS=1, 4, and 8"
+  done
 }
 
 # Seeded chaos soak: crashes x fault zoo, seeded, replay-diffed.
@@ -196,43 +199,22 @@ stage_chaos-soak() {
   scripts/chaos_soak.sh
 }
 
-# Density-crossover conformance (PR 10). Two claims underwrite the measured
-# crossover's freedom to differ between machines:
-#   (a) calibration is deterministic — `factor_from_probe` is a pure
-#       function of its probe readings, the probed factor is cached and
-#       clamped in-band (the pbw-sim density unit tests pin all of it);
-#   (b) the crossover only ever changes wall-clock — the same seeded run
-#       with every branch forced sparse (PBW_DENSITY_FACTOR=1), forced
-#       dense (a huge factor), and left to the calibrated probe must emit
-#       byte-identical traces, at pool widths 1, 4 and 8.
-# Scenarios: `broadcast-lb` drives the broadcast-tree crossovers, `faults`
-# the recovery-driver ones. Empty traces would make every diff vacuous, so
-# each reference is non-empty guarded.
-stage_density-crossover() {
-  echo "== density-crossover: calibration determinism =="
-  cargo test --release -q -p pbw-sim density
-
-  echo "== density-crossover: forced-sparse / forced-dense / probed trace diff =="
-  local ref out scen w f label
-  ref="$(mktemp)"
+# The repository benchmark (perfbench/, its own cargo package and
+# workspace): its unit tests, then one short seed-7 run of every workload.
+# Each run must check out — the last stdout line is one JSON object whose
+# `correct` is true and whose `failed` op count is 0 (at seed 7 that
+# includes the recorded cost digests in perfbench/digests.txt).
+stage_perfbench() {
+  cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+  local out w
   out="$(mktemp)"
-  trap "rm -f '$ref' '$out'" EXIT
-  for scen in broadcast-lb faults; do
-    PBW_THREADS=1 PBW_DENSITY_FACTOR=1 \
-      cargo run --release -q -p pbw-bench --bin reproduce -- --quick --seed 7 --trace "$ref" "$scen" >/dev/null
-    [ -s "$ref" ] || { echo "density-crossover: $scen reference trace is empty" >&2; exit 1; }
-    for w in 1 4 8; do
-      # PBW_DENSITY_FACTOR="" parses as unset: the calibrated probe decides.
-      for f in 1 1000000 ""; do
-        if [ "$w" = 1 ] && [ "$f" = 1 ]; then continue; fi # the reference itself
-        label="${f:-probed}"
-        PBW_THREADS="$w" PBW_DENSITY_FACTOR="$f" \
-          cargo run --release -q -p pbw-bench --bin reproduce -- --quick --seed 7 --trace "$out" "$scen" >/dev/null
-        diff -q "$ref" "$out" >/dev/null \
-          || { echo "density-crossover: $scen trace differs at width=$w factor=$label" >&2; exit 1; }
-      done
-    done
-    echo "ok: $scen — $(wc -l < "$ref") trace events, byte-identical across widths 1/4/8 x {sparse, dense, probed}"
+  trap "rm -f '$out'" EXIT
+  for w in sort broadcast recovery shared-memory; do
+    PBW_THREADS=1 cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+      --workload "$w" --seed 7 --seconds 1 --trace 0 > "$out"
+    tail -n 1 "$out" | jq -e '.correct == true and .failed == 0' >/dev/null \
+      || { echo "perfbench: $w did not check out:" >&2; tail -n 1 "$out" >&2; exit 1; }
+    echo "ok: perfbench $w correct, 0 failed"
   done
 }
 
