@@ -1,5 +1,5 @@
 //! Leighton's columnsort — the deterministic sorting substrate behind the
-//! paper's Table 1 sorting bound (via Adler–Byers–Karp [2], which adapts
+//! paper's Table 1 sorting bound (via Adler–Byers–Karp \[2\], which adapts
 //! columnsort to the limited-bandwidth setting).
 //!
 //! Columnsort sorts an `r × s` matrix (column-major, `s | r`,

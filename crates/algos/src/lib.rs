@@ -13,7 +13,7 @@
 //! | [`prefix`] | parallel prefix sums (the scan behind τ and the sorting offsets) |
 //! | [`collectives`] | total exchange / transpose / gather (the §3 applications) |
 //! | [`list_ranking`] | list ranking (Table 1 row 4) via the paper's PRAM→QSM(m) conversion |
-//! | [`columnsort`] | Leighton's columnsort — the deterministic sorting substrate of [2] |
+//! | [`columnsort`] | Leighton's columnsort — the deterministic sorting substrate of \[2\] |
 //! | [`sort`] | sorting on QSM(m)/BSP(m) in O(n/m) (Table 1 row 5) |
 //! | [`sample_sort`] | BSP sample sort as a real-algorithm workload: data-driven bucket skew as the emergent BSP(g)/BSP(m) gap |
 //! | [`bitonic`] | the balanced, locally-limited-friendly block bitonic sorter (the g-model's native algorithm) |

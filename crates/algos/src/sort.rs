@@ -2,7 +2,7 @@
 //! row 5).
 //!
 //! The paper routes the keys to `m·lg n` processors and runs the
-//! deterministic columnsort adaptation of Adler–Byers–Karp [2]; the key
+//! deterministic columnsort adaptation of Adler–Byers–Karp \[2\]; the key
 //! point is that with `q = m·lg n` sorting processors the per-processor
 //! local-sort work `(n/q)·lg n = n/m` no longer dominates the `n/m`
 //! communication time. We implement the same processor-count trick with a

@@ -22,9 +22,9 @@
 //!   frontier masks exist for.
 //! * `density_sweep/p65536/active{1,4,16,64,100}pct` — one dense-entry
 //!   superstep whose sender count sweeps the active fraction 1% → 100% in
-//!   ×4 steps, so the engine's density rule (`pbw_sim::density`) is
-//!   exercised on both sides of its break-even point and the regression
-//!   gate pins the whole curve, not one regime.
+//!   ×4 steps. Delivery walks only the discovered senders at every
+//!   density, so the regression gate pins the whole curve of the dense
+//!   closure pass plus sender-list delivery, not one regime.
 //! * `sample_sort_exchange/p32` — the steady-state all-to-all bucket
 //!   exchange of the sample-sort workload (PR 8): every key re-sent every
 //!   superstep through explicit `send_at` slots, pinning the
@@ -139,11 +139,11 @@ fn bench_sparse_sweep(c: &mut Criterion) {
 }
 
 fn bench_density_sweep(c: &mut Criterion) {
-    // One dense-entry superstep per iteration; the engine's density rule
-    // (`pbw_sim::density`) decides per superstep whether the
-    // delivery side walks all p processors or just the discovered senders.
-    // Sweeping the active fraction 1% → 100% in ×4 steps pins both regimes
-    // and the neighborhood of the break-even point.
+    // One dense-entry superstep per iteration: every closure runs, then
+    // delivery walks just the discovered senders. Sweeping the active
+    // fraction 1% → 100% in ×4 steps pins the cost from a near-idle
+    // machine to an all-to-all one, including the 1/16 point where
+    // `superstep_auto` would switch closure passes.
     let mut group = c.benchmark_group("density_sweep");
     group.sample_size(10);
     let p = 1usize << 16;

@@ -208,7 +208,7 @@ pub struct FamilyReport {
     pub dedup_hits: u64,
     /// Terminal states fully audited.
     pub leaves: u64,
-    /// Counterexamples found (first [`MAX_STORED_VIOLATIONS`]).
+    /// Counterexamples found (the first `MAX_STORED_VIOLATIONS`, 24).
     pub violations: Vec<Violation>,
     /// Counterexamples found beyond the storage cap.
     pub suppressed: u64,

@@ -49,7 +49,9 @@ use pbw_sim::{DeliveryCtx, DeliveryHook, Fate, Pid};
 /// keys its streams by.
 pub type ScriptKey = (u64, Pid, usize);
 
-/// An explicit fate table + stall set; see the [module docs](self).
+/// An explicit fate table + stall set: fates keyed by `(superstep, src,
+/// msg_idx)`, stalls by `(superstep, pid)`, everything unlisted delivered
+/// cleanly — the enumerable counterpart of [`FaultPlan`](crate::FaultPlan).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultScript {
     fates: BTreeMap<ScriptKey, Fate>,

@@ -325,7 +325,7 @@ pub fn leader_crcw_pram_m(p: usize, word_bits: u64) -> f64 {
     (lg(p as f64) / word_bits as f64).max(1.0)
 }
 
-/// The previously best known ER/CR separation, `2^Ω(√lg p)` (from [1]),
+/// The previously best known ER/CR separation, `2^Ω(√lg p)` (from \[1\]),
 /// which the paper's `Ω(p·lg m/(m·lg p))` improves upon when `m ≪ p`.
 pub fn previous_er_cr_separation(p: usize) -> f64 {
     2f64.powf(lg(p as f64).sqrt())

@@ -192,21 +192,6 @@ impl ProfileBuilder {
         self
     }
 
-    /// Record receive-side traffic from an epoch-stamped tally: one
-    /// `record_traffic(0, count)` per touched destination.
-    ///
-    /// Untouched destinations hold zero received messages, and a zero can
-    /// never raise `max_received`, so walking only the dirty list is exactly
-    /// equivalent to scanning every destination — this is what makes the
-    /// sparse engines' profile construction O(active) instead of O(p).
-    /// Iteration order is irrelevant: the builder only takes maxima.
-    pub fn record_recv_sparse(&mut self, counts: &crate::sparse::EpochCounts) -> &mut Self {
-        for d in counts.touched().iter() {
-            self.record_traffic(0, counts.get(d));
-        }
-        self
-    }
-
     /// Finish and return the profile.
     pub fn build(self) -> SuperstepProfile {
         self.profile
@@ -278,22 +263,6 @@ mod tests {
             .record_contention(17)
             .record_contention(4);
         assert_eq!(b.build().max_contention, 17);
-    }
-
-    #[test]
-    fn sparse_recv_matches_dense_scan() {
-        use crate::sparse::EpochCounts;
-        let mut counts = EpochCounts::new(16);
-        counts.add(3, 5);
-        counts.add(11, 2);
-        counts.add(3, 1);
-        let mut sparse = ProfileBuilder::new();
-        sparse.record_recv_sparse(&counts);
-        let mut dense = ProfileBuilder::new();
-        for d in 0..16 {
-            dense.record_traffic(0, counts.get(d));
-        }
-        assert_eq!(sparse.build(), dense.build());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   round, so `ȳ` rounds suffice.
 //! * [`realize_chainsort`] — the branch for `x̄ ≥ lg lg p`: messages are
 //!   integer chain sorted by destination (charged at the published
-//!   `O(lg lg p)` time / `O(p·x̄·lg lg p)` work of Bhatt et al. [12]), then
+//!   `O(lg lg p)` time / `O(p·x̄·lg lg p)` work of Bhatt et al. \[12\]), then
 //!   each destination scans its run in `O(ȳ)` steps.
 //!
 //! All three return an [`HrelationOutcome`] with the delivered messages and
@@ -264,7 +264,7 @@ pub fn realize_teams(sends: &[Vec<(usize, Word)>]) -> HrelationOutcome {
 
 /// The chain-sort realization (paper branch for `x̄ ≥ lg lg p`): messages are
 /// stably integer chain sorted by destination — charged at the published
-/// `O(lg lg p)` time and `O(p·x̄·lg lg p)` work of [12] — after which each
+/// `O(lg lg p)` time and `O(p·x̄·lg lg p)` work of \[12\] — after which each
 /// destination identifies and scans its contiguous run in `O(ȳ)` steps.
 pub fn realize_chainsort(sends: &[Vec<(usize, Word)>]) -> HrelationOutcome {
     let p = sends.len();

@@ -5,9 +5,9 @@
 //!
 //! 1. place the elements in an `O(h·n)` array **approximately sorted** by
 //!    destination — the Goodrich–Matias–Vishkin approximate integer
-//!    sorting [27] runs in `O(lg*(nh))` time and `O(nh)` work;
+//!    sorting \[27\] runs in `O(lg*(nh))` time and `O(nh)` work;
 //! 2. link each element to its nearest right neighbour with the
-//!    Berkman–Vishkin *nearest-one* structure [11] — `O(α(nh))` time;
+//!    Berkman–Vishkin *nearest-one* structure \[11\] — `O(α(nh))` time;
 //! 3. identify each destination's sub-list head and notify the
 //!    destination — `O(lg*(nh))` time;
 //! 4. every destination scans its sub-list in `O(h)` time.

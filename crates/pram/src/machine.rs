@@ -186,6 +186,15 @@ impl<'a> PramCtx<'a> {
     }
 }
 
+/// Audit-representation crossover: a step is "dense" (flat-array tallies,
+/// O(m) clears) when the shared memory holds at most this many cells per
+/// participating processor; sparser steps use the epoch-stamped tallies.
+/// This is a *cells-vs-procs* axis, unrelated to the constant
+/// active-senders-vs-p rule in `pbw_sim::density` (this crate doesn't
+/// depend on `pbw-sim`). Either representation yields identical verdicts,
+/// so the constant only moves wall-clock.
+const DENSE_AUDIT_CELLS_PER_PROC: usize = 4;
+
 /// A step-synchronous PRAM (optionally a PRAM(m): `mem.len() = m` cells plus
 /// a ROM).
 ///
@@ -202,16 +211,6 @@ impl<'a> PramCtx<'a> {
 /// let mut erew = Pram::new(AccessMode::Erew, 4);
 /// assert!(erew.try_step(8, |pid, ctx| ctx.write(0, pid as i64)).is_err());
 /// ```
-/// Audit-representation crossover: a step is "dense" (flat-array tallies,
-/// O(m) clears) when the shared memory holds at most this many cells per
-/// participating processor; sparser steps use the epoch-stamped tallies.
-/// This is a *cells-vs-procs* axis, distinct from the active-senders-vs-p
-/// crossover that `pbw_sim::density` calibrates at runtime (this crate
-/// doesn't depend on `pbw-sim`); the ratio matches that module's
-/// `DEFAULT_FACTOR`, and either representation yields identical verdicts,
-/// so the constant only moves wall-clock.
-const DENSE_AUDIT_CELLS_PER_PROC: usize = 4;
-
 #[derive(Clone)]
 pub struct Pram {
     mem: Vec<Word>,

@@ -8,15 +8,15 @@
 //! backing storage is reused and a superstep performs no inbox allocations
 //! at all, however many messages it moves.
 //!
-//! Filling is a two-pass protocol:
+//! Every fill follows one protocol:
 //!
-//! 1. **Counting pass** — the engine walks its outboxes (and fault fates,
-//!    retained inboxes and due late arrivals) once, accumulating the exact
-//!    number of payloads each destination will receive, then opens a fill
-//!    with [`MsgArena::begin`] (dense count table) or
-//!    [`MsgArena::begin_sparse`] (epoch-stamped dirty counts from the
-//!    active-set path). Both lay the segments out by prefix sum and arm one
-//!    write cursor per counted destination.
+//! 1. **Counting pass** — after [`MsgArena::clear`], the engine walks its
+//!    outboxes (and fault fates, retained inboxes and due late arrivals)
+//!    once, accumulating the exact number of payloads each destination will
+//!    receive straight into the segment table with [`MsgArena::count`] /
+//!    [`MsgArena::count_ones`]. [`MsgArena::begin_counted`] then turns the
+//!    counts into segments by prefix sum and arms one write cursor per
+//!    counted destination.
 //! 2. **Placement pass** — the engine replays its *sequential delivery
 //!    order* (source pid, then send order, then due arrivals), calling
 //!    [`MsgArena::place`] for each payload. Because segment `d` is written
@@ -31,18 +31,16 @@
 //!
 //! Segment validity is tracked by an epoch stamp per destination instead of
 //! a dense offset table zeroed every superstep: a destination's segment is
-//! meaningful only if its stamp equals the arena's current epoch, and both
-//! [`MsgArena::clear`] and the `begin` variants reset the arena by bumping
-//! the epoch — O(1), never an O(p) `fill(0)`. [`MsgArena::begin_sparse`]
-//! additionally lays out segments for *only the counted destinations*, so a
-//! whole fill costs O(touched + messages) regardless of `p`. Unstamped
-//! destinations read as empty. The arena also publishes the list of
-//! destinations that received at least one message ([`MsgArena::touched`]),
-//! which is how the sparse engines seed the next superstep's frontier
-//! without scanning all `p` inboxes. Segments are laid out in first-touch
-//! (counting) order, which is deterministic because the counting pass is
-//! sequential; the layout order is unobservable anyway — `inbox(d)` content
-//! and order depend only on the placement replay.
+//! meaningful only if its stamp equals the arena's current epoch, and
+//! [`MsgArena::clear`] resets the arena by bumping the epoch — O(1), never
+//! an O(p) `fill(0)`. Only counted destinations are stamped and laid out,
+//! so a whole fill costs O(touched + messages) regardless of `p`; unstamped
+//! destinations read as empty. The arena also publishes the destinations
+//! that received at least one message ([`MsgArena::touched`]), which is how
+//! the engines seed the next superstep's frontier without scanning all `p`
+//! inboxes. Segments are laid out in ascending destination order; the
+//! layout order is unobservable anyway — `inbox(d)` content and order
+//! depend only on the placement replay.
 //!
 //! ## Safety
 //!
@@ -55,16 +53,16 @@
 //! publishes the length only after checking that the number of placements
 //! equals the reserved total, so no uninitialized slot is ever readable.
 
-use pbw_models::{EpochCounts, FrontierMask};
+use pbw_models::FrontierMask;
 
 /// One destination's segment metadata, interleaved so the layout pass, the
 /// placement cursor bump, and the inbox read each touch a single cache line
 /// per destination instead of one line in each of four parallel arrays.
 /// All four fields are `u32` — 16 bytes per destination, four per cache
 /// line — which halves the memory traffic of the counting and layout
-/// sweeps. A fill is capped at `u32::MAX` payloads (enforced in the layout
-/// passes); any larger superstep would hold tens of gigabytes of envelopes
-/// in memory before ever reaching the arena.
+/// sweeps. A fill is capped at `u32::MAX` payloads (enforced by
+/// `begin_counted`); any larger superstep would hold tens of gigabytes of
+/// envelopes in memory before ever reaching the arena.
 #[derive(Debug, Clone, Copy, Default)]
 struct Seg {
     /// Start of the segment (valid iff `stamp` equals the arena epoch).
@@ -75,7 +73,7 @@ struct Seg {
     end: u32,
     /// Next write index during a fill.
     cursor: u32,
-    /// Epoch at which this segment was last laid out.
+    /// Epoch at which this destination was last counted.
     stamp: u32,
 }
 
@@ -88,7 +86,7 @@ pub(crate) struct MsgArena<M> {
     data: Vec<M>,
     /// Per-destination segment table.
     segs: Vec<Seg>,
-    /// Current epoch; bumped by `clear` and both `begin` variants. A `u32`
+    /// Current epoch; bumped by `clear`. A `u32`
     /// can wrap within a very long run, so the bump hard-resets every stamp
     /// when it does (once per ~4G resets) — stale stamps never alias.
     epoch: u32,
@@ -97,9 +95,9 @@ pub(crate) struct MsgArena<M> {
     touched: FrontierMask,
     /// Total payloads reserved by the open (or last published) fill.
     total: usize,
-    /// Payloads placed since `begin`.
+    /// Payloads placed since `begin_counted`.
     placed: usize,
-    /// Whether a fill is open (`begin` called, `finish` not yet).
+    /// Whether a fill is open (`begin_counted` called, `finish` not yet).
     filling: bool,
 }
 
@@ -119,14 +117,9 @@ impl<M> MsgArena<M> {
         }
     }
 
-    /// Number of destinations.
-    pub(crate) fn dests(&self) -> usize {
-        self.segs.len()
-    }
-
     /// Drop all stored payloads and reset every segment to empty, in O(1):
     /// the epoch bump invalidates every stamp at once. Keeps the backing
-    /// capacity.
+    /// capacity. Every fill's counting pass starts here.
     pub(crate) fn clear(&mut self) {
         debug_assert!(!self.filling, "clear during an open fill");
         self.data.clear();
@@ -135,6 +128,14 @@ impl<M> MsgArena<M> {
         self.total = 0;
         self.placed = 0;
         self.filling = false;
+    }
+
+    /// Restart the epoch counter at `epoch`, leaving every stamp as it is,
+    /// so a test can reach the wrap in [`MsgArena::bump_epoch`] without
+    /// ~4G clears.
+    #[cfg(test)]
+    fn seed_epoch(&mut self, epoch: u32) {
+        self.epoch = epoch;
     }
 
     /// Invalidate every stamp by bumping the epoch. On the (once per ~4G
@@ -152,115 +153,13 @@ impl<M> MsgArena<M> {
         }
     }
 
-    /// Open a fill from a dense count table: lay out one segment per
-    /// destination sized by `counts` and arm the write cursors. Any
-    /// previous contents are dropped. O(p) — the dense engines' entry point.
-    ///
-    /// # Panics
-    /// Panics if `counts.len() != dests()` or a fill is already open.
-    pub(crate) fn begin(&mut self, counts: &[usize]) {
-        assert_eq!(
-            counts.len(),
-            self.dests(),
-            "count table must cover every destination"
-        );
-        assert!(!self.filling, "begin while a fill is already open");
-        self.data.clear();
-        self.bump_epoch();
-        self.touched.clear();
-        let mut total = 0usize;
-        for (d, &c) in counts.iter().enumerate() {
-            let seg = &mut self.segs[d];
-            seg.stamp = self.epoch;
-            seg.start = total as u32;
-            seg.cursor = total as u32;
-            total += c;
-            seg.end = total as u32;
-            if c > 0 {
-                self.touched.insert(d);
-            }
-        }
-        // Truncated u32 offsets are never observed: the fill aborts here
-        // before any placement can read them.
-        assert!(
-            total <= u32::MAX as usize,
-            "fill exceeds u32 payload indexing"
-        );
-        self.data.reserve(total);
-        self.total = total;
-        self.placed = 0;
-        self.filling = true;
-    }
-
-    /// Open a fill from an epoch-stamped count table, laying out segments
-    /// for *only the counted destinations* — O(touched), not O(p). Every
-    /// other destination reads as empty (its stamp stays stale). Segments
-    /// are laid out in ascending destination order (the counts' mask
-    /// iteration order); the layout order is unobservable — `inbox(d)`
-    /// addresses each segment through its own start/end, never through its
-    /// neighbours.
-    ///
-    /// Returns the largest single segment laid out (0 when none): the
-    /// layout walk reads every count anyway, and on the unhooked path that
-    /// maximum *is* the superstep's max receive count, which saves the
-    /// engine a second sweep over the touched set.
-    ///
-    /// # Panics
-    /// Panics if `counts.len() != dests()` or a fill is already open.
-    pub(crate) fn begin_sparse(&mut self, counts: &EpochCounts) -> u64 {
-        assert_eq!(
-            counts.len(),
-            self.dests(),
-            "count table must cover every destination"
-        );
-        assert!(!self.filling, "begin while a fill is already open");
-        self.data.clear();
-        self.bump_epoch();
-        self.touched.clear();
-        let mut total = 0usize;
-        let mut max_seg = 0usize;
-        // Walk the dirty mask one leaf word at a time, accumulating the
-        // non-empty destinations of each block into a word OR'd in with one
-        // `insert_word` — the per-destination two-level `insert` was a
-        // measurable cost at high message rates.
-        for (leaf, word) in counts.touched().words() {
-            let mut bits = word;
-            let mut nonempty = 0u64;
-            while bits != 0 {
-                let bit = bits.trailing_zeros();
-                bits &= bits - 1;
-                let d = leaf * 64 + bit as usize;
-                let c = counts.get(d) as usize;
-                let seg = &mut self.segs[d];
-                seg.stamp = self.epoch;
-                seg.start = total as u32;
-                seg.cursor = total as u32;
-                total += c;
-                seg.end = total as u32;
-                max_seg = max_seg.max(c);
-                nonempty |= u64::from(c > 0) << bit;
-            }
-            self.touched.insert_word(leaf, nonempty);
-        }
-        assert!(
-            total <= u32::MAX as usize,
-            "fill exceeds u32 payload indexing"
-        );
-        self.data.reserve(total);
-        self.total = total;
-        self.placed = 0;
-        self.filling = true;
-        max_seg as u64
-    }
-
-    /// Counting-phase alternative to an external count table: accumulate
-    /// `n` payloads for `dest` directly into the segment table (`end`
-    /// doubles as the count accumulator until [`MsgArena::begin_counted`]
-    /// converts the counts to offsets by prefix sum). Must run between
-    /// [`MsgArena::clear`] and `begin_counted`. A zero increment on a
-    /// never-counted destination is a no-op: the destination stays
-    /// unstamped and reads as empty, exactly as if it were laid out with an
-    /// empty segment.
+    /// Accumulate `n` payloads for `dest` directly into the segment table
+    /// (`end` doubles as the count accumulator until
+    /// [`MsgArena::begin_counted`] converts the counts to offsets by prefix
+    /// sum). Must run between [`MsgArena::clear`] and `begin_counted`. A
+    /// zero increment on a never-counted destination is a no-op: the
+    /// destination stays unstamped and reads as empty, exactly as if it
+    /// were laid out with an empty segment.
     #[inline]
     pub(crate) fn count(&mut self, dest: usize, n: usize) {
         debug_assert!(!self.filling, "count during an open fill");
@@ -279,7 +178,7 @@ impl<M> MsgArena<M> {
 
     /// Count one payload for every destination in `dests` — the batched
     /// form of [`MsgArena::count`]`(d, 1)`, with the epoch hoisted. This is
-    /// the unhooked sparse path's per-sender counting kernel.
+    /// the unhooked per-sender counting kernel.
     pub(crate) fn count_ones(&mut self, dests: &[usize]) {
         debug_assert!(!self.filling, "count during an open fill");
         let epoch = self.epoch;
@@ -316,14 +215,13 @@ impl<M> MsgArena<M> {
 
     /// Open a fill from the counts accumulated by [`MsgArena::count`] /
     /// [`MsgArena::count_ones`]: one in-place prefix-sum walk over the
-    /// touched mask turns each count into its segment bounds. The epoch is
-    /// *not* bumped (the accumulated stamps must stay valid) — the
-    /// counterpart of [`MsgArena::begin_sparse`] without the external count
-    /// table, saving a second per-destination tally structure and the
-    /// read-back walk over it.
+    /// touched mask turns each count into its segment bounds, O(touched).
+    /// The epoch is *not* bumped: the stamps the counting pass set mark
+    /// exactly the destinations this fill lays out.
     ///
-    /// Returns the largest single segment laid out (0 when none), as
-    /// [`MsgArena::begin_sparse`] does.
+    /// Returns the largest single segment laid out (0 when none): the
+    /// layout walk reads every count anyway, and on the unhooked path that
+    /// maximum *is* the superstep's max receive count.
     ///
     /// # Panics
     /// Panics if a fill is already open.
@@ -383,7 +281,7 @@ impl<M> MsgArena<M> {
             "delivery overflows destination {dest}'s counted segment"
         );
         seg.cursor = cursor + 1;
-        // SAFETY: `begin`/`begin_sparse` reserved capacity for the segment
+        // SAFETY: `begin_counted` reserved capacity for the segment
         // total; the stamp assert proves `seg.end` belongs to this fill's
         // layout, and the cursor assert keeps the write strictly inside it
         // (hence inside the reservation). The length is still 0, so this
@@ -406,7 +304,7 @@ impl<M> MsgArena<M> {
         );
         // SAFETY: exactly `total` slots were initialized by `place` (one per
         // placement, each at a distinct index by the per-destination cursor
-        // discipline) into capacity reserved by `begin`.
+        // discipline) into capacity reserved by `begin_counted`.
         unsafe { self.data.set_len(self.total) };
         self.filling = false;
     }
@@ -439,9 +337,8 @@ impl<M> MsgArena<M> {
     }
 
     /// Destinations holding at least one message in the current fill, as a
-    /// bitset. The sparse engines union this mask into the next superstep's
-    /// frontier word-at-a-time, without scanning all `p` inboxes — and
-    /// without the sort the old first-touch-ordered list forced on them.
+    /// bitset. The sparse frontier unions this mask into the next
+    /// superstep's word-at-a-time, without scanning all `p` inboxes.
     #[inline]
     pub(crate) fn touched(&self) -> &FrontierMask {
         &self.touched
@@ -452,10 +349,27 @@ impl<M> MsgArena<M> {
 mod tests {
     use super::*;
 
+    /// Run one whole fill: clear, count `sends` (destination, payload) in
+    /// order, lay out, place them in the same order, publish.
+    fn fill<M: Clone>(a: &mut MsgArena<M>, sends: &[(usize, M)]) {
+        a.clear();
+        for (d, _) in sends {
+            a.count(*d, 1);
+        }
+        a.begin_counted();
+        for (d, m) in sends {
+            a.place(*d, m.clone());
+        }
+        a.finish();
+    }
+
+    fn touched(a: &MsgArena<impl Sized>) -> Vec<usize> {
+        a.touched().iter().collect()
+    }
+
     #[test]
     fn fresh_arena_has_empty_inboxes() {
         let a: MsgArena<u32> = MsgArena::new(4);
-        assert_eq!(a.dests(), 4);
         for d in 0..4 {
             assert!(a.inbox(d).is_empty());
             assert_eq!(a.len(d), 0);
@@ -466,43 +380,50 @@ mod tests {
     #[test]
     fn fill_preserves_interleaved_delivery_order() {
         let mut a: MsgArena<u32> = MsgArena::new(3);
-        a.begin(&[2, 0, 3]);
         // Delivery order interleaves destinations, as the engines' replay
         // does.
-        a.place(2, 20);
-        a.place(0, 1);
-        a.place(2, 21);
-        a.place(0, 2);
-        a.place(2, 22);
-        a.finish();
+        fill(&mut a, &[(2, 20), (0, 1), (2, 21), (0, 2), (2, 22)]);
         assert_eq!(a.inbox(0), &[1, 2]);
         assert_eq!(a.inbox(1), &[] as &[u32]);
         assert_eq!(a.inbox(2), &[20, 21, 22]);
-        assert_eq!(a.touched().iter().collect::<Vec<_>>(), vec![0, 2]);
+        assert_eq!(touched(&a), vec![0, 2]);
+    }
+
+    #[test]
+    fn count_and_count_ones_accumulate_into_one_layout() {
+        let mut a: MsgArena<u32> = MsgArena::new(8);
+        a.clear();
+        a.count(6, 2);
+        a.count_ones(&[1, 6, 1]);
+        // A zero count leaves the destination unstamped: empty, untouched.
+        a.count(4, 0);
+        assert_eq!(a.begin_counted(), 3, "largest segment");
+        for (d, m) in [(6, 60), (1, 10), (6, 61), (1, 11), (6, 62)] {
+            a.place(d, m);
+        }
+        a.finish();
+        assert_eq!(a.inbox(6), &[60, 61, 62]);
+        assert_eq!(a.inbox(1), &[10, 11]);
+        assert!(a.inbox(4).is_empty());
+        assert_eq!(a.len(0), 0);
+        assert_eq!(touched(&a), vec![1, 6]);
     }
 
     #[test]
     fn refill_reuses_without_stale_contents() {
         let mut a: MsgArena<String> = MsgArena::new(2);
-        a.begin(&[1, 1]);
-        a.place(0, "a".into());
-        a.place(1, "b".into());
-        a.finish();
-        a.begin(&[0, 2]);
-        a.place(1, "c".into());
-        a.place(1, "d".into());
-        a.finish();
+        fill(&mut a, &[(0, "a".into()), (1, "b".into())]);
+        fill(&mut a, &[(1, "c".into()), (1, "d".into())]);
+        // Destination 0's old segment is stale, not re-served.
         assert!(a.inbox(0).is_empty());
         assert_eq!(a.inbox(1), &["c".to_string(), "d".to_string()]);
+        assert_eq!(touched(&a), vec![1]);
     }
 
     #[test]
     fn clear_empties_every_segment() {
         let mut a: MsgArena<u8> = MsgArena::new(2);
-        a.begin(&[1, 1]);
-        a.place(0, 1);
-        a.place(1, 2);
-        a.finish();
+        fill(&mut a, &[(0, 1), (1, 2)]);
         a.clear();
         assert!(a.inbox(0).is_empty());
         assert!(a.inbox(1).is_empty());
@@ -510,53 +431,44 @@ mod tests {
     }
 
     #[test]
-    fn sparse_fill_lays_out_only_counted_destinations() {
-        let mut counts = EpochCounts::new(8);
-        counts.add(6, 2);
-        counts.add(1, 1);
-        counts.add(4, 0); // counted but empty: enumerable, holds nothing
-        let mut a: MsgArena<u32> = MsgArena::new(8);
-        a.begin_sparse(&counts);
-        a.place(6, 60);
-        a.place(1, 10);
-        a.place(6, 61);
-        a.finish();
-        assert_eq!(a.inbox(6), &[60, 61]);
-        assert_eq!(a.inbox(1), &[10]);
-        assert!(a.inbox(4).is_empty());
-        // Never-counted destinations read as empty through the stale stamp.
-        assert!(a.inbox(0).is_empty());
-        assert_eq!(a.len(0), 0);
-        // Only message-holding destinations are published as touched.
-        assert_eq!(a.touched().iter().collect::<Vec<_>>(), vec![1, 6]);
-    }
-
-    #[test]
-    fn sparse_refill_invalidates_previous_segments() {
-        let mut counts = EpochCounts::new(4);
-        counts.add(2, 1);
-        let mut a: MsgArena<u8> = MsgArena::new(4);
-        a.begin_sparse(&counts);
-        a.place(2, 9);
-        a.finish();
-        assert_eq!(a.inbox(2), &[9]);
-        counts.reset();
-        counts.add(0, 1);
-        a.begin_sparse(&counts);
-        a.place(0, 7);
-        a.finish();
-        // Destination 2's old segment is stale, not re-served.
-        assert!(a.inbox(2).is_empty());
-        assert_eq!(a.inbox(0), &[7]);
+    fn epoch_wrap_hard_resets_stale_stamps() {
+        let mut a: MsgArena<u32> = MsgArena::new(130);
+        fill(&mut a, &[(129, 7), (3, 8)]);
+        // Destinations 3 and 129 now carry stamp 2, the epoch the counter
+        // reaches again one fill after the wrap.
+        assert_eq!(a.epoch, 2);
+        a.seed_epoch(u32::MAX - 1);
+        fill(&mut a, &[(64, 1), (0, 2), (64, 3)]);
+        assert_eq!(a.epoch, u32::MAX);
+        assert_eq!(a.inbox(64), &[1, 3]);
+        assert_eq!(a.inbox(0), &[2]);
+        assert_eq!(touched(&a), vec![0, 64]);
+        // The wrap itself.
+        fill(&mut a, &[(5, 50)]);
+        assert_eq!(a.epoch, 1);
+        assert_eq!(a.inbox(5), &[50]);
+        assert_eq!(touched(&a), vec![5]);
+        // Back at epoch 2: without the hard reset, 3's and 129's stale
+        // stamps would match again and serve dead segments.
+        fill(&mut a, &[(0, 60), (129, 61), (0, 62)]);
+        assert_eq!(a.epoch, 2);
+        assert_eq!(a.inbox(0), &[60, 62]);
+        assert_eq!(a.inbox(129), &[61]);
+        for d in (1..129).filter(|&d| d != 64) {
+            assert!(a.inbox(d).is_empty(), "dest {d} survived the wrap");
+            assert_eq!(a.len(d), 0, "dest {d}");
+        }
+        assert!(a.inbox(64).is_empty());
+        assert_eq!(touched(&a), vec![0, 129]);
     }
 
     #[test]
     #[should_panic(expected = "never counted")]
     fn placing_to_an_uncounted_destination_panics() {
-        let mut counts = EpochCounts::new(4);
-        counts.add(1, 1);
         let mut a: MsgArena<u8> = MsgArena::new(4);
-        a.begin_sparse(&counts);
+        a.clear();
+        a.count(1, 1);
+        a.begin_counted();
         a.place(3, 1);
     }
 
@@ -564,7 +476,9 @@ mod tests {
     #[should_panic(expected = "counted segment")]
     fn overflowing_a_segment_panics() {
         let mut a: MsgArena<u8> = MsgArena::new(2);
-        a.begin(&[1, 0]);
+        a.clear();
+        a.count(0, 1);
+        a.begin_counted();
         a.place(0, 1);
         a.place(0, 2);
     }
@@ -573,7 +487,9 @@ mod tests {
     #[should_panic(expected = "disagree")]
     fn underfilling_panics_at_finish() {
         let mut a: MsgArena<u8> = MsgArena::new(1);
-        a.begin(&[2]);
+        a.clear();
+        a.count(0, 2);
+        a.begin_counted();
         a.place(0, 1);
         a.finish();
     }
@@ -582,57 +498,28 @@ mod tests {
     #[should_panic(expected = "open fill")]
     fn inbox_read_during_fill_panics() {
         let mut a: MsgArena<u8> = MsgArena::new(1);
-        a.begin(&[1]);
+        a.clear();
+        a.count(0, 1);
+        a.begin_counted();
         let _ = a.inbox(0);
     }
 
     #[test]
     fn steady_state_refill_does_not_grow() {
         let mut a: MsgArena<u64> = MsgArena::new(8);
-        let counts = [4usize; 8];
+        let sends = |round: usize| -> Vec<(usize, u64)> {
+            (0..8)
+                .flat_map(|d| (0..4).map(move |k| (d, (round * 100 + d * 10 + k) as u64)))
+                .collect()
+        };
         for round in 0..3 {
-            a.begin(&counts);
-            for d in 0..8 {
-                for k in 0..4 {
-                    a.place(d, (round * 100 + d * 10 + k) as u64);
-                }
-            }
-            a.finish();
+            fill(&mut a, &sends(round));
         }
         let cap_after_warmup = a.data.capacity();
         for round in 3..10 {
-            a.begin(&counts);
-            for d in 0..8 {
-                for k in 0..4 {
-                    a.place(d, (round * 100 + d * 10 + k) as u64);
-                }
-            }
-            a.finish();
+            fill(&mut a, &sends(round));
         }
         assert_eq!(a.data.capacity(), cap_after_warmup);
         assert_eq!(a.inbox(7)[3], 973);
-    }
-
-    #[test]
-    fn dense_and_sparse_fills_serve_identical_inboxes() {
-        let mut dense: MsgArena<u32> = MsgArena::new(6);
-        dense.begin(&[0, 2, 0, 0, 1, 0]);
-        dense.place(4, 40);
-        dense.place(1, 11);
-        dense.place(1, 12);
-        dense.finish();
-        let mut counts = EpochCounts::new(6);
-        counts.add(4, 1);
-        counts.add(1, 2);
-        let mut sparse: MsgArena<u32> = MsgArena::new(6);
-        sparse.begin_sparse(&counts);
-        sparse.place(4, 40);
-        sparse.place(1, 11);
-        sparse.place(1, 12);
-        sparse.finish();
-        for d in 0..6 {
-            assert_eq!(dense.inbox(d), sparse.inbox(d), "dest {d}");
-            assert_eq!(dense.len(d), sparse.len(d), "dest {d}");
-        }
     }
 }

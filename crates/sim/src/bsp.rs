@@ -26,7 +26,7 @@ use crate::hook::{
     FaultStats, PENDING_POOL_CAP,
 };
 use crate::{Pid, SimError};
-use pbw_models::{EpochCounts, FrontierMask, MachineParams, ProfileBuilder, SuperstepProfile};
+use pbw_models::{FrontierMask, MachineParams, ProfileBuilder, SuperstepProfile};
 use pbw_trace::{FaultCounters, RecoveryMark, TraceEvent, TraceSink, TraceSource};
 use rayon::prelude::*;
 
@@ -172,18 +172,19 @@ pub struct BspMachine<S, M> {
     /// Per-processor outboxes, reset (capacity kept) every superstep.
     outboxes: Vec<Outbox<M>>,
     /// Whether every outbox is known empty-and-zeroed. True after a
-    /// successful unhooked superstep: every outbox it dirtied was either a
-    /// sender (drained, cleared, and zeroed by the delivery drain) or a
-    /// non-sender frontier member (its closure posted nothing, so the
-    /// reset-time state survived). While true, the closure pass skips the
-    /// per-pid `Outbox::reset` — on a wide frontier that skip is a
-    /// frontier's worth of cache lines never dirtied. Cleared at superstep
-    /// entry and re-established only on clean unhooked exit, so errors,
-    /// panics, and hooked supersteps all fall back to resetting.
+    /// successful superstep: every outbox it dirtied was either a sender
+    /// (drained, cleared, and zeroed by the delivery drain) or a non-sender
+    /// (its closure posted nothing, so the reset-time state survived).
+    /// While true, the closure pass skips the per-pid `Outbox::reset` — on
+    /// a wide frontier that skip is a frontier's worth of cache lines never
+    /// dirtied. Cleared at superstep entry and re-established only on a
+    /// successful exit, so errors and panics fall back to resetting.
     outboxes_clean: bool,
-    /// Per-processor resolved injection slots, refilled every superstep.
+    /// Per-processor resolved injection slots, refilled for each sender
+    /// every superstep (other pids' buffers keep stale slots nobody reads).
     resolved: Vec<Vec<u64>>,
-    /// Per-processor precomputed fates (hooked machines only).
+    /// Per-processor precomputed fates, refilled for each sender (hooked
+    /// machines only; sized to p on the first hooked superstep).
     fates: Vec<Vec<Fate>>,
     /// Stalled processors this superstep (read only behind `hooked`).
     /// Cleared by an O(1) epoch bump and filled through
@@ -194,28 +195,15 @@ pub struct BspMachine<S, M> {
     /// worse than a stalled one: closure skipped, no stall retention,
     /// incoming custody transfers destroyed.
     crashed: FrontierMask,
-    /// Per-processor receive counts (deliveries only; retained inboxes are
-    /// not recounted) — dense path.
-    recv_counts: Vec<u64>,
-    /// Counting-pass scratch: exact per-destination arena segment sizes —
-    /// dense path.
-    arena_counts: Vec<usize>,
-    /// Hooked sparse-path counting scratch: epoch-stamped per-destination
-    /// segment sizes, reset in O(1) by an epoch bump instead of an O(p)
-    /// `fill(0)`.
-    sparse_arena_counts: EpochCounts,
-    /// Hooked sparse-path receive counts, epoch-stamped like
-    /// `sparse_arena_counts`.
-    sparse_recv_counts: EpochCounts,
-    /// Delivery-pass scratch: `seq_lens[k]` counts the senders that posted
+    /// Sender-tail scratch: `seq_lens[k]` counts the senders that posted
     /// exactly `k + 1` all-implicit-slot messages this superstep, feeding
     /// one aggregated histogram update instead of a per-sender scatter.
     /// Zeroed (never shrunk) after each flush, so it allocates only when a
     /// sender exceeds every previous length.
     seq_lens: Vec<u64>,
-    /// Fused-path sender scratch: the pids that actually posted messages or
-    /// charged work this superstep, collected by the fused sender tail so
-    /// the delivery drain revisits only them (a wide receive-only frontier
+    /// The pids that actually posted messages or charged work this
+    /// superstep, ascending, collected by the sender tails of either closure
+    /// pass so delivery revisits only them (a wide receive-only frontier
     /// contributes nothing to delivery).
     senders: Vec<Pid>,
     /// Sparse-path frontier: the pids whose closures run this superstep —
@@ -223,13 +211,9 @@ pub struct BspMachine<S, M> {
     /// touched mask. Insertion *is* dedup, iteration *is* the sort.
     frontier_mask: FrontierMask,
     /// Dense-path sender discovery: the parallel closure pass writes one
-    /// byte per pid ("posted a message or charged work"), folded into
-    /// `sender_mask` by a word-building sweep. The resulting sender count
-    /// feeds the density rule — a dense superstep whose senders are sparse
-    /// takes the fused path over the sender set instead of the O(p)
-    /// flat-array path, byte-identically.
+    /// byte per pid ("posted a message or charged work"), folded into words
+    /// by [`BspMachine::collect_senders`] to build `senders`.
     sender_flags: Vec<u8>,
-    sender_mask: FrontierMask,
     /// Tracing scratch for per-processor send counts.
     per_proc_sent: Vec<u64>,
     /// Profile accumulator, snapshot-and-reset every superstep.
@@ -273,15 +257,10 @@ impl<S: Send, M: Send> BspMachine<S, M> {
             fates: Vec::new(),
             stalled: FrontierMask::new(p),
             crashed: FrontierMask::new(p),
-            recv_counts: vec![0; p],
-            arena_counts: vec![0; p],
-            sparse_arena_counts: EpochCounts::new(p),
-            sparse_recv_counts: EpochCounts::new(p),
             seq_lens: Vec::new(),
             senders: Vec::new(),
             frontier_mask: FrontierMask::new(p),
             sender_flags: vec![0; p],
-            sender_mask: FrontierMask::new(p),
             per_proc_sent: Vec::new(),
             builder: ProfileBuilder::new(),
             profiles: Vec::new(),
@@ -477,14 +456,14 @@ impl<S: Send, M: Send> BspMachine<S, M> {
     /// boundary (which covers ordinary deliveries, retained stalled inboxes,
     /// and delayed payloads that have landed). Per-superstep cost is
     /// O(frontier + messages), not O(p): counting and delivery walk only
-    /// frontier outboxes, and the per-destination tallies are epoch-stamped
-    /// ([`EpochCounts`]) so resetting them is an epoch bump, never an O(p)
-    /// `fill(0)`. Exceptions, documented: a machine with a delivery hook
-    /// reads the stall/crash masks word-at-a-time (O(fault-words), filled
-    /// once per superstep via [`DeliveryHook::fill_fault_masks`]), and a
-    /// superstep observed by an enabled trace sink materializes the dense
-    /// per-processor traffic vectors its events carry (zeroed rows, filled
-    /// O(touched)).
+    /// the senders, and the per-destination tallies live in the arena's
+    /// epoch-stamped segment table, so resetting them is an epoch bump,
+    /// never an O(p) `fill(0)`. Exceptions, documented: a machine with a
+    /// delivery hook reads the stall/crash masks word-at-a-time
+    /// (O(fault-words), filled once per superstep via
+    /// [`DeliveryHook::fill_fault_masks`]), and a superstep observed by an
+    /// enabled trace sink materializes the dense per-processor traffic
+    /// vectors its events carry (zeroed rows, filled O(touched)).
     ///
     /// The result is **byte-identical** to [`BspMachine::try_superstep`] —
     /// same states, profiles, trace events and fault ledger — provided the
@@ -493,8 +472,8 @@ impl<S: Send, M: Send> BspMachine<S, M> {
     /// state, post messages, or charge work. The frontier is iterated in
     /// sorted pid order, so the canonical sequential delivery order (source
     /// pid ascending, then send order, then due late arrivals) is replayed
-    /// exactly; skipped processors only ever contribute
-    /// `record_work(0)`/`record_traffic(0, 0)` no-ops to the profile.
+    /// exactly; a skipped processor sends nothing and charges no work, so it
+    /// is not a sender on either path.
     ///
     /// # Errors
     /// [`SimError::BadActivePid`] if `active` names a pid `>= p`, returned
@@ -558,11 +537,13 @@ impl<S: Send, M: Send> BspMachine<S, M> {
     /// The one superstep implementation behind every entry point. `active:
     /// None` runs the closure for all `p` processors in parallel (dense);
     /// `Some(set)` runs it sequentially over the sorted frontier (sparse).
-    /// Delivery then takes one of three [`Path`]s, chosen by the tally
-    /// representation rather than by the caller. Each replays the same
-    /// canonical sequential delivery order (source pid ascending, then send
-    /// order, then due late arrivals), which is what makes them
-    /// byte-identical.
+    /// Either closure pass leaves the ascending list of senders — the pids
+    /// that posted a message or charged work — in `senders`, each one
+    /// already validated by [`BspMachine::sender_tail`]. Delivery then
+    /// branches only on whether a hook is attached, and both deliveries walk
+    /// that list in the canonical sequential delivery order (source pid
+    /// ascending, then send order, then due late arrivals), which is what
+    /// makes every entry point byte-identical.
     fn superstep_core<F>(
         &mut self,
         active: Option<&[Pid]>,
@@ -577,8 +558,8 @@ impl<S: Send, M: Send> BspMachine<S, M> {
         // Rotate the arenas: `spare` becomes the read side (last boundary's
         // deliveries), and the arena the previous superstep read from is
         // cleared for refill. If this superstep is rejected below, `inboxes`
-        // stays cleared — a failed superstep loses its in-flight messages
-        // but nothing else, and the machine stays runnable.
+        // stays cleared — a failed superstep loses its inboxes but nothing
+        // else, and the machine stays runnable.
         std::mem::swap(&mut self.inboxes, &mut self.spare);
         self.inboxes.clear();
 
@@ -589,7 +570,7 @@ impl<S: Send, M: Send> BspMachine<S, M> {
         // in one hook call — `fill_fault_masks` lets a hook that knows its
         // fault windows in closed form (FaultPlan with zero rates) insert
         // O(windows) bits instead of answering p per-pid queries. The masks
-        // are only ever read behind `hooked`, so the unhooked paths touch
+        // are only ever read behind `hooked`, so unhooked supersteps touch
         // nothing p-sized here.
         let hook = self.hook.clone();
         let tracing = self.sink.enabled();
@@ -614,48 +595,26 @@ impl<S: Send, M: Send> BspMachine<S, M> {
         }
 
         let mut tail = SenderTail::default();
-        let path = match active {
+        match active {
             None => {
                 self.dense_closure_pass(&f, st);
-                if !st.hooked && self.mask_sparse_senders(st, &mut tail) {
-                    Path::Fused
-                } else {
-                    Path::Dense
-                }
+                self.collect_senders(st, &mut tail);
             }
             Some(declared) => {
                 self.load_frontier(declared);
                 self.sparse_closure_pass(&f, st, &mut tail);
-                if st.hooked {
-                    Path::SparseHooked
-                } else {
-                    Path::Fused
-                }
             }
-        };
-
-        // Slot resolution + validation of the one-injection-per-step rule,
-        // into the recycled slot buffers; ascending pid order surfaces the
-        // lowest-pid error on every path. The fused path resolved each
-        // sender in its tail; hooked sparse supersteps resolve up front
-        // because the fate batch consumes the slot sequences.
-        match path {
-            Path::Dense => self.resolve_all_slots(st.materialize_slots)?,
-            Path::SparseHooked => {
-                for pid in self.frontier_mask.iter() {
-                    resolve_slots_into(
-                        pid,
-                        p,
-                        &self.outboxes[pid],
-                        &mut self.resolved[pid],
-                        st.materialize_slots,
-                    )?;
-                }
-            }
-            Path::Fused => {}
         }
-        if let Some(h) = &hook {
-            self.compute_fates(h.as_ref(), st.index, path == Path::Dense);
+        if let Some(e) = tail.err {
+            // A rejected superstep records nothing: the builder and the
+            // length buckets are emptied and one epoch bump discards the
+            // partial arena counts. It returns before the pending network
+            // level is popped, so a payload still in the network arrives at
+            // the next accepted boundary.
+            let _ = self.builder.snapshot_reset();
+            self.seq_lens.fill(0);
+            self.inboxes.clear();
+            return Err(e);
         }
 
         let mut counters = FaultCounters {
@@ -666,25 +625,23 @@ impl<S: Send, M: Send> BspMachine<S, M> {
         // earlier Delay/Duplicate fates). Popped before this superstep's
         // sends are queued, so a `Delay(k)` waits exactly `k` extra steps.
         let due = self.pending.pop_front().unwrap_or_default();
-        let delivered = match path {
-            Path::Dense => self.deliver_dense(st, due, &mut counters),
-            Path::Fused => self.deliver_fused(tail, due, &mut counters)?,
-            Path::SparseHooked => self.deliver_sparse_hooked(st, due, &mut counters),
+        let delivered = match &hook {
+            Some(h) => self.deliver_hooked(h.as_ref(), st, due, &mut counters),
+            None => self.deliver_fused(tail.max_sent, due, &mut counters),
         };
-        // Unhooked supersteps leave every dirtied outbox drained and zeroed;
-        // combined with an all-clean entry — or the dense pass's reset of
-        // all p — the whole population is clean again, and the next
-        // superstep's closure pass skips its resets. Hooked supersteps make
-        // no such claim.
-        self.outboxes_clean = !st.hooked && (st.outboxes_clean || active.is_none());
-        Ok(self.finish_superstep(st, path, delivered, counters))
+        // Both deliveries leave every sender's outbox drained and zeroed, and
+        // a non-sender posted nothing; combined with an all-clean entry — or
+        // the dense pass's reset of all p — the whole population is clean
+        // again, and the next superstep's closure pass skips its resets.
+        self.outboxes_clean = st.outboxes_clean || active.is_none();
+        Ok(self.finish_superstep(st, delivered, counters))
     }
 
     /// Dense closure pass: all p processors in parallel, each filling its
     /// recycled outbox and flagging itself as a sender (one byte, written
-    /// unconditionally — [`BspMachine::mask_sparse_senders`] folds the flag
-    /// lane into the sender mask, and writing it costs nothing next to the
-    /// outbox reset it shares a cache line with).
+    /// unconditionally — [`BspMachine::collect_senders`] folds the flag
+    /// lane into words, and writing it costs nothing next to the outbox
+    /// reset it shares a cache line with).
     fn dense_closure_pass<F>(&mut self, f: &F, st: Step)
     where
         F: Fn(Pid, &mut S, &[M], &mut Outbox<M>) + Sync,
@@ -711,42 +668,24 @@ impl<S: Send, M: Send> BspMachine<S, M> {
             .collect();
     }
 
-    /// Sender discovery after an unhooked dense closure pass: fold the
-    /// sender flags into `sender_mask`, and if the senders are sparse enough
-    /// (per [`crate::density::crossover`]) run the fused sender tail over
-    /// them, so the rest of the superstep takes [`Path::Fused`] over the
-    /// sender set, exactly as `superstep_active` would. Byte-identical
-    /// either way: a flag-less processor has an empty outbox and zero work,
-    /// so it would contribute only `record_work(0)`/`record_traffic(0, 0)`
-    /// no-ops downstream, and the dense pass has reset all p outboxes, so no
-    /// stale buffer can be read.
-    fn mask_sparse_senders(&mut self, st: Step, tail: &mut SenderTail) -> bool {
-        self.sender_mask.clear();
-        let mut senders = 0usize;
-        for (leaf, chunk) in self.sender_flags.chunks(64).enumerate() {
-            let mut word = 0u64;
-            for (bit, &flag) in chunk.iter().enumerate() {
-                word |= (flag as u64) << bit;
-            }
-            if word != 0 {
-                self.sender_mask.insert_word(leaf, word);
-                senders += word.count_ones() as usize;
-            }
-        }
-        if !crate::density::crossover(senders, self.params.p) {
-            return false;
-        }
+    /// Sender discovery after the dense closure pass: fold the sender flags
+    /// into words and run the sender tail for each flagged pid, ascending —
+    /// exactly what the sparse closure pass does for its frontier. A
+    /// flag-less processor has an empty outbox and zero work, so skipping
+    /// it changes nothing downstream, and every outbox was either reset by
+    /// the dense pass or already clean, so no stale buffer can be read.
+    fn collect_senders(&mut self, st: Step, tail: &mut SenderTail) {
         self.senders.clear();
-        let mut from = 0;
-        while let Some((leaf, word)) = self.sender_mask.next_word(from) {
-            from = leaf + 1;
-            let mut bits = word;
+        for leaf in 0..self.sender_flags.len().div_ceil(64) {
+            let mut bits = 0u64;
+            for (bit, &flag) in self.sender_flags[leaf * 64..].iter().take(64).enumerate() {
+                bits |= u64::from(flag) << bit;
+            }
             while bits != 0 {
-                self.fused_sender_tail(leaf * 64 + bits.trailing_zeros() as usize, st, tail);
+                self.sender_tail(leaf * 64 + bits.trailing_zeros() as usize, st, tail);
                 bits &= bits - 1;
             }
         }
-        true
     }
 
     /// Build the sparse frontier: the caller's declared active set plus
@@ -766,8 +705,8 @@ impl<S: Send, M: Send> BspMachine<S, M> {
 
     /// Sparse closure pass: sequentially over the frontier, walked word by
     /// word in place — small by contract, and trivially deterministic at
-    /// every pool width. Unhooked, each closure is followed by its fused
-    /// sender tail while the outbox is hot in cache.
+    /// every pool width. Each closure is followed by its sender tail while
+    /// the outbox is hot in cache.
     fn sparse_closure_pass<F>(&mut self, f: &F, st: Step, tail: &mut SenderTail)
     where
         F: Fn(Pid, &mut S, &[M], &mut Outbox<M>),
@@ -791,42 +730,30 @@ impl<S: Send, M: Send> BspMachine<S, M> {
                         &mut self.outboxes[pid],
                     );
                 }
-                if !st.hooked {
-                    self.fused_sender_tail(pid, st, tail);
-                }
+                self.sender_tail(pid, st, tail);
             }
         }
     }
 
-    /// The per-sender tail of [`Path::Fused`], run while the outbox is hot:
-    /// record the sender, resolve and validate its slots, bucket the
-    /// injection histogram, count its destinations straight into the
-    /// arena's segment table, and track the traffic maximum. The first error
-    /// wins and is reported only after every closure has run, like the
-    /// unfused paths; a sender that fails validation contributes nothing
-    /// further, and everything already recorded is discarded wholesale by
-    /// [`BspMachine::deliver_fused`]'s error unwind.
+    /// The per-sender tail, run in ascending pid order right after the
+    /// closure pass reaches the sender: record it in `senders` and resolve
+    /// and validate its slots. Unhooked, the tail also does the sender's
+    /// whole share of delivery bookkeeping while the outbox is hot — bucket
+    /// the injection histogram, count its destinations straight into the
+    /// arena's segment table, and track the traffic maximum; hooked senders
+    /// are recorded by [`BspMachine::deliver_hooked`] once their fates are
+    /// known. The first error wins and is reported only after every closure
+    /// has run; a sender that fails validation contributes nothing further,
+    /// and everything already recorded is discarded by
+    /// [`BspMachine::superstep_core`]'s error unwind.
     #[inline]
-    fn fused_sender_tail(&mut self, pid: Pid, st: Step, tail: &mut SenderTail) {
+    fn sender_tail(&mut self, pid: Pid, st: Step, tail: &mut SenderTail) {
         let p = self.params.p;
         let out = &self.outboxes[pid];
         if out.envelopes.is_empty() && out.work == 0 {
             return;
         }
         self.senders.push(pid);
-        if out.work != 0 {
-            self.builder.record_work(out.work);
-        }
-        let n = out.envelopes.len();
-        if n == 0 {
-            // Work-only sender: nothing to resolve or count, but the trace
-            // multiplicity scan walks this pid's slot buffer — keep it
-            // cleared.
-            if st.materialize_slots {
-                self.resolved[pid].clear();
-            }
-            return;
-        }
         // Plain `send`s with slots unread anywhere: validate the dests lane
         // and bucket the all-implicit histogram marker without touching the
         // slot buffer (stale slots are fine: nothing reads them when
@@ -835,12 +762,22 @@ impl<S: Send, M: Send> BspMachine<S, M> {
         let checked = if implicit {
             check_dests(pid, p, &out.dests)
         } else {
-            resolve_slots_into(pid, p, out, &mut self.resolved[pid], st.materialize_slots)
+            resolve_slots_into(pid, p, out, &mut self.resolved[pid])
         };
         if let Err(e) = checked {
             if tail.err.is_none() {
                 tail.err = Some(e);
             }
+            return;
+        }
+        if st.hooked {
+            return;
+        }
+        if out.work != 0 {
+            self.builder.record_work(out.work);
+        }
+        let n = out.envelopes.len();
+        if n == 0 {
             return;
         }
         if implicit {
@@ -855,152 +792,18 @@ impl<S: Send, M: Send> BspMachine<S, M> {
         tail.max_sent = tail.max_sent.max(n as u64);
     }
 
-    /// Resolve every processor's slots in a parallel fallible pass that
-    /// surfaces the lowest-pid error.
-    fn resolve_all_slots(&mut self, materialize: bool) -> Result<(), SimError>
-    where
-        M: Sync,
-    {
-        let p = self.params.p;
-        let validated: Result<Vec<()>, SimError> = self
-            .outboxes
-            .par_iter()
-            .zip(self.resolved.par_iter_mut())
-            .enumerate()
-            .map(|(pid, (out, slots))| resolve_slots_into(pid, p, out, slots, materialize))
-            .collect();
-        validated.map(drop)
-    }
-
-    /// Fates are pure in `(superstep, src, dest, msg_idx, slot)`, so they are
-    /// *computed* here — in parallel over all p on the dense path,
-    /// sequentially over the frontier otherwise (purity makes the orders
-    /// indistinguishable) — and only *applied* by the sequential delivery
-    /// pass, preserving the fixed order the ledger, pending queue, and
-    /// traces are defined by.
-    fn compute_fates(&mut self, h: &dyn DeliveryHook, step: u64, dense: bool)
-    where
-        M: Sync,
-    {
-        let p = self.params.p;
-        if self.fates.len() != p {
-            self.fates.resize_with(p, Vec::new);
-        }
-        if dense {
-            let _: Vec<()> = self
-                .outboxes
-                .par_iter()
-                .zip(self.resolved.par_iter())
-                .zip(self.fates.par_iter_mut())
-                .enumerate()
-                .map(|(pid, ((out, slots), fates))| {
-                    fates.clear();
-                    h.fate_batch(step, pid, BatchDests::Lane(out.dests()), slots, fates);
-                })
-                .collect();
-        } else {
-            for pid in self.frontier_mask.iter() {
-                let fates = &mut self.fates[pid];
-                fates.clear();
-                h.fate_batch(
-                    step,
-                    pid,
-                    BatchDests::Lane(self.outboxes[pid].dests()),
-                    &self.resolved[pid],
-                    fates,
-                );
-            }
-        }
-    }
-
-    /// [`Path::Dense`] delivery: flat per-processor tallies over `0..p`.
-    /// Stall accounting, per-destination counting, arena layout,
-    /// retained-inbox re-placement, then [`delivery_pass`].
-    fn deliver_dense(&mut self, st: Step, due: Vec<(Pid, M)>, counters: &mut FaultCounters) -> u64
-    where
-        M: Clone,
-    {
-        let p = self.params.p;
-        self.arena_counts.fill(0);
-        if st.hooked {
-            let (counts, spare) = (&mut self.arena_counts, &self.spare);
-            charge_fault_masks(
-                &self.stalled,
-                &self.crashed,
-                &mut self.fault_stats,
-                counters,
-                |pid| counts[pid] += spare.len(pid),
-            );
-        }
-        for (pid, out) in self.outboxes.iter().enumerate() {
-            if st.hooked {
-                crate::kernels::count_dests_hooked(
-                    out.dests(),
-                    &self.fates[pid],
-                    &self.crashed,
-                    &mut self.arena_counts,
-                );
-            } else {
-                crate::kernels::count_dests(out.dests(), &mut self.arena_counts);
-            }
-        }
-        for &(dest, _) in &due {
-            if !(st.hooked && self.crashed.contains(dest)) {
-                self.arena_counts[dest] += 1;
-            }
-        }
-        self.inboxes.begin(&self.arena_counts);
-        if st.hooked {
-            place_retained(&self.spare, &self.stalled, &self.crashed, &mut self.inboxes);
-        }
-        self.recv_counts.fill(0);
-        let recv = &mut self.recv_counts;
-        let delivered = delivery_pass(
-            0..p,
-            &mut self.outboxes,
-            &self.resolved,
-            &self.fates,
-            st.hooked.then_some(&self.crashed),
-            st.tracing.then_some(&mut self.per_proc_sent[..]),
-            &mut self.inboxes,
-            &mut self.builder,
-            &mut self.pending,
-            &mut self.pending_pool,
-            &mut self.fault_stats,
-            counters,
-            due,
-            &mut self.seq_lens,
-            |dest| recv[dest] += 1,
-        );
-        self.inboxes.finish();
-        for &r in &self.recv_counts {
-            self.builder.record_traffic(0, r);
-        }
-        delivered
-    }
-
-    /// [`Path::Fused`] delivery: every sender was already resolved, counted
-    /// and recorded by its fused tail, so what remains is the arena layout
-    /// and the drain over `senders` — a wide receive-only frontier
-    /// contributes nothing here. Unhooked, every counted payload is placed,
-    /// so the arena segments themselves are the receive tallies.
+    /// Unhooked delivery: every sender was already validated, recorded and
+    /// counted by its sender tail, so what remains is the arena layout and
+    /// the drain over `senders` — a wide receive-only frontier contributes
+    /// nothing here. Every counted payload is placed, so the largest arena
+    /// segment is the receive maximum.
     fn deliver_fused(
         &mut self,
-        tail: SenderTail,
+        max_sent: u64,
         due: Vec<(Pid, M)>,
         counters: &mut FaultCounters,
-    ) -> Result<u64, SimError> {
-        self.builder.record_traffic(tail.max_sent, 0);
-        if let Some(e) = tail.err {
-            // A failed superstep must leave the builder and the length
-            // buckets empty, exactly as the unfused paths do (they resolve
-            // everything before recording anything), and the arena cleared
-            // — one epoch bump discards the partial counts.
-            let _ = self.builder.snapshot_reset();
-            self.seq_lens.fill(0);
-            self.inboxes.clear();
-            return Err(e);
-        }
+    ) -> u64 {
+        self.builder.record_traffic(max_sent, 0);
         for &(dest, _) in &due {
             self.inboxes.count(dest, 1);
         }
@@ -1029,18 +832,22 @@ impl<S: Send, M: Send> BspMachine<S, M> {
             &mut self.fault_stats,
             counters,
             &mut self.pending_pool,
-            |_| {},
         );
         self.inboxes.finish();
         self.builder.record_traffic(0, max_recv);
-        Ok(delivered)
+        delivered
     }
 
-    /// [`Path::SparseHooked`] delivery: the [`Path::Dense`] sequence over
-    /// the frontier, with epoch-stamped tallies. The stall scans iterate
-    /// the fault masks word-at-a-time — O(fault-words), never O(p).
-    fn deliver_sparse_hooked(
+    /// Hooked delivery over the sender list. Fates are pure in `(superstep,
+    /// src, dest, msg_idx, slot)`, so each sender's batch is computed once
+    /// and consulted twice: by the counting pass (retained inboxes,
+    /// surviving sends and due late arrivals, straight into the arena's
+    /// segment table) and by the placement replay, which applies the fates
+    /// in the canonical delivery order the ledger, pending queue and traces
+    /// are defined by. The receive maximum is read back from the arena.
+    fn deliver_hooked(
         &mut self,
+        h: &dyn DeliveryHook,
         st: Step,
         due: Vec<(Pid, M)>,
         counters: &mut FaultCounters,
@@ -1048,61 +855,159 @@ impl<S: Send, M: Send> BspMachine<S, M> {
     where
         M: Clone,
     {
-        self.sparse_arena_counts.reset();
-        let (counts, spare) = (&mut self.sparse_arena_counts, &self.spare);
+        if self.fates.len() != self.params.p {
+            self.fates.resize_with(self.params.p, Vec::new);
+        }
+        let (inboxes, spare) = (&mut self.inboxes, &self.spare);
         charge_fault_masks(
             &self.stalled,
             &self.crashed,
             &mut self.fault_stats,
             counters,
-            |pid| counts.add(pid, spare.len(pid) as u64),
+            |pid| inboxes.count(pid, spare.len(pid)),
         );
-        for pid in self.frontier_mask.iter() {
-            crate::kernels::count_dests_sparse_hooked(
-                self.outboxes[pid].dests(),
-                &self.fates[pid],
-                &self.crashed,
-                &mut self.sparse_arena_counts,
+        for &pid in &self.senders {
+            let dests = self.outboxes[pid].dests();
+            let fates = &mut self.fates[pid];
+            fates.clear();
+            h.fate_batch(
+                st.index,
+                pid,
+                BatchDests::Lane(dests),
+                &self.resolved[pid],
+                fates,
             );
+            for (&d, &fate) in dests.iter().zip(fates.iter()) {
+                if fate.arrives_now() && !self.crashed.contains(d) {
+                    self.inboxes.count(d, 1);
+                }
+            }
         }
         for &(dest, _) in &due {
             if !self.crashed.contains(dest) {
-                self.sparse_arena_counts.add(dest, 1);
+                self.inboxes.count(dest, 1);
             }
         }
-        self.inboxes.begin_sparse(&self.sparse_arena_counts);
+        self.inboxes.begin_counted();
         place_retained(&self.spare, &self.stalled, &self.crashed, &mut self.inboxes);
-        self.sparse_recv_counts.reset();
-        let recv = &mut self.sparse_recv_counts;
-        let delivered = delivery_pass(
-            self.frontier_mask.iter(),
-            &mut self.outboxes,
-            &self.resolved,
-            &self.fates,
+
+        let mut delivered = 0u64;
+        for &pid in &self.senders {
+            let out = &mut self.outboxes[pid];
+            if out.work != 0 {
+                self.builder.record_work(out.work);
+                // Zeroed where recorded: a drained-and-zeroed population is
+                // what lets the next superstep skip its resets.
+                out.work = 0;
+            }
+            if st.tracing {
+                self.per_proc_sent[pid] = out.envelopes.len() as u64;
+            }
+            self.builder.record_traffic(out.envelopes.len() as u64, 0);
+            let slots = &self.resolved[pid];
+            for (msg_idx, (env, &slot)) in out.envelopes.drain(..).zip(slots).enumerate() {
+                let fate = self.fates[pid][msg_idx];
+                self.fault_stats.injected += 1;
+                // Every fate consumes bandwidth and an injection slot — the
+                // network accepted the send — displaced ones a later slot.
+                self.builder.record_injection(match fate {
+                    Fate::Displace(d) => slot + d,
+                    _ => slot,
+                });
+                match fate {
+                    Fate::Drop => {
+                        self.fault_stats.dropped += 1;
+                        counters.dropped += 1;
+                    }
+                    Fate::Delay(k) => {
+                        queue_pending(
+                            &mut self.pending,
+                            &mut self.pending_pool,
+                            &mut self.fault_stats,
+                            k.max(1),
+                            env.dest,
+                            env.payload,
+                        );
+                        self.fault_stats.delayed += 1;
+                        counters.delayed += 1;
+                    }
+                    Fate::Deliver | Fate::Duplicate | Fate::Displace(_) => {
+                        let copy = (fate == Fate::Duplicate).then(|| env.payload.clone());
+                        // A payload bound for a crash-stopped destination is
+                        // destroyed at the custody transfer: nothing lands,
+                        // and the `crashed` ledger column is charged instead
+                        // of `delivered`.
+                        if self.crashed.contains(env.dest) {
+                            self.fault_stats.crashed += 1;
+                            counters.crashed += 1;
+                        } else {
+                            self.inboxes.place(env.dest, env.payload);
+                            delivered += 1;
+                            self.fault_stats.delivered += 1;
+                        }
+                        if let Some(copy) = copy {
+                            // The spurious copy arrives next superstep and
+                            // meets *that* superstep's crash set when it
+                            // lands.
+                            queue_pending(
+                                &mut self.pending,
+                                &mut self.pending_pool,
+                                &mut self.fault_stats,
+                                1,
+                                env.dest,
+                                copy,
+                            );
+                            self.fault_stats.duplicated += 1;
+                            counters.duplicated += 1;
+                        }
+                        if let Fate::Displace(_) = fate {
+                            self.fault_stats.displaced += 1;
+                            counters.displaced += 1;
+                        }
+                    }
+                }
+            }
+            out.dests.clear();
+            out.explicit = 0;
+        }
+        // Late arrivals land at the same boundary as this superstep's sends,
+        // after them, and are charged receive bandwidth here. A late arrival
+        // whose destination is dead *now* is destroyed now — its earlier
+        // delay only deferred the custody transfer.
+        delivered += land_due(
+            due,
             Some(&self.crashed),
-            st.tracing.then_some(&mut self.per_proc_sent[..]),
             &mut self.inboxes,
-            &mut self.builder,
-            &mut self.pending,
-            &mut self.pending_pool,
             &mut self.fault_stats,
             counters,
-            due,
-            &mut self.seq_lens,
-            |dest| recv.add(dest, 1),
+            &mut self.pending_pool,
         );
         self.inboxes.finish();
-        self.builder.record_recv_sparse(&self.sparse_recv_counts);
+        let max_recv = self
+            .inboxes
+            .touched()
+            .iter()
+            .map(|d| self.received(d, st))
+            .max()
+            .unwrap_or(0);
+        self.builder.record_traffic(0, max_recv);
         delivered
     }
 
+    /// Payloads delivered to `d` at this boundary: its arena segment less
+    /// the inbox it retained through a stall. The fault masks are read only
+    /// on hooked supersteps — they are stale otherwise.
+    fn received(&self, d: Pid, st: Step) -> u64 {
+        let retained = st.hooked && self.stalled.contains(d) && !self.crashed.contains(d);
+        (self.inboxes.len(d) - if retained { self.spare.len(d) } else { 0 }) as u64
+    }
+
     /// Snapshot the profile, emit the trace event, and advance the
-    /// superstep index. Trace rows are dense by format (length p); the
-    /// sparse paths fill a zeroed row O(touched) from their tallies.
+    /// superstep index. Trace rows are dense by format (length p), filled
+    /// O(touched) from the arena.
     fn finish_superstep(
         &mut self,
         st: Step,
-        path: Path,
         delivered: u64,
         counters: FaultCounters,
     ) -> SuperstepReport {
@@ -1112,28 +1017,14 @@ impl<S: Send, M: Send> BspMachine<S, M> {
         let mark = self.recovery_mark.take();
         if st.tracing {
             let mut row = vec![0u64; p];
-            // Each path's max-multiplicity scan walks exactly the slot
-            // buffers it resolved this superstep; the others may hold stale
-            // earlier-superstep data (a pid outside the scan has no resolved
-            // slots, so restricting it cannot change the maximum).
-            let max_mult = match path {
-                Path::Dense => {
-                    row.copy_from_slice(&self.recv_counts);
-                    crate::max_slot_multiplicity(&self.resolved, 0..p)
-                }
-                Path::Fused => {
-                    for d in self.inboxes.touched().iter() {
-                        row[d] = self.inboxes.len(d) as u64;
-                    }
-                    crate::max_slot_multiplicity(&self.resolved, self.senders.iter().copied())
-                }
-                Path::SparseHooked => {
-                    for d in self.sparse_recv_counts.touched().iter() {
-                        row[d] = self.sparse_recv_counts.get(d);
-                    }
-                    crate::max_slot_multiplicity(&self.resolved, self.frontier_mask.iter())
-                }
-            };
+            for d in self.inboxes.touched().iter() {
+                row[d] = self.received(d, st);
+            }
+            // Only the senders' slot buffers were resolved this superstep;
+            // every other buffer may hold stale slots, and its pid sent
+            // nothing, so the scan skips it without changing the maximum.
+            let max_mult =
+                crate::max_slot_multiplicity(&self.resolved, self.senders.iter().copied());
             let mut ev = TraceEvent::for_superstep(
                 TraceSource::Bsp,
                 self.trace_label.clone(),
@@ -1305,14 +1196,14 @@ impl<S: Send + Clone, M: Send + Clone> BspMachine<S, M> {
         );
         self.superstep = ckpt.superstep;
         self.states.clone_from(&ckpt.states);
-        // Rebuild the inbox arena through its normal begin/place/finish
+        // Rebuild the inbox arena through its normal count/place/finish
         // protocol so segment layout and touched-tracking (the sparse
         // frontier source) match a machine that arrived here by executing.
         self.inboxes.clear();
         for (pid, inbox) in ckpt.inboxes.iter().enumerate() {
-            self.arena_counts[pid] = inbox.len();
+            self.inboxes.count(pid, inbox.len());
         }
-        self.inboxes.begin(&self.arena_counts);
+        self.inboxes.begin_counted();
         for (pid, inbox) in ckpt.inboxes.iter().enumerate() {
             for msg in inbox {
                 self.inboxes.place(pid, msg.clone());
@@ -1352,28 +1243,12 @@ struct Step {
     outboxes_clean: bool,
 }
 
-/// The delivery path a superstep takes (see
-/// [`BspMachine::superstep_core`]).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Path {
-    /// Flat per-processor tallies over all p: dense supersteps whose
-    /// senders are not sparse, and every hooked dense superstep.
-    Dense,
-    /// Unhooked sparse supersteps, and unhooked dense supersteps whose
-    /// senders pass the density rule: the per-sender work runs in the
-    /// closure pass, and delivery walks only the senders.
-    Fused,
-    /// Hooked sparse supersteps: the dense sequence over the frontier, with
-    /// epoch-stamped tallies.
-    SparseHooked,
-}
-
-/// What the fused sender tails accumulate over one closure pass.
+/// What the sender tails accumulate over one closure pass.
 #[derive(Default)]
 struct SenderTail {
     /// First validation error, reported after every closure has run.
     err: Option<SimError>,
-    /// Most messages any one sender posted.
+    /// Most messages any one sender posted (unhooked supersteps only).
     max_sent: u64,
 }
 
@@ -1411,167 +1286,6 @@ fn bucket_len(seq_lens: &mut Vec<u64>, n: usize) {
     seq_lens[n - 1] += 1;
 }
 
-/// The sequential, deterministic heart of the [`Path::Dense`] and
-/// [`Path::SparseHooked`] supersteps: walk `pids`' outboxes in order,
-/// record their work/send traffic, apply each envelope's fate in the
-/// canonical delivery order (source pid ascending, then send order), place
-/// surviving payloads into the arena, then land the due late arrivals after
-/// them. Returns the number of payloads delivered.
-///
-/// Shared verbatim between `pids` = `0..p` and `pids` = the sorted
-/// frontier: every pid the dense iteration additionally visits holds an
-/// empty outbox, whose only effect is `record_work(0)`/`record_traffic(0,
-/// 0)` — no-ops on the profile's maxima — so the two instantiations are
-/// byte-identical by construction.
-///
-/// `dead` is the crash set, `Some` exactly when a hook is attached; `sent`
-/// is the trace row of per-processor send counts, `Some` when tracing.
-/// `bump_recv` abstracts the receive-count tally (dense `Vec` vs
-/// epoch-stamped [`EpochCounts`]); it is a generic parameter, not a dyn
-/// call, so the dense instantiation compiles to a plain inline increment.
-#[allow(clippy::too_many_arguments)]
-fn delivery_pass<M: Clone>(
-    pids: impl Iterator<Item = Pid>,
-    outboxes: &mut [Outbox<M>],
-    resolved: &[Vec<u64>],
-    fates: &[Vec<Fate>],
-    dead: Option<&FrontierMask>,
-    mut sent: Option<&mut [u64]>,
-    inboxes: &mut MsgArena<M>,
-    builder: &mut ProfileBuilder,
-    pending: &mut VecDeque<Vec<(Pid, M)>>,
-    pending_pool: &mut Vec<Vec<(Pid, M)>>,
-    fault_stats: &mut FaultStats,
-    counters: &mut FaultCounters,
-    due: Vec<(Pid, M)>,
-    seq_lens: &mut Vec<u64>,
-    mut bump_recv: impl FnMut(Pid),
-) -> u64 {
-    let mut delivered = 0u64;
-    for pid in pids {
-        let out = &mut outboxes[pid];
-        let slots = &resolved[pid];
-        // `record_work(0)` and `record_traffic(0, 0)` are max-updates with
-        // 0 — semantic no-ops — so quiet processors (the bulk of a wide
-        // receive-only frontier) skip the builder calls entirely.
-        if out.work != 0 {
-            builder.record_work(out.work);
-            // Zeroed where recorded (never unconditionally): quiet outboxes
-            // stay untouched, and a fully drained-and-zeroed population is
-            // what lets the next superstep skip its resets.
-            out.work = 0;
-        }
-        if let Some(sent) = sent.as_deref_mut() {
-            sent[pid] = out.envelopes.len() as u64;
-        }
-        let Some(crashed) = dead else {
-            // Unhooked batch branch: every fate is `Deliver` and no
-            // destination can be dead, so the per-message ledger updates
-            // collapse to bulk arithmetic and the slot charges to one
-            // batched scatter. Empty outboxes (the common case on a dense
-            // near-idle machine) skip even the bulk arithmetic: a p-sized
-            // sweep of quiet processors must stay a p-sized sweep of
-            // nothing.
-            if !out.envelopes.is_empty() {
-                let n = out.envelopes.len() as u64;
-                builder.record_traffic(n, 0);
-                if slots.is_empty() {
-                    // All-implicit marker from the slot resolution: this
-                    // sender's slots are exactly `0..n`.
-                    bucket_len(seq_lens, out.envelopes.len());
-                } else {
-                    debug_assert_eq!(slots.len(), out.envelopes.len());
-                    builder.record_injections_batch(slots);
-                }
-                for env in out.envelopes.drain(..) {
-                    bump_recv(env.dest);
-                    inboxes.place(env.dest, env.payload);
-                }
-                out.dests.clear();
-                out.explicit = 0;
-                fault_stats.injected += n;
-                fault_stats.delivered += n;
-                delivered += n;
-            }
-            continue;
-        };
-        builder.record_traffic(out.envelopes.len() as u64, 0);
-        for (msg_idx, (env, &slot)) in out.envelopes.drain(..).zip(slots.iter()).enumerate() {
-            let fate = fates[pid][msg_idx];
-            fault_stats.injected += 1;
-            // Every fate consumes bandwidth and an injection slot — the
-            // network accepted the send — displaced ones a later slot.
-            builder.record_injection(match fate {
-                Fate::Displace(d) => slot + d,
-                _ => slot,
-            });
-            match fate {
-                Fate::Drop => {
-                    fault_stats.dropped += 1;
-                    counters.dropped += 1;
-                }
-                Fate::Delay(k) => {
-                    queue_pending(
-                        pending,
-                        pending_pool,
-                        fault_stats,
-                        k.max(1),
-                        env.dest,
-                        env.payload,
-                    );
-                    fault_stats.delayed += 1;
-                    counters.delayed += 1;
-                }
-                Fate::Deliver | Fate::Duplicate | Fate::Displace(_) => {
-                    let copy = (fate == Fate::Duplicate).then(|| env.payload.clone());
-                    // A payload bound for a crash-stopped destination is
-                    // destroyed at the custody transfer: nothing lands, and
-                    // the `crashed` ledger column is charged instead of
-                    // `delivered`.
-                    if crashed.contains(env.dest) {
-                        fault_stats.crashed += 1;
-                        counters.crashed += 1;
-                    } else {
-                        bump_recv(env.dest);
-                        inboxes.place(env.dest, env.payload);
-                        delivered += 1;
-                        fault_stats.delivered += 1;
-                    }
-                    if let Some(copy) = copy {
-                        // The spurious copy arrives next superstep and meets
-                        // *that* superstep's crash set when it lands.
-                        queue_pending(pending, pending_pool, fault_stats, 1, env.dest, copy);
-                        fault_stats.duplicated += 1;
-                        counters.duplicated += 1;
-                    }
-                    if let Fate::Displace(_) = fate {
-                        fault_stats.displaced += 1;
-                        counters.displaced += 1;
-                    }
-                }
-            }
-        }
-        out.dests.clear();
-        out.explicit = 0;
-    }
-    builder.record_injections_by_len(seq_lens);
-    seq_lens.fill(0);
-    // Late arrivals land at the same boundary as this superstep's sends,
-    // after them, and are charged receive bandwidth here. A late arrival
-    // whose destination is dead *now* is destroyed now — its earlier delay
-    // only deferred the custody transfer.
-    delivered
-        + land_due(
-            due,
-            dead,
-            inboxes,
-            fault_stats,
-            counters,
-            pending_pool,
-            bump_recv,
-        )
-}
-
 /// Assign injection slots to a processor's envelopes, refilling the recycled
 /// `out` buffer: explicit slots are honoured; auto messages fill the
 /// earliest slots not explicitly claimed. Errors if two explicit sends
@@ -1586,21 +1300,15 @@ fn resolve_slots_into<M>(
     p: usize,
     out: &Outbox<M>,
     slots: &mut Vec<u64>,
-    materialize: bool,
 ) -> Result<(), SimError> {
     slots.clear();
     // Fast path: plain `send` calls only (the outbox counted zero `send_at`
     // posts) — slots are simply `0..n`, and the only remaining check is
-    // destination bounds over the flat dests lane. When no consumer reads
-    // individual slots (`materialize` false: unhooked, untraced), the
-    // sequence isn't even written — the empty buffer is the marker the
-    // delivery pass aggregates sequentially-slotted senders on.
+    // destination bounds over the flat dests lane.
     let envelopes = &out.envelopes;
     if out.explicit == 0 {
         check_dests(pid, p, &out.dests)?;
-        if materialize {
-            slots.extend(0..envelopes.len() as u64);
-        }
+        slots.extend(0..envelopes.len() as u64);
         return Ok(());
     }
     for env in envelopes {
@@ -1901,6 +1609,53 @@ mod tests {
         assert_eq!(m.pending_inbox(1), &[7]);
         assert_eq!(m.faults_in_flight(), 0);
         assert!(m.fault_stats().conserved());
+    }
+
+    #[test]
+    fn rejected_superstep_keeps_the_pending_network_level() {
+        // A Delay(1) payload is in the network when a superstep is rejected
+        // — with or without the hook still attached, on either entry point.
+        // It must stay in flight and land at the next accepted boundary.
+        for (declared, keep_hook) in [(false, false), (true, false), (false, true), (true, true)] {
+            let case = format!("declared={declared} keep_hook={keep_hook}");
+            let mut m: BspMachine<(), u8> = BspMachine::new(params(4), |_| ());
+            m.set_delivery_hook(Arc::new(DelayAll(1)));
+            m.superstep(|pid, _s, _in, out| {
+                if pid == 0 {
+                    out.send(1, 7);
+                }
+            });
+            assert_eq!(m.faults_in_flight(), 1);
+            if !keep_hook {
+                m.clear_delivery_hook();
+            }
+            let bad = |pid: Pid, _: &mut (), _: &[u8], out: &mut Outbox<u8>| {
+                if pid == 0 {
+                    out.send(99, 1);
+                }
+            };
+            let rejected = if declared {
+                m.try_superstep_active(&[0], bad)
+            } else {
+                m.try_superstep(bad)
+            };
+            assert_eq!(
+                rejected.unwrap_err(),
+                SimError::BadDestination { pid: 0, dest: 99 },
+                "{case}"
+            );
+            assert_eq!(m.faults_in_flight(), 1, "{case}");
+            let idle = |_: Pid, _: &mut (), _: &[u8], _: &mut Outbox<u8>| {};
+            let r = if declared {
+                m.superstep_active(&[], idle)
+            } else {
+                m.superstep(idle)
+            };
+            assert_eq!(r.delivered, 1, "{case}");
+            assert_eq!(m.pending_inbox(1), &[7], "{case}");
+            assert_eq!(m.faults_in_flight(), 0, "{case}");
+            assert!(m.fault_stats().conserved(), "{case}");
+        }
     }
 
     struct DupAll;

@@ -1,14 +1,15 @@
-//! The density rule: when does the active-set (sparse) superstep path run
-//! instead of the dense all-processor pass?
+//! The density rule: when does a declared-active-set superstep run the
+//! sparse closure pass instead of the dense all-processor one?
 //!
-//! The dense path walks all `p` processors (O(p), with perfect streaming
-//! constants); the sparse path walks only the processors that can act
-//! (O(active + messages), with stamp checks and indirection per touched
-//! slot). Both are byte-identical in every observable (inboxes, profiles,
-//! traces, `canonical_hash`), so the choice is wall time only, and the BSP
-//! engine makes it itself: [`crate::BspMachine::superstep_auto`] for a
-//! declared active set, and the sender-mask check after every unhooked
-//! dense closure pass.
+//! The dense pass runs every closure, all `p` of them, in parallel (O(p),
+//! with perfect streaming constants); the sparse pass runs only the
+//! frontier, sequentially (O(active), with a mask walk per word). Both leave
+//! the same ascending sender list behind, and delivery walks only that list
+//! either way, so the results are byte-identical in every observable
+//! (inboxes, profiles, traces, `canonical_hash`) and the choice is wall time
+//! only. [`crate::BspMachine::superstep_auto`] makes it from the declared
+//! active set plus the processors holding an inbox; nothing else in the
+//! engine consults the rule.
 //!
 //! The rule is a constant: sparse while `active · FACTOR ≤ p`. A
 //! once-per-process timing probe used to calibrate the factor within

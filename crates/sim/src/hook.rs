@@ -17,11 +17,11 @@
 //! * **Determinism.** `fate` must be a pure function of the hook's
 //!   pre-superstep state and the presented [`DeliveryCtx`] (and `stalled`
 //!   pure in `(superstep, pid)`): the engines *compute* all fates for a
-//!   boundary in a parallel pass, in unspecified thread order, then *apply*
-//!   them in the fixed delivery order (source pid, then send order). A pure
-//!   hook therefore yields a bit-identical run at every thread count —
-//!   which the cross-thread-count conformance suite checks by comparing
-//!   traces byte-for-byte.
+//!   boundary first — QSM in a parallel pass, in unspecified thread order —
+//!   then *apply* them in the fixed delivery order (source pid, then send
+//!   order). A pure hook therefore yields a bit-identical run at every
+//!   thread count — which the cross-thread-count conformance suite checks
+//!   by comparing traces byte-for-byte.
 //! * **Conservation.** The engine tracks [`FaultStats`] such that
 //!   `injected + duplicated + restored == delivered + dropped + crashed +
 //!   in_flight` at every superstep boundary (checked by the property suite
@@ -54,6 +54,16 @@ pub enum Fate {
     /// program asked — the router displaced it within the superstep,
     /// reshaping the machine-wide `m_t` histogram the penalty prices.
     Displace(u64),
+}
+
+impl Fate {
+    /// Whether the payload lands in an inbox at *this* boundary (drops
+    /// never arrive; delays arrive at a later one) — what the counting
+    /// passes size the arena by.
+    #[inline]
+    pub(crate) fn arrives_now(self) -> bool {
+        matches!(self, Fate::Deliver | Fate::Duplicate | Fate::Displace(_))
+    }
 }
 
 /// Identifies one message presented to a [`DeliveryHook`].
@@ -314,9 +324,8 @@ pub(crate) fn place_retained<T: Clone>(
 /// Land the late arrivals due at this boundary, after the step's own
 /// deliveries. A payload due at a destination in `dead` (the crash set,
 /// hooked engines only) dies in the network, charged to the crash column;
-/// every other one is placed, reported to `on_place`, and counted as
-/// delivered. The drained level buffer goes back to `pool`. Returns the
-/// number placed.
+/// every other one is placed and counted as delivered. The drained level
+/// buffer goes back to `pool`. Returns the number placed.
 pub(crate) fn land_due<T>(
     mut due: Vec<(Pid, T)>,
     dead: Option<&FrontierMask>,
@@ -324,7 +333,6 @@ pub(crate) fn land_due<T>(
     stats: &mut FaultStats,
     counters: &mut FaultCounters,
     pool: &mut Vec<Vec<(Pid, T)>>,
-    mut on_place: impl FnMut(Pid),
 ) -> u64 {
     let mut placed = 0u64;
     for (dest, payload) in due.drain(..) {
@@ -334,7 +342,6 @@ pub(crate) fn land_due<T>(
             counters.crashed += 1;
             continue;
         }
-        on_place(dest);
         arena.place(dest, payload);
         placed += 1;
         stats.delivered += 1;

@@ -28,10 +28,11 @@
 //! * Determinism: superstep closures receive a processor id and may use
 //!   [`rng::proc_rng`] for per-processor reproducible randomness; message
 //!   delivery order is fixed (by source pid, then send order), independent of
-//!   rayon's scheduling. Fault fates ([`hook::DeliveryHook`]) are likewise
-//!   *computed* in a parallel pass (they are pure in the delivery context)
-//!   and *applied* in the fixed delivery order, so runs — including their
-//!   trace streams — are byte-identical at every `PBW_THREADS` setting.
+//!   rayon's scheduling. Fault fates ([`hook::DeliveryHook`]) are pure in
+//!   the delivery context, so they may be *computed* in any order (QSM does
+//!   it in a parallel pass) and are *applied* in the fixed delivery order;
+//!   runs — including their trace streams — are byte-identical at every
+//!   `PBW_THREADS` setting.
 //! * Non-receipt is observable: a processor can branch on an *empty* inbox,
 //!   as required by the Section 4.2 ternary broadcast.
 
@@ -39,7 +40,6 @@ pub(crate) mod arena;
 pub mod bsp;
 pub mod density;
 pub mod hook;
-pub mod kernels;
 pub mod qsm;
 pub mod rng;
 pub mod summary;
@@ -60,10 +60,10 @@ pub type Pid = usize;
 /// than assumed — so the conformance suite checks the engine, not itself.
 ///
 /// `pids` restricts the scan to the processors whose slot buffers are live
-/// this superstep: `0..p` on the dense path, the frontier on the sparse path
-/// (non-frontier buffers hold stale assignments from an earlier superstep
-/// and must not be read). A pid outside the frontier has no resolved slots
-/// this superstep, so restricting the scan cannot change the maximum.
+/// this step: all `0..p` for QSM, the senders for BSP (other BSP buffers
+/// hold stale assignments from an earlier superstep and must not be read).
+/// A pid outside `pids` has no resolved slots this step, so restricting the
+/// scan cannot change the maximum.
 pub(crate) fn max_slot_multiplicity(resolved: &[Vec<u64>], pids: impl Iterator<Item = Pid>) -> u64 {
     pids.map(|pid| {
         let slots = &resolved[pid];

@@ -183,8 +183,6 @@ pub struct QsmMachine<S> {
     stalled: FrontierMask,
     /// Crash-stopped processors this phase.
     crashed: FrontierMask,
-    /// Counting-pass scratch: per-processor result segment sizes.
-    arena_counts: Vec<usize>,
     /// Contention audit scratch: readers/writers per location.
     readers: Vec<u64>,
     writers: Vec<u64>,
@@ -229,7 +227,6 @@ impl<S: Send + Sync> QsmMachine<S> {
             fates: Vec::new(),
             stalled: FrontierMask::new(p),
             crashed: FrontierMask::new(p),
-            arena_counts: vec![0; p],
             readers: vec![0; size],
             writers: vec![0; size],
             audit_reads: Vec::new(),
@@ -410,7 +407,6 @@ impl<S: Send + Sync> QsmMachine<S> {
             &mut self.fault_stats,
             &mut counters,
             &mut self.pending_pool,
-            |_| {},
         );
         self.read_results.finish();
         self.arbitrate_writes();
@@ -529,45 +525,40 @@ impl<S: Send + Sync> QsmMachine<S> {
 
     /// Counting pass: exact per-processor response counts (results a
     /// stalled processor retains, reads served now by fate, plus due late
-    /// responses) lay out the arena segments before any result moves; the
-    /// retained results are then re-placed ahead of this phase's serves.
+    /// responses) accumulate in the arena's own segment table and lay out
+    /// the segments before any result moves; the retained results are then
+    /// re-placed ahead of this phase's serves.
     fn lay_out_results(
         &mut self,
         due: &[(Pid, ReadResult)],
         hooked: bool,
         counters: &mut FaultCounters,
     ) {
-        self.arena_counts.fill(0);
         if hooked {
-            let (counts, spare) = (&mut self.arena_counts, &self.spare);
+            let (arena, spare) = (&mut self.read_results, &self.spare);
             charge_fault_masks(
                 &self.stalled,
                 &self.crashed,
                 &mut self.fault_stats,
                 counters,
-                |pid| counts[pid] += spare.len(pid),
+                |pid| arena.count(pid, spare.len(pid)),
             );
         }
         for (pid, ctx) in self.ctxs.iter().enumerate() {
+            let mut served = 0;
             for (msg_idx, req) in ctx.requests.iter().enumerate() {
                 if let Request::Read { .. } = req {
-                    let fate = if hooked {
-                        self.fates[pid][msg_idx]
-                    } else {
-                        Fate::Deliver
-                    };
-                    if matches!(fate, Fate::Deliver | Fate::Duplicate | Fate::Displace(_)) {
-                        self.arena_counts[pid] += 1;
-                    }
+                    served += usize::from(!hooked || self.fates[pid][msg_idx].arrives_now());
                 }
             }
+            self.read_results.count(pid, served);
         }
         for &(pid, _) in due {
             if !(hooked && self.crashed.contains(pid)) {
-                self.arena_counts[pid] += 1;
+                self.read_results.count(pid, 1);
             }
         }
-        self.read_results.begin(&self.arena_counts);
+        self.read_results.begin_counted();
         if hooked {
             place_retained(
                 &self.spare,

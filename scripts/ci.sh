@@ -35,6 +35,7 @@ STAGES=(
   proptest-replay
   model-check
   clippy
+  docs
   trace-smoke
   fault-determinism
   sorting-determinism
@@ -131,6 +132,12 @@ stage_model-check() {
 
 stage_clippy() {
   cargo clippy --workspace --all-targets -- -D warnings
+}
+
+# The API docs must build warning-free: a broken or private intra-doc link
+# (for example to an item a refactor deleted) fails the stage.
+stage_docs() {
+  RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 }
 
 stage_trace-smoke() {

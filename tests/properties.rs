@@ -835,13 +835,20 @@ proptest! {
     /// iteration ≡ the sorted-Vec frontier; modes 1 and 4 agreeing pin the
     /// density rule's freedom — either branch of
     /// `pbw_sim::density::crossover` gives the same bytes.
+    ///
+    /// With `hooked` set, every mode runs under a seeded `FaultPlan` with
+    /// every fault kind enabled (drops, duplicates, delays ≤ 2, displacement
+    /// ≤ 3, stalls and crashes ≤ 2), so the hooked delivery is held to the
+    /// same bytes — fault ledger included — at every density.
     #[test]
     fn masked_declared_and_dense_paths_agree_at_any_density(
         p_sel in 0usize..3,
         sender_pct in 0usize..=100,
         max_fanout in 1usize..6,
         seed in 0u64..1000,
+        hooked in any::<bool>(),
     ) {
+        use parallel_bandwidth::prelude::{FaultPlan, FaultSpec, FaultStats};
         use parallel_bandwidth::sim::{BspMachine, Outbox};
         use parallel_bandwidth::trace::RecordingSink;
         use rayon::ThreadPoolBuilder;
@@ -876,6 +883,20 @@ proptest! {
             r
         };
 
+        let spec = FaultSpec {
+            drop_rate: 0.1,
+            duplicate_rate: 0.1,
+            delay_rate: 0.1,
+            max_delay: 2,
+            displace_rate: 0.1,
+            max_displacement: 3,
+            stall_rate: 0.05,
+            crash_rate: 0.05,
+            max_crash_len: 2,
+        };
+        // Hooked runs drain two more supersteps, so the last delays land.
+        let drains = if hooked { 4 } else { 2 };
+
         #[derive(Clone, Copy, PartialEq)]
         enum Mode {
             Dense,
@@ -884,7 +905,7 @@ proptest! {
             Auto,
         }
 
-        let run = |mode: Mode, width: usize| -> (Vec<String>, Vec<u64>, u64) {
+        let run = |mode: Mode, width: usize| -> (Vec<String>, Vec<u64>, u64, FaultStats) {
             ThreadPoolBuilder::new()
                 .num_threads(width)
                 .build()
@@ -894,6 +915,9 @@ proptest! {
                     let sink = Arc::new(RecordingSink::new());
                     let mut machine: BspMachine<u64, u64> = BspMachine::new(params, |_| 0);
                     machine.set_sink(sink.clone()).set_trace_label("mask-vs-vec");
+                    if hooked {
+                        machine.set_delivery_hook(Arc::new(FaultPlan::new(spec, seed ^ 0x5A)));
+                    }
                     let send = |pid: usize, s: &mut u64, inbox: &[u64], out: &mut Outbox<u64>| {
                         *s = s.wrapping_add(inbox.iter().sum::<u64>());
                         if is_sender[pid] {
@@ -905,31 +929,37 @@ proptest! {
                     let drain = |_pid: usize, s: &mut u64, inbox: &[u64], _out: &mut Outbox<u64>| {
                         *s = s.wrapping_add(inbox.iter().sum::<u64>());
                     };
+                    // The last drain of an unhooked run has an empty frontier.
                     match mode {
                         Mode::Dense => {
                             machine.superstep(send);
-                            machine.superstep(drain);
-                            machine.superstep(drain); // empty frontier
+                            for _ in 0..drains {
+                                machine.superstep(drain);
+                            }
                         }
                         Mode::Declared => {
                             machine.superstep_active(&senders, send);
                             machine.superstep_active(&receivers, drain);
-                            machine.superstep_active(&[], drain);
+                            for _ in 1..drains {
+                                machine.superstep_active(&[], drain);
+                            }
                         }
                         Mode::Masked => {
                             machine.superstep_active(&senders, send);
-                            machine.superstep_active(&[], drain);
-                            machine.superstep_active(&[], drain);
+                            for _ in 0..drains {
+                                machine.superstep_active(&[], drain);
+                            }
                         }
                         Mode::Auto => {
                             machine.superstep_auto(&senders, send);
-                            machine.superstep_auto(&[], drain);
-                            machine.superstep_auto(&[], drain);
+                            for _ in 0..drains {
+                                machine.superstep_auto(&[], drain);
+                            }
                         }
                     }
                     let events: Vec<String> = sink.take().iter().map(|e| e.to_json()).collect();
                     let hash = machine.canonical_hash();
-                    (events, machine.states().to_vec(), hash)
+                    (events, machine.states().to_vec(), hash, machine.fault_stats())
                 })
         };
 
@@ -942,14 +972,14 @@ proptest! {
                 let other = run(mode, width);
                 prop_assert_eq!(
                     &baseline, &other,
-                    "mode={} width={} diverged from the dense width-1 run (p={}, {}% active)",
+                    "mode={} width={} diverged from the dense width-1 run (p={}, {}% active, hooked={})",
                     match mode {
                         Mode::Dense => "dense",
                         Mode::Declared => "declared",
                         Mode::Masked => "masked",
                         Mode::Auto => "auto",
                     },
-                    width, p, sender_pct
+                    width, p, sender_pct, hooked
                 );
             }
         }
