@@ -33,16 +33,16 @@ pub mod mask;
 pub mod params;
 pub mod penalty;
 pub mod profile;
-pub mod sparse;
 pub mod summary;
+pub mod tally;
 
 pub use cost::{BspG, BspM, CostModel, QsmG, QsmM, SelfSchedulingBspM};
 pub use mask::FrontierMask;
 pub use params::MachineParams;
 pub use penalty::{PenaltyFn, PenaltyTable};
 pub use profile::{ProfileBuilder, SuperstepProfile};
-pub use sparse::EpochCounts;
 pub use summary::CostSummary;
+pub use tally::{AccessTally, CellAccess};
 
 /// Base-2 logarithm clamped below at 1.0, so that `lg` of tiny arguments
 /// never turns a denominator negative or zero.

@@ -17,9 +17,9 @@
 //!   a leaf without unsetting its summary bit — iteration skips zero
 //!   words, so the slack is invisible).
 //!
-//! Both levels are epoch-stamped exactly like [`crate::EpochCounts`]:
-//! clearing the mask is one epoch bump, never an O(p) sweep, and a stale
-//! word is simply never observed. Iteration walks the summary words, then
+//! Both levels are epoch-stamped: every word carries the epoch at which it
+//! was last written, so clearing the mask is one epoch bump, never an O(p)
+//! sweep, and a stale word is simply never observed. Iteration walks the summary words, then
 //! each marked leaf word, emitting set bits via `trailing_zeros` — so it
 //! visits members in **ascending pid order** at O(popcount) cost plus a
 //! fixed O(words/64) summary scan, and never scans empty regions. Ascending

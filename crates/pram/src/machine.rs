@@ -29,7 +29,7 @@
 //! constant-time sub-steps, and so do we.
 
 use crate::Word;
-use pbw_models::EpochCounts;
+use pbw_models::{AccessTally, CellAccess};
 use pbw_trace::{TraceEvent, TraceSink, TraceSource};
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -186,15 +186,6 @@ impl<'a> PramCtx<'a> {
     }
 }
 
-/// Audit-representation crossover: a step is "dense" (flat-array tallies,
-/// O(m) clears) when the shared memory holds at most this many cells per
-/// participating processor; sparser steps use the epoch-stamped tallies.
-/// This is a *cells-vs-procs* axis, unrelated to the constant
-/// active-senders-vs-p rule in `pbw_sim::density` (this crate doesn't
-/// depend on `pbw-sim`). Either representation yields identical verdicts,
-/// so the constant only moves wall-clock.
-const DENSE_AUDIT_CELLS_PER_PROC: usize = 4;
-
 /// A step-synchronous PRAM (optionally a PRAM(m): `mem.len() = m` cells plus
 /// a ROM).
 ///
@@ -224,29 +215,9 @@ pub struct Pram {
     /// Recycled per-processor access records; grown to the largest `nprocs`
     /// seen, cleared (capacity kept) at the start of every step.
     records: Vec<ProcRecord>,
-    /// Contention-audit tallies, one slot per shared cell, epoch-stamped so
-    /// the per-step reset is O(1) and the conflict scan walks only the
-    /// cells this step touched — never all `m` of them. Used when the step
-    /// touches few cells relative to `m`; dense steps take the plain-array
-    /// twins below, whose straight-line fill/scan is cheaper per cell.
-    readers: EpochCounts,
-    writers: EpochCounts,
-    /// Dense-path tallies (`fill(0)` + direct indexing); only steps with
-    /// `m <= DENSE_AUDIT_CELLS_PER_PROC * nprocs` pay their O(m) clears.
-    dense_readers: Vec<u64>,
-    dense_writers: Vec<u64>,
-    /// Representative accessor pids; meaningful only at cells the current
-    /// step's tallies touched, so they are never cleared.
-    reader_pid: Vec<usize>,
-    writer_pid: Vec<usize>,
-    /// Distinct-cell scratch for the per-processor audit.
-    audit_cells: Vec<usize>,
-    /// Write-apply scratch: per-cell first-writer marks (epoch-stamped on
-    /// the sparse path, a plain bool array on the dense one) and one
-    /// processor's last-write-per-cell list.
-    written: EpochCounts,
-    dense_written: Vec<bool>,
-    per_proc_writes: Vec<(usize, Word)>,
+    /// Contention-audit tally, one entry per shared cell; reset in
+    /// O(cells touched), so a step never pays for the cells it leaves alone.
+    tally: AccessTally,
 }
 
 impl std::fmt::Debug for Pram {
@@ -286,16 +257,7 @@ impl Pram {
             sink: pbw_trace::global_sink(),
             trace_label: String::new(),
             records: Vec::new(),
-            readers: EpochCounts::new(m),
-            writers: EpochCounts::new(m),
-            dense_readers: vec![0; m],
-            dense_writers: vec![0; m],
-            reader_pid: vec![usize::MAX; m],
-            writer_pid: vec![usize::MAX; m],
-            audit_cells: Vec::new(),
-            written: EpochCounts::new(m),
-            dense_written: vec![false; m],
-            per_proc_writes: Vec::new(),
+            tally: AccessTally::new(m),
         }
     }
 
@@ -411,201 +373,64 @@ impl Pram {
         let Self {
             ref mut mem,
             ref records,
-            ref mut readers,
-            ref mut writers,
-            ref mut dense_readers,
-            ref mut dense_writers,
-            ref mut reader_pid,
-            ref mut writer_pid,
-            ref mut audit_cells,
-            ref mut written,
-            ref mut dense_written,
-            ref mut per_proc_writes,
+            ref mut tally,
             mode,
             ..
         } = *self;
         let records = &records[..nprocs];
-        let m_cells = mem.len();
 
-        // Contention audit. Tracks, per cell, how many *distinct processors*
-        // read/wrote it and a representative pid, so that a processor
-        // reading and writing its own cell in one step is not flagged.
-        //
-        // Two audit representations, same verdicts: when the memory is
-        // large relative to the step (few cells touched), the tallies are
-        // epoch-stamped so the reset is O(1) and the conflict scan walks
-        // only the touched-cell dirty lists — the step costs O(ops),
-        // independent of `m`. When the step is dense (`m` on the order of
-        // the op count), plain arrays with `fill(0)` clears and a straight
-        // 0..m scan are cheaper per cell than stamp-checked accesses, so
-        // dense steps keep the original flat-array path. Both report the
-        // violation at the lowest address with identical classification.
-        let dense = m_cells <= DENSE_AUDIT_CELLS_PER_PROC * nprocs;
+        // Contention audit: how many distinct processors read and wrote
+        // each touched cell. A read and a write of one cell by the *same*
+        // processor is an ordinary local read-modify-write, legal in every
+        // mode. Exclusive modes report the lowest violating address,
+        // classified read conflict, then write conflict, then hazard.
+        tally.clear();
+        for (pid, rec) in records.iter().enumerate().rev() {
+            for &addr in &rec.reads {
+                tally.read(pid, addr);
+            }
+            for &(addr, _) in &rec.writes {
+                tally.write(pid, addr);
+            }
+        }
         let mut max_r = 0u64;
         let mut max_w = 0u64;
-        if dense {
-            dense_readers.fill(0);
-            dense_writers.fill(0);
-            for (pid, rec) in records.iter().enumerate() {
-                // Count distinct cells per processor so a double-read by
-                // one processor is not an EREW violation.
-                audit_cells.clear();
-                audit_cells.extend_from_slice(&rec.reads);
-                audit_cells.sort_unstable();
-                audit_cells.dedup();
-                for &a in audit_cells.iter() {
-                    dense_readers[a] += 1;
-                    reader_pid[a] = pid;
-                }
-                audit_cells.clear();
-                audit_cells.extend(rec.writes.iter().map(|&(a, _)| a));
-                audit_cells.sort_unstable();
-                audit_cells.dedup();
-                for &a in audit_cells.iter() {
-                    dense_writers[a] += 1;
-                    writer_pid[a] = pid;
-                }
+        let mut bad: Option<(usize, CellAccess)> = None;
+        for (addr, c) in tally.cells() {
+            max_r = max_r.max(c.readers);
+            max_w = max_w.max(c.writers);
+            let cross_rw = c.readers > 0
+                && c.writers > 0
+                && !(c.readers == 1 && c.writers == 1 && c.reader == c.writer);
+            let violation = match mode {
+                AccessMode::Erew => c.readers > 1 || c.writers > 1 || cross_rw,
+                AccessMode::Crew => c.writers > 1 || cross_rw,
+                AccessMode::Qrqw | AccessMode::CrcwArbitrary => false,
+            };
+            if violation && bad.is_none_or(|(b, _)| addr < b) {
+                bad = Some((addr, c));
             }
-            for addr in 0..m_cells {
-                let r = dense_readers[addr];
-                let w = dense_writers[addr];
-                max_r = max_r.max(r);
-                max_w = max_w.max(w);
-                // A read and a write of one cell by the *same* processor is
-                // an ordinary local read-modify-write, legal in every mode.
-                let cross_rw =
-                    r > 0 && w > 0 && !(r == 1 && w == 1 && reader_pid[addr] == writer_pid[addr]);
-                match mode {
-                    AccessMode::Erew => {
-                        if r > 1 {
-                            return Err(PramError::ReadConflict {
-                                addr,
-                                contention: r,
-                            });
-                        }
-                        if w > 1 {
-                            return Err(PramError::WriteConflict {
-                                addr,
-                                contention: w,
-                            });
-                        }
-                        if cross_rw {
-                            return Err(PramError::ReadWriteHazard { addr });
-                        }
-                    }
-                    AccessMode::Crew => {
-                        if w > 1 {
-                            return Err(PramError::WriteConflict {
-                                addr,
-                                contention: w,
-                            });
-                        }
-                        if cross_rw {
-                            return Err(PramError::ReadWriteHazard { addr });
-                        }
-                    }
-                    AccessMode::Qrqw | AccessMode::CrcwArbitrary => {}
-                }
-            }
-        } else {
-            readers.reset();
-            writers.reset();
-            for (pid, rec) in records.iter().enumerate() {
-                audit_cells.clear();
-                audit_cells.extend_from_slice(&rec.reads);
-                audit_cells.sort_unstable();
-                audit_cells.dedup();
-                for &a in audit_cells.iter() {
-                    readers.add(a, 1);
-                    reader_pid[a] = pid;
-                }
-                audit_cells.clear();
-                audit_cells.extend(rec.writes.iter().map(|&(a, _)| a));
-                audit_cells.sort_unstable();
-                audit_cells.dedup();
-                for &a in audit_cells.iter() {
-                    writers.add(a, 1);
-                    writer_pid[a] = pid;
-                }
-            }
-            for a in readers.touched().iter() {
-                max_r = max_r.max(readers.get(a));
-            }
-            for a in writers.touched().iter() {
-                max_w = max_w.max(writers.get(a));
-            }
-            // The touched masks iterate ascending, but the two are chained
-            // (readers then writers), so find the lowest violating address
-            // explicitly, then classify it with the same per-cell priority
-            // as the dense scan (read conflict, then write conflict, then
-            // hazard).
-            if matches!(mode, AccessMode::Erew | AccessMode::Crew) {
-                let mut bad: Option<usize> = None;
-                for addr in readers.touched().iter().chain(writers.touched().iter()) {
-                    let r = readers.get(addr);
-                    let w = writers.get(addr);
-                    let cross_rw = r > 0
-                        && w > 0
-                        && !(r == 1 && w == 1 && reader_pid[addr] == writer_pid[addr]);
-                    let violation = match mode {
-                        AccessMode::Erew => r > 1 || w > 1 || cross_rw,
-                        _ => w > 1 || cross_rw,
-                    };
-                    if violation {
-                        bad = Some(bad.map_or(addr, |b| b.min(addr)));
-                    }
-                }
-                if let Some(addr) = bad {
-                    let r = readers.get(addr);
-                    let w = writers.get(addr);
-                    return Err(match mode {
-                        AccessMode::Erew if r > 1 => PramError::ReadConflict {
-                            addr,
-                            contention: r,
-                        },
-                        _ if w > 1 => PramError::WriteConflict {
-                            addr,
-                            contention: w,
-                        },
-                        _ => PramError::ReadWriteHazard { addr },
-                    });
-                }
-            }
+        }
+        if let Some((addr, c)) = bad {
+            return Err(match mode {
+                AccessMode::Erew if c.readers > 1 => PramError::ReadConflict {
+                    addr,
+                    contention: c.readers,
+                },
+                _ if c.writers > 1 => PramError::WriteConflict {
+                    addr,
+                    contention: c.writers,
+                },
+                _ => PramError::ReadWriteHazard { addr },
+            });
         }
 
-        // Apply writes: lowest pid wins per cell (Arbitrary rule instance).
-        // Records are indexed by pid, so a forward scan keeping the first
-        // write per cell implements it; within one processor the *last* write
-        // to a cell is its final value.
-        if dense {
-            dense_written.fill(false);
-        } else {
-            written.reset();
-        }
-        for rec in records {
-            // Last write per cell from this processor:
-            per_proc_writes.clear();
-            for &(a, v) in &rec.writes {
-                if let Some(slot) = per_proc_writes.iter_mut().find(|(pa, _)| *pa == a) {
-                    slot.1 = v;
-                } else {
-                    per_proc_writes.push((a, v));
-                }
-            }
-            if dense {
-                for &(a, v) in per_proc_writes.iter() {
-                    if !dense_written[a] {
-                        dense_written[a] = true;
-                        mem[a] = v;
-                    }
-                }
-            } else {
-                for &(a, v) in per_proc_writes.iter() {
-                    if written.get(a) == 0 {
-                        written.add(a, 1);
-                        mem[a] = v;
-                    }
-                }
+        // Apply writes from the highest pid down, each processor's in
+        // program order: a cell keeps the last write of its lowest writer
+        // (a deterministic instance of the Arbitrary rule).
+        for rec in records.iter().rev() {
+            for &(addr, value) in &rec.writes {
+                mem[addr] = value;
             }
         }
 
@@ -788,6 +613,13 @@ mod tests {
             ctx.write(0, 3);
         });
         assert_eq!(pram.mem()[0], 3);
+        // Across processors the lowest pid wins, with its last write.
+        pram.step(4, |pid, ctx| {
+            for k in 0..3 {
+                ctx.write(1, 10 * pid as Word + k);
+            }
+        });
+        assert_eq!(pram.mem()[1], 2);
     }
 
     #[test]

@@ -1287,68 +1287,23 @@ fn bucket_len(seq_lens: &mut Vec<u64>, n: usize) {
 }
 
 /// Assign injection slots to a processor's envelopes, refilling the recycled
-/// `out` buffer: explicit slots are honoured; auto messages fill the
-/// earliest slots not explicitly claimed. Errors if two explicit sends
-/// collide or a destination is invalid.
-///
-/// Allocation-free once `out` has warmed up, explicit slots included: the
-/// claim set is a sorted scratch prefix of `out` itself (drained off before
-/// returning), so a steady all-to-all of `send_at` calls — the sample-sort
-/// exchange — touches the heap zero times per superstep.
+/// `slots` buffer (see [`crate::resolve_slots`]). Errors if a destination
+/// is invalid or two explicit sends collide.
 fn resolve_slots_into<M>(
     pid: Pid,
     p: usize,
     out: &Outbox<M>,
     slots: &mut Vec<u64>,
 ) -> Result<(), SimError> {
-    slots.clear();
-    // Fast path: plain `send` calls only (the outbox counted zero `send_at`
-    // posts) — slots are simply `0..n`, and the only remaining check is
-    // destination bounds over the flat dests lane.
-    let envelopes = &out.envelopes;
+    check_dests(pid, p, &out.dests)?;
+    // Plain `send` calls only (the outbox counted zero `send_at` posts):
+    // slots are simply `0..n`.
     if out.explicit == 0 {
-        check_dests(pid, p, &out.dests)?;
-        slots.extend(0..envelopes.len() as u64);
+        slots.clear();
+        slots.extend(0..out.envelopes.len() as u64);
         return Ok(());
     }
-    for env in envelopes {
-        if env.dest >= p {
-            return Err(SimError::BadDestination {
-                pid,
-                dest: env.dest,
-            });
-        }
-        if let Some(s) = env.slot {
-            slots.push(s);
-        }
-    }
-    let claimed = slots.len();
-    slots[..claimed].sort_unstable();
-    if let Some(w) = slots[..claimed].windows(2).find(|w| w[0] == w[1]) {
-        return Err(SimError::DuplicateSlot { pid, slot: w[0] });
-    }
-    slots.reserve(envelopes.len());
-    // Autos merge against the sorted claim prefix: `next_auto` is monotone,
-    // so a single cursor visits each claimed slot at most once.
-    let mut next_auto = 0u64;
-    let mut cursor = 0usize;
-    for env in envelopes {
-        match env.slot {
-            Some(s) => slots.push(s),
-            None => {
-                while cursor < claimed && slots[cursor] <= next_auto {
-                    if slots[cursor] == next_auto {
-                        next_auto += 1;
-                    }
-                    cursor += 1;
-                }
-                slots.push(next_auto);
-                next_auto += 1;
-            }
-        }
-    }
-    slots.drain(..claimed);
-    Ok(())
+    crate::resolve_slots(pid, out.envelopes.iter().map(|env| env.slot), slots)
 }
 
 #[cfg(test)]

@@ -85,6 +85,59 @@ pub(crate) fn max_slot_multiplicity(resolved: &[Vec<u64>], pids: impl Iterator<I
     .unwrap_or(0)
 }
 
+/// Resolve one processor's injection slots into the recycled `slots`
+/// buffer. `requested` gives each request's explicit slot, or `None`, in
+/// request order: explicit slots are honoured, and the others fill the
+/// earliest slots no request claimed. Two requests claiming one slot is a
+/// [`SimError::DuplicateSlot`] naming the smallest such slot. Both engines
+/// resolve through here; each checks its own destinations or addresses.
+///
+/// Allocation-free once `slots` has warmed up, explicit slots included: the
+/// claim set is a sorted scratch prefix of `slots` itself, drained off
+/// before returning, so a steady all-to-all of pinned requests (the
+/// sample-sort exchange) touches the heap zero times per superstep.
+pub(crate) fn resolve_slots<I>(pid: Pid, requested: I, slots: &mut Vec<u64>) -> Result<(), SimError>
+where
+    I: ExactSizeIterator<Item = Option<u64>> + Clone,
+{
+    slots.clear();
+    slots.extend(requested.clone().flatten());
+    let claimed = slots.len();
+    slots.sort_unstable();
+    if let Some(w) = slots.windows(2).find(|w| w[0] == w[1]) {
+        return Err(SimError::DuplicateSlot { pid, slot: w[0] });
+    }
+    if claimed == requested.len() {
+        // Every request is pinned: the slots are the requests' own, and
+        // the buffer needs no room for a claim prefix beside them.
+        slots.clear();
+        slots.extend(requested.flatten());
+        return Ok(());
+    }
+    slots.reserve(requested.len());
+    // Autos merge against the sorted claim prefix: `next_auto` is monotone,
+    // so a single cursor visits each claimed slot at most once.
+    let mut next_auto = 0u64;
+    let mut cursor = 0usize;
+    for req in requested {
+        match req {
+            Some(s) => slots.push(s),
+            None => {
+                while cursor < claimed && slots[cursor] <= next_auto {
+                    if slots[cursor] == next_auto {
+                        next_auto += 1;
+                    }
+                    cursor += 1;
+                }
+                slots.push(next_auto);
+                next_auto += 1;
+            }
+        }
+    }
+    slots.drain(..claimed);
+    Ok(())
+}
+
 /// Errors raised by the simulation engines when a program violates model
 /// rules.
 #[derive(Debug, Clone, PartialEq, Eq)]

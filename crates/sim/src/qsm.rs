@@ -27,10 +27,10 @@ use crate::hook::{
     FaultStats,
 };
 use crate::{Pid, SimError};
-use pbw_models::{FrontierMask, MachineParams, ProfileBuilder, SuperstepProfile};
+use pbw_models::{AccessTally, FrontierMask, MachineParams, ProfileBuilder, SuperstepProfile};
 use pbw_trace::{FaultCounters, TraceEvent, TraceSink, TraceSource};
 use rayon::prelude::*;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A shared-memory word. The paper's Section 5 bounds are sensitive to the
@@ -68,6 +68,12 @@ impl Request {
             Request::Read { addr, .. } | Request::Write { addr, .. } => *addr,
         }
     }
+
+    fn slot(&self) -> Option<u64> {
+        match self {
+            Request::Read { slot, .. } | Request::Write { slot, .. } => *slot,
+        }
+    }
 }
 
 /// Per-processor request buffer for one QSM phase.
@@ -92,7 +98,11 @@ impl QsmCtx {
         });
     }
 
-    /// Issue a shared-memory write, pipelined.
+    /// Issue a shared-memory write, pipelined; it lands at the end of the
+    /// phase. When several processors write one location, the lowest pid's
+    /// write lands (the Arbitrary rule, made deterministic); a processor's
+    /// own writes to one location land in program order, so its last one
+    /// is the one kept.
     pub fn write(&mut self, addr: Addr, value: Word) {
         self.requests.push(Request::Write {
             addr,
@@ -183,14 +193,9 @@ pub struct QsmMachine<S> {
     stalled: FrontierMask,
     /// Crash-stopped processors this phase.
     crashed: FrontierMask,
-    /// Contention audit scratch: readers/writers per location.
-    readers: Vec<u64>,
-    writers: Vec<u64>,
-    /// Distinct-address scratch for the per-processor contention audit.
-    audit_reads: Vec<Addr>,
-    audit_writes: Vec<Addr>,
-    /// Write-arbitration scratch: `(addr, pid, value)`.
-    pending_writes: Vec<(Addr, Pid, Word)>,
+    /// Contention-audit tally, one entry per location; reset in
+    /// O(locations touched).
+    tally: AccessTally,
     /// Profile accumulator, snapshot-and-reset every phase.
     builder: ProfileBuilder,
     profiles: Vec<SuperstepProfile>,
@@ -227,11 +232,7 @@ impl<S: Send + Sync> QsmMachine<S> {
             fates: Vec::new(),
             stalled: FrontierMask::new(p),
             crashed: FrontierMask::new(p),
-            readers: vec![0; size],
-            writers: vec![0; size],
-            audit_reads: Vec::new(),
-            audit_writes: Vec::new(),
-            pending_writes: Vec::new(),
+            tally: AccessTally::new(size),
             builder: ProfileBuilder::new(),
             profiles: Vec::new(),
             phase: 0,
@@ -409,7 +410,7 @@ impl<S: Send + Sync> QsmMachine<S> {
             &mut self.pending_pool,
         );
         self.read_results.finish();
-        self.arbitrate_writes();
+        self.apply_writes(hooked);
         Ok(self.finish_phase(step, hooked, reads, writes, counters))
     }
 
@@ -453,7 +454,9 @@ impl<S: Send + Sync> QsmMachine<S> {
             .par_iter()
             .zip(self.resolved.par_iter_mut())
             .enumerate()
-            .map(|(pid, (ctx, slots))| assign_slots_into(pid, &ctx.requests, slots))
+            .map(|(pid, (ctx, slots))| {
+                crate::resolve_slots(pid, ctx.requests.iter().map(Request::slot), slots)
+            })
             .collect();
         validated.map(drop)
     }
@@ -481,45 +484,30 @@ impl<S: Send + Sync> QsmMachine<S> {
             .collect();
     }
 
-    /// Contention audit: readers and writers per location, counting each
-    /// processor once per distinct address (the paper counts processors per
-    /// location). The distinct-address scratch replaces a per-processor
-    /// `BTreeSet`, so the audit is allocation-free at steady state. The
-    /// lowest address both read and written is an error; otherwise every
-    /// location's κ is recorded.
+    /// Contention audit: distinct readers and writers per location (the
+    /// paper counts processors, not requests). The lowest location both
+    /// read and written is an error; otherwise the phase's κ is recorded.
     fn audit_contention(&mut self) -> Result<(), SimError> {
-        let size = self.shared.len();
-        self.readers.fill(0);
-        self.writers.fill(0);
-        for ctx in &self.ctxs {
-            self.audit_reads.clear();
-            self.audit_writes.clear();
+        let tally = &mut self.tally;
+        tally.clear();
+        for (pid, ctx) in self.ctxs.iter().enumerate().rev() {
             for req in &ctx.requests {
-                match req {
-                    Request::Read { addr, .. } => self.audit_reads.push(*addr),
-                    Request::Write { addr, .. } => self.audit_writes.push(*addr),
+                match *req {
+                    Request::Read { addr, .. } => tally.read(pid, addr),
+                    Request::Write { addr, .. } => tally.write(pid, addr),
                 }
             }
-            self.audit_reads.sort_unstable();
-            self.audit_reads.dedup();
-            self.audit_writes.sort_unstable();
-            self.audit_writes.dedup();
-            for &addr in &self.audit_reads {
-                self.readers[addr] += 1;
-            }
-            for &addr in &self.audit_writes {
-                self.writers[addr] += 1;
-            }
         }
-        if let Some(addr) = (0..size).find(|&a| self.readers[a] > 0 && self.writers[a] > 0) {
+        let conflict = tally
+            .cells()
+            .filter(|(_, c)| c.readers > 0 && c.writers > 0)
+            .map(|(addr, _)| addr)
+            .min();
+        if let Some(addr) = conflict {
             return Err(SimError::ReadWriteConflict { addr });
         }
-        for addr in 0..size {
-            let kappa = self.readers[addr].max(self.writers[addr]);
-            if kappa > 0 {
-                self.builder.record_contention(kappa);
-            }
-        }
+        let kappa = tally.cells().map(|(_, c)| c.readers.max(c.writers));
+        self.builder.record_contention(kappa.max().unwrap_or(0));
         Ok(())
     }
 
@@ -572,10 +560,9 @@ impl<S: Send + Sync> QsmMachine<S> {
     /// The sequential serve loop: visit every processor in pid order,
     /// record its memory-op and work observations, then apply each
     /// request's (precomputed) fate — serving reads against the pre-phase
-    /// memory and collecting writes into `(addr, pid, value)` for
-    /// arbitration. Returns `(reads_served_on_time, writes_collected)`.
+    /// memory and counting the writes that survive. Returns
+    /// `(reads_served_on_time, writes_surviving)`.
     fn serve(&mut self, hooked: bool, counters: &mut FaultCounters) -> (u64, u64) {
-        self.pending_writes.clear();
         let mut total_reads = 0u64;
         let mut total_writes = 0u64;
         for (pid, ctx) in self.ctxs.iter().enumerate() {
@@ -639,11 +626,11 @@ impl<S: Send + Sync> QsmMachine<S> {
                             counters.duplicated += 1;
                         }
                     }
-                    Request::Write { addr, value, .. } => {
+                    Request::Write { .. } => {
                         // Delayed/duplicated writes are absorbed in order by
                         // the memory system (see
-                        // [`QsmMachine::set_delivery_hook`]).
-                        self.pending_writes.push((addr, pid, value));
+                        // [`QsmMachine::set_delivery_hook`]) and land in
+                        // [`QsmMachine::apply_writes`].
                         self.fault_stats.delivered += 1;
                         total_writes += 1;
                     }
@@ -653,16 +640,19 @@ impl<S: Send + Sync> QsmMachine<S> {
         (total_reads, total_writes)
     }
 
-    /// Arbitrary-rule write resolution: deterministic min-pid winner. Sort
-    /// by (addr, pid) and keep the first writer per address.
-    fn arbitrate_writes(&mut self) {
-        self.pending_writes
-            .sort_unstable_by_key(|&(addr, pid, _)| (addr, pid));
-        let mut last_addr = usize::MAX;
-        for &(addr, _pid, value) in &self.pending_writes {
-            if addr != last_addr {
-                self.shared[addr] = value;
-                last_addr = addr;
+    /// Land every write that was not dropped, from the highest pid down and
+    /// each processor's in program order: a location keeps the last write
+    /// of its lowest surviving writer (the Arbitrary rule, made
+    /// deterministic). The audit rejected every location both read and
+    /// written, so no read this phase could observe these writes.
+    fn apply_writes(&mut self, hooked: bool) {
+        for (pid, ctx) in self.ctxs.iter().enumerate().rev() {
+            for (msg_idx, req) in ctx.requests.iter().enumerate() {
+                if let Request::Write { addr, value, .. } = *req {
+                    if !(hooked && self.fates[pid][msg_idx] == Fate::Drop) {
+                        self.shared[addr] = value;
+                    }
+                }
             }
         }
     }
@@ -709,40 +699,6 @@ impl<S: Send + Sync> QsmMachine<S> {
     }
 }
 
-/// Assign injection slots into the recycled buffer `out`: explicit slots
-/// honoured, autos fill earliest free. All-auto phases (the common case) are
-/// allocation-free — an empty `BTreeSet` never allocates.
-fn assign_slots_into(pid: Pid, requests: &[Request], out: &mut Vec<u64>) -> Result<(), SimError> {
-    let slot_of = |req: &Request| match req {
-        Request::Read { slot, .. } | Request::Write { slot, .. } => *slot,
-    };
-    let mut explicit: BTreeSet<u64> = BTreeSet::new();
-    for req in requests {
-        if let Some(s) = slot_of(req) {
-            if !explicit.insert(s) {
-                out.clear();
-                return Err(SimError::DuplicateSlot { pid, slot: s });
-            }
-        }
-    }
-    let mut next_auto = 0u64;
-    out.clear();
-    out.reserve(requests.len());
-    for req in requests {
-        match slot_of(req) {
-            Some(v) => out.push(v),
-            None => {
-                while explicit.contains(&next_auto) {
-                    next_auto += 1;
-                }
-                out.push(next_auto);
-                next_auto += 1;
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -785,6 +741,52 @@ mod tests {
         let mut m: QsmMachine<()> = QsmMachine::new(params(4), 8, |_| ());
         m.phase(|pid, _s, _res, ctx| ctx.write(5, pid as Word + 100));
         assert_eq!(m.shared()[5], 100);
+        assert_eq!(m.profiles()[0].max_contention, 4);
+    }
+
+    #[test]
+    fn a_processors_last_write_to_a_location_lands() {
+        // Every processor writes 8 increasing values to its own (permuted)
+        // location, and pids 0..4 each write location `p` three times:
+        // program order decides within a processor, the lowest pid across
+        // processors.
+        let p = 64;
+        let mut m: QsmMachine<()> = QsmMachine::new(params(p), p + 1, |_| ());
+        m.phase(|pid, _s, _res, ctx| {
+            for k in 0..8 {
+                ctx.write((pid * 37) % p, (100 * pid + k) as Word);
+            }
+            if pid < 4 {
+                for k in 0..3 {
+                    ctx.write(p, (1000 * pid + k) as Word);
+                }
+            }
+        });
+        for pid in 0..p {
+            assert_eq!(m.shared()[(pid * 37) % p], (100 * pid + 7) as Word);
+        }
+        assert_eq!(m.shared()[p], 2);
+    }
+
+    #[test]
+    fn a_dropped_write_yields_to_the_next_surviving_writer() {
+        struct DropPid0;
+        impl crate::hook::DeliveryHook for DropPid0 {
+            fn fate(&self, ctx: &DeliveryCtx) -> Fate {
+                if ctx.src == 0 {
+                    Fate::Drop
+                } else {
+                    Fate::Deliver
+                }
+            }
+        }
+        let mut m: QsmMachine<()> = QsmMachine::new(params(4), 8, |_| ());
+        m.set_delivery_hook(Arc::new(DropPid0));
+        m.phase(|pid, _s, _res, ctx| {
+            ctx.write(3, 10 * pid as Word);
+            ctx.write(3, 10 * pid as Word + 1);
+        });
+        assert_eq!(m.shared()[3], 11);
         assert_eq!(m.profiles()[0].max_contention, 4);
     }
 
@@ -884,6 +886,34 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err, SimError::DuplicateSlot { pid: 1, slot: 3 });
+        // Several collisions name the smallest duplicated slot.
+        let err = m
+            .try_phase(|_pid, _s, _res, ctx| {
+                ctx.read_at(0, 7);
+                ctx.read_at(1, 7);
+                ctx.read_at(2, 4);
+                ctx.read(3);
+                ctx.read_at(4, 4);
+            })
+            .unwrap_err();
+        assert_eq!(err, SimError::DuplicateSlot { pid: 0, slot: 4 });
+    }
+
+    #[test]
+    fn explicit_and_auto_slots_mix() {
+        let mut m: QsmMachine<()> = QsmMachine::new(params(4), 8, |_| ());
+        m.phase(|pid, _s, _res, ctx| {
+            if pid == 0 {
+                ctx.read(0);
+                ctx.read_at(1, 0);
+                ctx.read(2);
+                ctx.read_at(3, 2);
+                ctx.read(4);
+            }
+        });
+        // Autos fill slots 1, 3 and 4 around the pinned 0 and 2.
+        assert_eq!(m.profiles()[0].injections, vec![1, 1, 1, 1, 1]);
+        assert_eq!(m.resolved[0], vec![1, 0, 3, 2, 4]);
     }
 
     #[test]

@@ -30,6 +30,7 @@ STAGES=(
   test-w1
   test-w4
   test-w8
+  alloc-budget-repeat
   stress
   paper-claims
   proptest-replay
@@ -70,6 +71,23 @@ stage_test-w4() {
 
 stage_test-w8() {
   PBW_THREADS=8 cargo test --workspace -q
+}
+
+# The allocation-budget pins compare exact counts, so one stray allocation
+# landing in a measured window fails them. Build the suite once, then run
+# the compiled binary 50 times under the default multi-threaded test
+# harness; any failed run fails the stage.
+stage_alloc-budget-repeat() {
+  local bin out i
+  bin="$(cargo test -q --test alloc_budget --no-run --message-format=json \
+    | jq -r 'select(.reason == "compiler-artifact" and .target.name == "alloc_budget" and .executable != null) | .executable')"
+  [ -x "$bin" ] || { echo "alloc_budget test binary not found" >&2; exit 1; }
+  out="$(mktemp)"
+  trap "rm -f '$out'" EXIT
+  for i in $(seq 1 50); do
+    "$bin" -q > "$out" 2>&1 || { cat "$out" >&2; echo "alloc_budget failed on run $i of 50" >&2; exit 1; }
+  done
+  echo "ok: alloc_budget passed 50 of 50 runs"
 }
 
 # Dedicated rerun of the stress smoke tier (release, extra-downscaled to

@@ -16,10 +16,14 @@
 //! clone) plus the thread-pool dispatch (O(threads), volume-independent),
 //! which the second test bounds at a parallel pool width too.
 //!
-//! The whole suite lives in one `#[test]` per pool width: the counter is
-//! process-global, so measured sections must not run concurrently.
+//! Width-1 measurements run inline on the measuring thread, so they read
+//! that thread's own count, which allocations by other test threads cannot
+//! reach. The width-8 measurement spreads over pool workers and reads the
+//! process-wide count, so the tests still take one lock to keep their
+//! measured sections apart.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
@@ -35,14 +39,26 @@ use parallel_bandwidth::sim::{BspMachine, Fate, QsmMachine};
 use parallel_bandwidth::trace::NullSink;
 
 /// Counts every allocation and reallocation routed through the global
-/// allocator (deallocations are free and irrelevant to the budget).
+/// allocator, process-wide and per thread (deallocations are free and
+/// irrelevant to the budget).
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    // A const-initialized `Cell` needs no lazy init or destructor, so this
+    // never allocates; `try_with` only fails during thread teardown.
+    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -51,7 +67,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -59,8 +75,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Allocations so far: this thread's own at pool width 1, where every
+/// parallel pass runs inline on the caller, and the process-wide count at
+/// wider widths, where pool workers allocate too.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    if rayon::current_num_threads() == 1 {
+        THREAD_ALLOCS.with(Cell::get)
+    } else {
+        ALLOCS.load(Ordering::Relaxed)
+    }
 }
 
 const P: usize = 64;
@@ -103,6 +126,33 @@ fn qsm_allocs_per_phase(reqs: usize) -> u64 {
             for k in 0..reqs {
                 ctx.read(P + (pid + k) % P);
                 ctx.write(pid, k as i64);
+            }
+        });
+    };
+    for _ in 0..WARMUP {
+        round(&mut qsm);
+    }
+    let before = allocs();
+    for _ in 0..MEASURED {
+        round(&mut qsm);
+    }
+    (allocs() - before) / MEASURED
+}
+
+/// Allocations per steady-state QSM phase whose requests all name their
+/// injection slots (`read_at`/`write_at`), at the given per-processor
+/// read+write request count.
+fn qsm_explicit_slot_allocs_per_phase(reqs: usize) -> u64 {
+    let mp = MachineParams::from_gap(P, 2, 4);
+    let mut qsm: QsmMachine<u64> = QsmMachine::new(mp, 2 * P, |pid| pid as u64);
+    let round = |qsm: &mut QsmMachine<u64>| {
+        qsm.phase(|pid, state, results, ctx| {
+            *state = state.wrapping_add(results.len() as u64);
+            // Descending pinned slots, so resolution has to sort them.
+            for k in 0..reqs {
+                let slot = 2 * (reqs - k) as u64;
+                ctx.read_at(P + (pid + k) % P, slot);
+                ctx.write_at(pid, k as i64, slot + 1);
             }
         });
     };
@@ -345,8 +395,8 @@ fn assert_o1_slack(engine: &str, low: u64, high: u64, budget: u64, slack: u64) {
     );
 }
 
-/// Serializes the two pool-width tests: the allocation counter is
-/// process-global, so concurrent measurements would pollute each other.
+/// Serializes the measured sections: the width-8 test reads the
+/// process-wide count, which any concurrent measurement would pollute.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 #[test]
@@ -368,6 +418,26 @@ fn steady_state_supersteps_allocate_o1_sequential() {
                 "pram",
                 pram_allocs_per_step(1),
                 pram_allocs_per_step(16),
+                16,
+            );
+        });
+}
+
+/// Explicit-slot resolution is shared with the BSP engine and keeps its
+/// claim set in the recycled slot buffer, so a QSM phase whose every
+/// request names a slot allocates exactly as often at 1x as at 16x volume.
+#[test]
+fn explicit_slot_qsm_phases_stay_on_the_allocation_free_path() {
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap()
+        .install(|| {
+            assert_o1(
+                "qsm explicit slots",
+                qsm_explicit_slot_allocs_per_phase(1),
+                qsm_explicit_slot_allocs_per_phase(16),
                 16,
             );
         });

@@ -1052,3 +1052,245 @@ proptest! {
         }
     }
 }
+
+/// One shared-memory access of a processor's program, in program order.
+#[derive(Debug, Clone, Copy)]
+enum Access {
+    Read(usize),
+    Write(usize, i64),
+}
+
+/// Decode a drawn program for processor `pid` on `m` cells. Kind 0 reads,
+/// 1 writes, 2 is a read-modify-write of the processor's own cell, and odd
+/// raw addresses land in a hot window of at most 4 cells so conflicts are
+/// common at every `m`.
+fn decode_program(pid: usize, m: usize, ops: &[(u8, usize, i64)]) -> Vec<Access> {
+    let addr = |raw: usize| {
+        if raw.is_multiple_of(2) {
+            (raw / 2) % m
+        } else {
+            (raw / 2) % m.min(4)
+        }
+    };
+    let mut program = Vec::new();
+    for &(kind, raw, value) in ops {
+        match kind {
+            0 => program.push(Access::Read(addr(raw))),
+            1 => program.push(Access::Write(addr(raw), value)),
+            _ => {
+                program.push(Access::Read(pid % m));
+                program.push(Access::Write(pid % m, value));
+            }
+        }
+    }
+    program
+}
+
+/// The naive audit: every address's set of reading and of writing pids.
+type CellSets = std::collections::BTreeMap<
+    usize,
+    (
+        std::collections::BTreeSet<usize>,
+        std::collections::BTreeSet<usize>,
+    ),
+>;
+
+fn reference_cells(programs: &[Vec<Access>]) -> CellSets {
+    let mut cells = CellSets::new();
+    for (pid, program) in programs.iter().enumerate() {
+        for &access in program {
+            match access {
+                Access::Read(addr) => cells.entry(addr).or_default().0.insert(pid),
+                Access::Write(addr, _) => cells.entry(addr).or_default().1.insert(pid),
+            };
+        }
+    }
+    cells
+}
+
+/// Land each written cell's lowest writer's last write.
+fn reference_writes(cells: &CellSets, programs: &[Vec<Access>], mem: &mut [i64]) {
+    for (&addr, (_, writers)) in cells {
+        if let Some(&pid) = writers.first() {
+            mem[addr] = programs[pid]
+                .iter()
+                .rev()
+                .find_map(|&access| match access {
+                    Access::Write(a, v) if a == addr => Some(v),
+                    _ => None,
+                })
+                .expect("a writer wrote the cell");
+        }
+    }
+}
+
+/// One PRAM step by definition: classify the lowest violating address
+/// (read conflict, then write conflict, then hazard), else land the writes
+/// and charge time and work.
+fn reference_pram_step(
+    mode: parallel_bandwidth::pram::AccessMode,
+    programs: &[Vec<Access>],
+    mem: &mut [i64],
+) -> Result<parallel_bandwidth::pram::StepReport, parallel_bandwidth::pram::PramError> {
+    use parallel_bandwidth::pram::{AccessMode, PramError, StepReport};
+    let cells = reference_cells(programs);
+    let exclusive_write = matches!(mode, AccessMode::Erew | AccessMode::Crew);
+    for (&addr, (readers, writers)) in &cells {
+        let (r, w) = (readers.len() as u64, writers.len() as u64);
+        let own_rmw = r == 1 && w == 1 && readers == writers;
+        if mode == AccessMode::Erew && r > 1 {
+            return Err(PramError::ReadConflict {
+                addr,
+                contention: r,
+            });
+        }
+        if exclusive_write && w > 1 {
+            return Err(PramError::WriteConflict {
+                addr,
+                contention: w,
+            });
+        }
+        if exclusive_write && r > 0 && w > 0 && !own_rmw {
+            return Err(PramError::ReadWriteHazard { addr });
+        }
+    }
+    reference_writes(&cells, programs, mem);
+    let max_r = cells.values().map(|c| c.0.len() as u64).max().unwrap_or(0);
+    let max_w = cells.values().map(|c| c.1.len() as u64).max().unwrap_or(0);
+    let ops = programs.iter().map(|p| p.len() as u64);
+    let mut time = ops.clone().max().unwrap_or(0).max(1);
+    if mode == AccessMode::Qrqw {
+        time = time.max(max_r).max(max_w);
+    }
+    Ok(StepReport {
+        time,
+        work: ops.map(|o| o.max(1)).sum(),
+        max_read_contention: max_r,
+        max_write_contention: max_w,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The PRAM contention audit against the naive per-address sets, in all
+    /// four access modes, on memories both at most and more than four cells
+    /// per processor: every step's report or error (variant, address and
+    /// contention) and the memory after it match the reference, including
+    /// repeated reads and writes and read-modify-writes of a processor's
+    /// own cell.
+    #[test]
+    fn pram_audit_matches_a_naive_reference(
+        mode_sel in 0usize..4,
+        nprocs in 1usize..=8,
+        roomy in any::<bool>(),
+        m_raw in 0usize..64,
+        steps in proptest::collection::vec(
+            proptest::collection::vec(
+                proptest::collection::vec((0u8..3, 0usize..512, -50i64..50), 0..5),
+                8..=8,
+            ),
+            1..4,
+        ),
+    ) {
+        use parallel_bandwidth::pram::{AccessMode, Pram};
+        let mode = [
+            AccessMode::Erew,
+            AccessMode::Crew,
+            AccessMode::Qrqw,
+            AccessMode::CrcwArbitrary,
+        ][mode_sel];
+        let m = if roomy {
+            4 * nprocs + 1 + m_raw
+        } else {
+            1 + m_raw % (4 * nprocs)
+        };
+        let mut pram = Pram::new(mode, m);
+        let mut mem = vec![0i64; m];
+        for step in &steps {
+            let programs: Vec<Vec<Access>> = (0..nprocs)
+                .map(|pid| decode_program(pid, m, &step[pid]))
+                .collect();
+            let got = pram.try_step(nprocs, |pid, ctx| {
+                for &access in &programs[pid] {
+                    match access {
+                        Access::Read(addr) => {
+                            ctx.read(addr);
+                        }
+                        Access::Write(addr, value) => ctx.write(addr, value),
+                    }
+                }
+            });
+            let want = reference_pram_step(mode, &programs, &mut mem);
+            prop_assert_eq!(got, want, "mode {:?}, m={}, programs {:?}", mode, m, programs);
+            prop_assert_eq!(pram.mem(), &mem[..]);
+        }
+    }
+
+    /// The QSM contention audit against the same reference: the lowest
+    /// location both read and written is the reported conflict, κ is the
+    /// largest distinct-reader or distinct-writer count, and each written
+    /// location keeps its lowest writer's value. No processor writes one
+    /// location twice in a phase here (`qsm::tests` pins that case).
+    #[test]
+    fn qsm_audit_matches_a_naive_reference(
+        nprocs in 1usize..=8,
+        size_raw in 0usize..40,
+        steps in proptest::collection::vec(
+            proptest::collection::vec(
+                proptest::collection::vec((0u8..2, 0usize..512, -50i64..50), 0..5),
+                8..=8,
+            ),
+            1..4,
+        ),
+    ) {
+        use parallel_bandwidth::sim::{QsmMachine, SimError};
+        let size = 1 + size_raw;
+        let mut qsm: QsmMachine<()> =
+            QsmMachine::new(MachineParams::from_gap(nprocs, 1, 1), size, |_| ());
+        let mut mem = vec![0i64; size];
+        for step in &steps {
+            let programs: Vec<Vec<Access>> = (0..nprocs)
+                .map(|pid| {
+                    let mut written = std::collections::BTreeSet::new();
+                    decode_program(pid, size, &step[pid])
+                        .into_iter()
+                        .filter(|access| match *access {
+                            Access::Write(addr, _) => written.insert(addr),
+                            Access::Read(_) => true,
+                        })
+                        .collect()
+                })
+                .collect();
+            let got = qsm.try_phase(|pid, _s, _res, ctx| {
+                for &access in &programs[pid] {
+                    match access {
+                        Access::Read(addr) => ctx.read(addr),
+                        Access::Write(addr, value) => ctx.write(addr, value),
+                    }
+                }
+            });
+            let cells = reference_cells(&programs);
+            let conflict = cells
+                .iter()
+                .find(|(_, (r, w))| !r.is_empty() && !w.is_empty())
+                .map(|(&addr, _)| addr);
+            match conflict {
+                Some(addr) => {
+                    prop_assert_eq!(got.map(drop), Err(SimError::ReadWriteConflict { addr }));
+                }
+                None => {
+                    let kappa = cells
+                        .values()
+                        .map(|(r, w)| r.len().max(w.len()) as u64)
+                        .max()
+                        .unwrap_or(0);
+                    let report = got.expect("no location is both read and written");
+                    prop_assert_eq!(report.profile.max_contention, kappa);
+                    reference_writes(&cells, &programs, &mut mem);
+                }
+            }
+            prop_assert_eq!(qsm.shared(), &mem[..]);
+        }
+    }
+}
