@@ -276,6 +276,35 @@ impl<'a, T: Send> IndexedParallelIterator for ParIterMut<'a, T> {
     }
 }
 
+/// Mutably borrowing producer over consecutive `size`-element chunks of a
+/// slice (`par_chunks_mut`); the last chunk may be shorter. One item is one
+/// whole chunk, so a split never cuts inside a chunk.
+pub struct ParChunksMut<'a, T> {
+    slice: &'a mut [T],
+    size: usize,
+}
+
+impl<'a, T: Send> IndexedParallelIterator for ParChunksMut<'a, T> {
+    type Item = &'a mut [T];
+    type SeqIter = std::slice::ChunksMut<'a, T>;
+
+    fn len(&self) -> usize {
+        self.slice.len().div_ceil(self.size)
+    }
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let at = (mid * self.size).min(self.slice.len());
+        let (l, r) = self.slice.split_at_mut(at);
+        let size = self.size;
+        (
+            ParChunksMut { slice: l, size },
+            ParChunksMut { slice: r, size },
+        )
+    }
+    fn seq_iter(self) -> Self::SeqIter {
+        self.slice.chunks_mut(self.size)
+    }
+}
+
 /// Consuming producer over a `Vec` (`into_par_iter`).
 pub struct ParVec<T>(Vec<T>);
 
@@ -307,6 +336,12 @@ pub trait ParallelSliceExt<T> {
     fn par_iter(&self) -> ParIter<'_, T>;
     /// Mutably borrowing parallel iterator over the elements.
     fn par_iter_mut(&mut self) -> ParIterMut<'_, T>;
+    /// Mutably borrowing parallel iterator over consecutive
+    /// `chunk_size`-element chunks, the last possibly shorter.
+    ///
+    /// # Panics
+    /// Panics if `chunk_size` is 0.
+    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T>;
 }
 
 impl<T> ParallelSliceExt<T> for [T] {
@@ -316,6 +351,13 @@ impl<T> ParallelSliceExt<T> for [T] {
     fn par_iter_mut(&mut self) -> ParIterMut<'_, T> {
         ParIterMut(self)
     }
+    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T> {
+        assert!(chunk_size != 0, "chunk size must be non-zero");
+        ParChunksMut {
+            slice: self,
+            size: chunk_size,
+        }
+    }
 }
 
 impl<T> ParallelSliceExt<T> for Vec<T> {
@@ -324,6 +366,9 @@ impl<T> ParallelSliceExt<T> for Vec<T> {
     }
     fn par_iter_mut(&mut self) -> ParIterMut<'_, T> {
         ParIterMut(self.as_mut_slice())
+    }
+    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T> {
+        self.as_mut_slice().par_chunks_mut(chunk_size)
     }
 }
 
@@ -556,6 +601,34 @@ mod tests {
                 v.iter().enumerate().all(|(i, &x)| x == i as u32 + 1),
                 "width {width}"
             );
+        }
+    }
+
+    #[test]
+    fn par_chunks_mut_hands_out_whole_chunks_in_order() {
+        for width in [1, 2, 8] {
+            for (n, size) in [(1000usize, 7usize), (64, 64), (65, 64), (3, 8), (0, 4)] {
+                let mut v = vec![0usize; n];
+                let mut seen = vec![0usize; n.div_ceil(size)];
+                at_width(width, || {
+                    let _: Vec<()> = v
+                        .par_chunks_mut(size)
+                        .zip(seen.par_iter_mut())
+                        .enumerate()
+                        .map(|(c, (chunk, len))| {
+                            *len = chunk.len();
+                            for (i, x) in chunk.iter_mut().enumerate() {
+                                *x = c * size + i;
+                            }
+                        })
+                        .collect();
+                });
+                assert_eq!(v, (0..n).collect::<Vec<_>>(), "width {width} n {n}");
+                let expect: Vec<usize> = (0..n.div_ceil(size))
+                    .map(|c| size.min(n - c * size))
+                    .collect();
+                assert_eq!(seen, expect, "width {width} n {n} size {size}");
+            }
         }
     }
 

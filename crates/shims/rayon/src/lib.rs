@@ -9,13 +9,14 @@
 //! results are merged back **in index order** ([`mod@iter`]).
 //!
 //! Contract kept from upstream: `par_iter` / `par_iter_mut` /
-//! `into_par_iter` with `map` / `zip` / `enumerate` / `collect`
-//! (including `collect::<Result<_, _>>()`), `join`, `current_num_threads`,
-//! `ThreadPoolBuilder` → [`ThreadPool::install`], and the work-stealing
-//! deque scheduler with split-until-floor chunking. Results are
-//! element-for-element identical to sequential execution at every thread
-//! count — the deterministic ordered merge is the load-bearing guarantee
-//! the workspace's cross-thread-count conformance suite checks.
+//! `par_chunks_mut` / `into_par_iter` with `map` / `zip` / `enumerate` /
+//! `collect` (including `collect::<Result<_, _>>()`), `join`,
+//! `current_num_threads`, `ThreadPoolBuilder` → [`ThreadPool::install`],
+//! and the work-stealing deque scheduler with split-until-floor chunking.
+//! Results are element-for-element identical to sequential execution at
+//! every thread count — the deterministic ordered merge is the
+//! load-bearing guarantee the workspace's cross-thread-count conformance
+//! suite checks.
 //!
 //! Contract NOT kept: scoped pools that own their workers (here `install`
 //! only pins the parallel *width* for the calling thread; workers come from

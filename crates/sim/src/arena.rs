@@ -11,7 +11,7 @@
 //! Every fill follows one protocol:
 //!
 //! 1. **Counting pass** — after [`MsgArena::clear`], the engine walks its
-//!    outboxes (and fault fates, retained inboxes and due late arrivals)
+//!    send lanes (and fault fates, retained inboxes and due late arrivals)
 //!    once, accumulating the exact number of payloads each destination will
 //!    receive straight into the segment table with [`MsgArena::count`] /
 //!    [`MsgArena::count_ones`]. [`MsgArena::begin_counted`] then turns the

@@ -22,50 +22,36 @@ use std::sync::Arc;
 
 use crate::arena::MsgArena;
 use crate::hook::{
-    charge_fault_masks, land_due, place_retained, queue_pending, BatchDests, DeliveryHook, Fate,
-    FaultStats, PENDING_POOL_CAP,
+    charge_fault_masks, place_retained, received, Boundary, DeliveryHook, FaultStats,
+    PENDING_POOL_CAP,
 };
+use crate::lane::{block_len, max_slot_multiplicity, ranged, AsLane, Lane, Pass};
 use crate::{Pid, SimError};
 use pbw_models::{FrontierMask, MachineParams, ProfileBuilder, SuperstepProfile};
 use pbw_trace::{FaultCounters, RecoveryMark, TraceEvent, TraceSink, TraceSource};
-use rayon::prelude::*;
 
-/// A message posted during a superstep: destination, payload, and the
-/// injection slot it occupies.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Envelope<M> {
-    /// Destination processor.
-    pub dest: Pid,
-    /// Payload.
-    pub payload: M,
-    /// Injection step within the superstep (`None` = auto-assign).
-    pub slot: Option<u64>,
-}
-
-/// Per-processor output buffer for one superstep.
+/// Where a processor posts its messages during a superstep.
 ///
-/// Destinations are mirrored in a flat structure-of-arrays lane (`dests`)
-/// maintained invariantly by the two send methods — the batch kernels (fate
-/// computation, arena counting) sweep that lane without touching payloads.
+/// Every processor of one block of consecutive pids writes into the same
+/// recycled send lane (see DESIGN.md §14): destinations and payloads in
+/// flat arrays, an explicit slot only for [`Outbox::send_at`]. The methods
+/// below see only the calling processor's own messages.
 #[derive(Debug)]
 pub struct Outbox<M> {
-    envelopes: Vec<Envelope<M>>,
-    dests: Vec<Pid>,
-    work: u64,
-    /// Number of `send_at` (explicit-slot) posts since the last reset.
-    /// Zero means every slot is implicit — the slot resolution validates
-    /// the whole outbox from the `dests` lane without touching envelopes.
-    explicit: usize,
+    pub(crate) lane: Lane<M>,
 }
 
 impl<M> Default for Outbox<M> {
     fn default() -> Self {
         Self {
-            envelopes: Vec::new(),
-            dests: Vec::new(),
-            work: 0,
-            explicit: 0,
+            lane: Lane::default(),
         }
+    }
+}
+
+impl<M> AsLane<M> for Outbox<M> {
+    fn lane(&mut self) -> &mut Lane<M> {
+        &mut self.lane
     }
 }
 
@@ -74,55 +60,37 @@ impl<M> Outbox<M> {
     /// auto message of a processor is injected at the k-th step of the
     /// superstep not claimed by an explicit send.
     pub fn send(&mut self, dest: Pid, payload: M) {
-        self.envelopes.push(Envelope {
-            dest,
-            payload,
-            slot: None,
-        });
-        self.dests.push(dest);
+        self.lane.push(dest, payload);
     }
 
     /// Post a message pinned to injection step `slot` (0-based within the
     /// superstep). Two pinned sends from the same processor must use
     /// distinct slots.
     pub fn send_at(&mut self, dest: Pid, payload: M, slot: u64) {
-        self.envelopes.push(Envelope {
-            dest,
-            payload,
-            slot: Some(slot),
-        });
-        self.dests.push(dest);
-        self.explicit += 1;
+        self.lane.push(dest, payload);
+        self.lane.pin(slot);
     }
 
     /// Charge `w` units of local computation to this processor for this
     /// superstep.
     pub fn charge_work(&mut self, w: u64) {
-        self.work += w;
+        self.lane.charge(w);
     }
 
-    /// Number of messages posted so far.
+    /// Number of messages this processor has posted so far.
     pub fn len(&self) -> usize {
-        self.envelopes.len()
+        self.lane.posted().len()
     }
 
-    /// The destination lane: `dests()[i]` is the destination of the i-th
-    /// posted message, in send order.
+    /// The destination lane: `dests()[i]` is the destination of this
+    /// processor's i-th posted message, in send order.
     pub fn dests(&self) -> &[Pid] {
-        &self.dests
+        self.lane.posted()
     }
 
-    /// Empty the outbox for the next superstep, keeping its capacity.
-    fn reset(&mut self) {
-        self.envelopes.clear();
-        self.dests.clear();
-        self.work = 0;
-        self.explicit = 0;
-    }
-
-    /// Whether any message has been posted.
+    /// Whether this processor has posted any message.
     pub fn is_empty(&self) -> bool {
-        self.envelopes.is_empty()
+        self.lane.posted().is_empty()
     }
 }
 
@@ -169,23 +137,13 @@ pub struct BspMachine<S, M> {
     /// other — so at steady state delivery reuses the same two backing
     /// buffers forever.
     spare: MsgArena<M>,
-    /// Per-processor outboxes, reset (capacity kept) every superstep.
-    outboxes: Vec<Outbox<M>>,
-    /// Whether every outbox is known empty-and-zeroed. True after a
-    /// successful superstep: every outbox it dirtied was either a sender
-    /// (drained, cleared, and zeroed by the delivery drain) or a non-sender
-    /// (its closure posted nothing, so the reset-time state survived).
-    /// While true, the closure pass skips the per-pid `Outbox::reset` — on
-    /// a wide frontier that skip is a frontier's worth of cache lines never
-    /// dirtied. Cleared at superstep entry and re-established only on a
-    /// successful exit, so errors and panics fall back to resetting.
-    outboxes_clean: bool,
-    /// Per-processor resolved injection slots, refilled for each sender
-    /// every superstep (other pids' buffers keep stale slots nobody reads).
-    resolved: Vec<Vec<u64>>,
-    /// Per-processor precomputed fates, refilled for each sender (hooked
-    /// machines only; sized to p on the first hooked superstep).
-    fates: Vec<Vec<Fate>>,
+    /// One send lane per block of [`block_len`] pids, reset when its block
+    /// opens and recycled (capacity kept) across supersteps.
+    lanes: Vec<Outbox<M>>,
+    /// The blocks this superstep's closure pass opened, ascending: all of
+    /// them on the dense path, the frontier's on the sparse path. Delivery
+    /// walks only these lanes.
+    live: Vec<usize>,
     /// Stalled processors this superstep (read only behind `hooked`).
     /// Cleared by an O(1) epoch bump and filled through
     /// [`DeliveryHook::fill_fault_masks`], so a hook that knows its fault
@@ -195,25 +153,16 @@ pub struct BspMachine<S, M> {
     /// worse than a stalled one: closure skipped, no stall retention,
     /// incoming custody transfers destroyed.
     crashed: FrontierMask,
-    /// Sender-tail scratch: `seq_lens[k]` counts the senders that posted
+    /// Delivery scratch: `seq_lens[k]` counts the senders that posted
     /// exactly `k + 1` all-implicit-slot messages this superstep, feeding
     /// one aggregated histogram update instead of a per-sender scatter.
     /// Zeroed (never shrunk) after each flush, so it allocates only when a
     /// sender exceeds every previous length.
     seq_lens: Vec<u64>,
-    /// The pids that actually posted messages or charged work this
-    /// superstep, ascending, collected by the sender tails of either closure
-    /// pass so delivery revisits only them (a wide receive-only frontier
-    /// contributes nothing to delivery).
-    senders: Vec<Pid>,
     /// Sparse-path frontier: the pids whose closures run this superstep —
     /// the declared active set OR-ed word-at-a-time with the arena's
     /// touched mask. Insertion *is* dedup, iteration *is* the sort.
     frontier_mask: FrontierMask,
-    /// Dense-path sender discovery: the parallel closure pass writes one
-    /// byte per pid ("posted a message or charged work"), folded into words
-    /// by [`BspMachine::collect_senders`] to build `senders`.
-    sender_flags: Vec<u8>,
     /// Tracing scratch for per-processor send counts.
     per_proc_sent: Vec<u64>,
     /// Profile accumulator, snapshot-and-reset every superstep.
@@ -226,7 +175,7 @@ pub struct BspMachine<S, M> {
     /// `pending[k]` holds payloads the network will deliver at the boundary
     /// `k + 1` supersteps from now: delayed messages and duplicate copies.
     pending: VecDeque<Vec<(Pid, M)>>,
-    /// Drained pending-level buffers kept for reuse by `queue_pending`.
+    /// Drained pending-level buffers kept for reuse.
     pending_pool: Vec<Vec<(Pid, M)>>,
     fault_stats: FaultStats,
     fault_round: u32,
@@ -250,17 +199,14 @@ impl<S: Send, M: Send> BspMachine<S, M> {
             states,
             inboxes: MsgArena::new(p),
             spare: MsgArena::new(p),
-            outboxes: std::iter::repeat_with(Outbox::default).take(p).collect(),
-            // Fresh outboxes are empty and zeroed by construction.
-            outboxes_clean: true,
-            resolved: vec![Vec::new(); p],
-            fates: Vec::new(),
+            lanes: std::iter::repeat_with(Outbox::default)
+                .take(p.div_ceil(block_len(p)))
+                .collect(),
+            live: Vec::new(),
             stalled: FrontierMask::new(p),
             crashed: FrontierMask::new(p),
             seq_lens: Vec::new(),
-            senders: Vec::new(),
             frontier_mask: FrontierMask::new(p),
-            sender_flags: vec![0; p],
             per_proc_sent: Vec::new(),
             builder: ProfileBuilder::new(),
             profiles: Vec::new(),
@@ -275,7 +221,6 @@ impl<S: Send, M: Send> BspMachine<S, M> {
             recovery_mark: None,
         }
     }
-
     /// Attach a trace sink, replacing the one captured at construction.
     pub fn set_sink(&mut self, sink: Arc<dyn TraceSink>) -> &mut Self {
         self.sink = sink;
@@ -429,6 +374,15 @@ impl<S: Send, M: Send> BspMachine<S, M> {
     }
 
     /// Execute one superstep, returning model-rule violations as errors.
+    ///
+    /// A rejected superstep has already run every closure, and the state
+    /// changes those closures made stay. Everything else about it is
+    /// discarded: its messages never arrive, no profile or trace event is
+    /// recorded, the superstep index does not advance, and the inboxes its
+    /// closures read are gone. Payloads still in the network (delays and
+    /// duplicate copies) stay in flight, the fault ledger is untouched,
+    /// and the machine stays runnable. A closure that panics unwinds out
+    /// of this call with the same effects, after only some closures ran.
     pub fn try_superstep<F>(&mut self, f: F) -> Result<SuperstepReport, SimError>
     where
         F: Fn(Pid, &mut S, &[M], &mut Outbox<M>) + Sync,
@@ -456,7 +410,8 @@ impl<S: Send, M: Send> BspMachine<S, M> {
     /// boundary (which covers ordinary deliveries, retained stalled inboxes,
     /// and delayed payloads that have landed). Per-superstep cost is
     /// O(frontier + messages), not O(p): counting and delivery walk only
-    /// the senders, and the per-destination tallies live in the arena's
+    /// the lanes of the frontier's blocks, and the per-destination tallies
+    /// live in the arena's
     /// epoch-stamped segment table, so resetting them is an epoch bump,
     /// never an O(p) `fill(0)`. Exceptions, documented: a machine with a
     /// delivery hook reads the stall/crash masks word-at-a-time
@@ -478,7 +433,8 @@ impl<S: Send, M: Send> BspMachine<S, M> {
     /// # Errors
     /// [`SimError::BadActivePid`] if `active` names a pid `>= p`, returned
     /// before the superstep touches any state (pending inboxes included),
-    /// plus the model-rule violations [`BspMachine::try_superstep`] reports.
+    /// plus the model-rule violations [`BspMachine::try_superstep`] reports,
+    /// with the same effects on a rejected superstep.
     pub fn try_superstep_active<F>(
         &mut self,
         active: &[Pid],
@@ -535,15 +491,12 @@ impl<S: Send, M: Send> BspMachine<S, M> {
     }
 
     /// The one superstep implementation behind every entry point. `active:
-    /// None` runs the closure for all `p` processors in parallel (dense);
-    /// `Some(set)` runs it sequentially over the sorted frontier (sparse).
-    /// Either closure pass leaves the ascending list of senders — the pids
-    /// that posted a message or charged work — in `senders`, each one
-    /// already validated by [`BspMachine::sender_tail`]. Delivery then
-    /// branches only on whether a hook is attached, and both deliveries walk
-    /// that list in the canonical sequential delivery order (source pid
-    /// ascending, then send order, then due late arrivals), which is what
-    /// makes every entry point byte-identical.
+    /// None` runs every block of pids in parallel (dense); `Some(set)` runs
+    /// the sorted frontier sequentially (sparse). Either pass leaves sealed
+    /// lanes in `live` whose block order is the canonical delivery order
+    /// (source pid ascending, then send order), and both deliveries walk
+    /// them in that order before the due late arrivals, which is what makes
+    /// every entry point byte-identical.
     fn superstep_core<F>(
         &mut self,
         active: Option<&[Pid]>,
@@ -557,9 +510,11 @@ impl<S: Send, M: Send> BspMachine<S, M> {
         let p = self.params.p;
         // Rotate the arenas: `spare` becomes the read side (last boundary's
         // deliveries), and the arena the previous superstep read from is
-        // cleared for refill. If this superstep is rejected below, `inboxes`
-        // stays cleared — a failed superstep loses its inboxes but nothing
-        // else, and the machine stays runnable.
+        // cleared for refill. If this superstep is rejected below, or a
+        // closure panics, `inboxes` stays cleared and the next superstep
+        // rotates the inboxes these closures read out of reach: they are
+        // lost, while the state changes the closures made stay. The
+        // machine stays runnable.
         std::mem::swap(&mut self.inboxes, &mut self.spare);
         self.inboxes.clear();
 
@@ -578,10 +533,6 @@ impl<S: Send, M: Send> BspMachine<S, M> {
             index: self.superstep as u64,
             hooked: hook.is_some(),
             tracing,
-            materialize_slots: hook.is_some() || tracing,
-            // *Taken*, not read: if this superstep errors or panics the flag
-            // stays false and the next superstep resets as usual.
-            outboxes_clean: std::mem::take(&mut self.outboxes_clean),
         };
         if let Some(h) = &hook {
             self.stalled.clear();
@@ -594,26 +545,53 @@ impl<S: Send, M: Send> BspMachine<S, M> {
             self.per_proc_sent.resize(p, 0);
         }
 
-        let mut tail = SenderTail::default();
+        let pass = Pass {
+            block: block_len(p),
+            down: st.hooked.then_some((&self.stalled, &self.crashed)),
+            bound: p,
+            key_error: |pid, dest, _| SimError::BadDestination { pid, dest },
+            // Only the hooked fate machinery and the trace multiplicity scan
+            // read individual slots, so plain unhooked, untraced supersteps
+            // resolve only the lanes that hold a pinned send.
+            materialize: st.hooked || tracing,
+            hook: hook.as_deref().map(|h| (h, st.index)),
+            uniform: false,
+        };
+        let spare = &self.spare;
+        let run = |pid: Pid, s: &mut S, out: &mut Outbox<M>| f(pid, s, spare.inbox(pid), out);
         match active {
             None => {
-                self.dense_closure_pass(&f, st);
-                self.collect_senders(st, &mut tail);
+                pass.dense(&mut self.states, &mut self.lanes, run);
+                self.live.clear();
+                self.live.extend(0..self.lanes.len());
             }
             Some(declared) => {
-                self.load_frontier(declared);
-                self.sparse_closure_pass(&f, st, &mut tail);
+                // The frontier: the declared set plus every pid holding an
+                // inbox from the last boundary (deliveries, retained stalls,
+                // landed delays). The mask OR is the dedup and its ascending
+                // walk the sort, which replays the canonical delivery order.
+                self.frontier_mask.clear();
+                for &pid in declared {
+                    self.frontier_mask.insert(pid);
+                }
+                self.frontier_mask.union_with(spare.touched());
+                pass.sparse(
+                    &mut self.states,
+                    &mut self.lanes,
+                    &mut self.live,
+                    &self.frontier_mask,
+                    run,
+                );
             }
         }
-        if let Some(e) = tail.err {
-            // A rejected superstep records nothing: the builder and the
-            // length buckets are emptied and one epoch bump discards the
-            // partial arena counts. It returns before the pending network
-            // level is popped, so a payload still in the network arrives at
-            // the next accepted boundary.
-            let _ = self.builder.snapshot_reset();
-            self.seq_lens.fill(0);
-            self.inboxes.clear();
+        // The first error in pid order wins: a lane's seal stops at a bad
+        // destination, so a slot collision it holds came first. Rejecting
+        // here leaves the pending network level for the next boundary.
+        let err = self.live.iter().find_map(|&b| {
+            let lane = &self.lanes[b].lane;
+            lane.bad_slot.clone().or_else(|| lane.bad_key.clone())
+        });
+        if let Some(e) = err {
             return Err(e);
         }
 
@@ -626,238 +604,84 @@ impl<S: Send, M: Send> BspMachine<S, M> {
         // sends are queued, so a `Delay(k)` waits exactly `k` extra steps.
         let due = self.pending.pop_front().unwrap_or_default();
         let delivered = match &hook {
-            Some(h) => self.deliver_hooked(h.as_ref(), st, due, &mut counters),
-            None => self.deliver_fused(tail.max_sent, due, &mut counters),
+            Some(_) => self.deliver_hooked(st, due, &mut counters),
+            None => self.deliver_fused(st, due, &mut counters),
         };
-        // Both deliveries leave every sender's outbox drained and zeroed, and
-        // a non-sender posted nothing; combined with an all-clean entry — or
-        // the dense pass's reset of all p — the whole population is clean
-        // again, and the next superstep's closure pass skips its resets.
-        self.outboxes_clean = st.outboxes_clean || active.is_none();
         Ok(self.finish_superstep(st, delivered, counters))
     }
 
-    /// Dense closure pass: all p processors in parallel, each filling its
-    /// recycled outbox and flagging itself as a sender (one byte, written
-    /// unconditionally — [`BspMachine::collect_senders`] folds the flag
-    /// lane into words, and writing it costs nothing next to the outbox
-    /// reset it shares a cache line with).
-    fn dense_closure_pass<F>(&mut self, f: &F, st: Step)
-    where
-        F: Fn(Pid, &mut S, &[M], &mut Outbox<M>) + Sync,
-        M: Sync,
-    {
-        let stalled = &self.stalled;
-        let crashed = &self.crashed;
-        let spare = &self.spare;
-        let _: Vec<()> = self
-            .states
-            .par_iter_mut()
-            .zip(self.outboxes.par_iter_mut())
-            .zip(self.sender_flags.par_iter_mut())
-            .enumerate()
-            .map(|(pid, ((state, out), flag))| {
-                if !st.outboxes_clean {
-                    out.reset();
+    /// Unhooked delivery: one walk over the live lanes records each
+    /// sender's work and injections and counts the lane's destinations
+    /// into the arena; a second drains the payloads into place. Every
+    /// counted payload is placed, so the largest segment is the receive
+    /// maximum.
+    fn deliver_fused(&mut self, st: Step, due: Vec<(Pid, M)>, counters: &mut FaultCounters) -> u64 {
+        let mut max_sent = 0u64;
+        for &b in &self.live {
+            let lane = &self.lanes[b].lane;
+            for (s, r) in ranged(&lane.senders) {
+                if s.work != 0 {
+                    self.builder.record_work(s.work);
                 }
-                if !(st.hooked && (stalled.contains(pid) || crashed.contains(pid))) {
-                    f(pid, state, spare.inbox(pid), out);
+                let n = r.len();
+                if n == 0 {
+                    continue;
                 }
-                *flag = (!out.envelopes.is_empty() || out.work != 0) as u8;
-            })
-            .collect();
-    }
-
-    /// Sender discovery after the dense closure pass: fold the sender flags
-    /// into words and run the sender tail for each flagged pid, ascending —
-    /// exactly what the sparse closure pass does for its frontier. A
-    /// flag-less processor has an empty outbox and zero work, so skipping
-    /// it changes nothing downstream, and every outbox was either reset by
-    /// the dense pass or already clean, so no stale buffer can be read.
-    fn collect_senders(&mut self, st: Step, tail: &mut SenderTail) {
-        self.senders.clear();
-        for leaf in 0..self.sender_flags.len().div_ceil(64) {
-            let mut bits = 0u64;
-            for (bit, &flag) in self.sender_flags[leaf * 64..].iter().take(64).enumerate() {
-                bits |= u64::from(flag) << bit;
-            }
-            while bits != 0 {
-                self.sender_tail(leaf * 64 + bits.trailing_zeros() as usize, st, tail);
-                bits &= bits - 1;
-            }
-        }
-    }
-
-    /// Build the sparse frontier: the caller's declared active set plus
-    /// every processor whose inbox from the last boundary is non-empty
-    /// (ordinary deliveries, retained stalled inboxes, and landed delayed
-    /// payloads all live there, so `spare.touched()` covers them without
-    /// scanning p inboxes). The mask OR is the dedup and its ascending-pid
-    /// iteration is the sort — the order that replays the dense path's
-    /// canonical delivery order exactly.
-    fn load_frontier(&mut self, declared: &[Pid]) {
-        self.frontier_mask.clear();
-        for &pid in declared {
-            self.frontier_mask.insert(pid);
-        }
-        self.frontier_mask.union_with(self.spare.touched());
-    }
-
-    /// Sparse closure pass: sequentially over the frontier, walked word by
-    /// word in place — small by contract, and trivially deterministic at
-    /// every pool width. Each closure is followed by its sender tail while
-    /// the outbox is hot in cache.
-    fn sparse_closure_pass<F>(&mut self, f: &F, st: Step, tail: &mut SenderTail)
-    where
-        F: Fn(Pid, &mut S, &[M], &mut Outbox<M>),
-    {
-        self.senders.clear();
-        let mut from = 0;
-        while let Some((leaf, word)) = self.frontier_mask.next_word(from) {
-            from = leaf + 1;
-            let mut bits = word;
-            while bits != 0 {
-                let pid = leaf * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if !st.outboxes_clean {
-                    self.outboxes[pid].reset();
+                if lane.slots.is_empty() {
+                    bucket_len(&mut self.seq_lens, n);
+                } else {
+                    self.builder.record_injections_batch(&lane.slots[r]);
                 }
-                if !(st.hooked && (self.stalled.contains(pid) || self.crashed.contains(pid))) {
-                    f(
-                        pid,
-                        &mut self.states[pid],
-                        self.spare.inbox(pid),
-                        &mut self.outboxes[pid],
-                    );
+                if st.tracing {
+                    self.per_proc_sent[s.pid] = n as u64;
                 }
-                self.sender_tail(pid, st, tail);
+                max_sent = max_sent.max(n as u64);
             }
+            self.inboxes.count_ones(&lane.keys);
         }
-    }
-
-    /// The per-sender tail, run in ascending pid order right after the
-    /// closure pass reaches the sender: record it in `senders` and resolve
-    /// and validate its slots. Unhooked, the tail also does the sender's
-    /// whole share of delivery bookkeeping while the outbox is hot — bucket
-    /// the injection histogram, count its destinations straight into the
-    /// arena's segment table, and track the traffic maximum; hooked senders
-    /// are recorded by [`BspMachine::deliver_hooked`] once their fates are
-    /// known. The first error wins and is reported only after every closure
-    /// has run; a sender that fails validation contributes nothing further,
-    /// and everything already recorded is discarded by
-    /// [`BspMachine::superstep_core`]'s error unwind.
-    #[inline]
-    fn sender_tail(&mut self, pid: Pid, st: Step, tail: &mut SenderTail) {
-        let p = self.params.p;
-        let out = &self.outboxes[pid];
-        if out.envelopes.is_empty() && out.work == 0 {
-            return;
-        }
-        self.senders.push(pid);
-        // Plain `send`s with slots unread anywhere: validate the dests lane
-        // and bucket the all-implicit histogram marker without touching the
-        // slot buffer (stale slots are fine: nothing reads them when
-        // `materialize_slots` is off).
-        let implicit = !st.materialize_slots && out.explicit == 0;
-        let checked = if implicit {
-            check_dests(pid, p, &out.dests)
-        } else {
-            resolve_slots_into(pid, p, out, &mut self.resolved[pid])
-        };
-        if let Err(e) = checked {
-            if tail.err.is_none() {
-                tail.err = Some(e);
-            }
-            return;
-        }
-        if st.hooked {
-            return;
-        }
-        if out.work != 0 {
-            self.builder.record_work(out.work);
-        }
-        let n = out.envelopes.len();
-        if n == 0 {
-            return;
-        }
-        if implicit {
-            bucket_len(&mut self.seq_lens, n);
-        } else {
-            self.builder.record_injections_batch(&self.resolved[pid]);
-        }
-        if st.tracing {
-            self.per_proc_sent[pid] = n as u64;
-        }
-        self.inboxes.count_ones(&out.dests);
-        tail.max_sent = tail.max_sent.max(n as u64);
-    }
-
-    /// Unhooked delivery: every sender was already validated, recorded and
-    /// counted by its sender tail, so what remains is the arena layout and
-    /// the drain over `senders` — a wide receive-only frontier contributes
-    /// nothing here. Every counted payload is placed, so the largest arena
-    /// segment is the receive maximum.
-    fn deliver_fused(
-        &mut self,
-        max_sent: u64,
-        due: Vec<(Pid, M)>,
-        counters: &mut FaultCounters,
-    ) -> u64 {
         self.builder.record_traffic(max_sent, 0);
+        self.builder.record_injections_by_len(&self.seq_lens);
+        self.seq_lens.fill(0);
         for &(dest, _) in &due {
             self.inboxes.count(dest, 1);
         }
         let max_recv = self.inboxes.begin_counted();
         let mut delivered = 0u64;
-        for &pid in &self.senders {
-            let out = &mut self.outboxes[pid];
-            delivered += out.envelopes.len() as u64;
-            for env in out.envelopes.drain(..) {
-                self.inboxes.place(env.dest, env.payload);
+        for &b in &self.live {
+            let lane = &mut self.lanes[b].lane;
+            delivered += lane.keys.len() as u64;
+            for (&dest, payload) in lane.keys.iter().zip(lane.items.drain(..)) {
+                self.inboxes.place(dest, payload);
             }
-            // Leave the outbox fully zeroed, not just drained, so the next
-            // superstep's closure pass can skip its reset.
-            out.dests.clear();
-            out.work = 0;
-            out.explicit = 0;
         }
         self.fault_stats.injected += delivered;
         self.fault_stats.delivered += delivered;
-        self.builder.record_injections_by_len(&self.seq_lens);
-        self.seq_lens.fill(0);
-        delivered += land_due(
-            due,
-            None,
-            &mut self.inboxes,
-            &mut self.fault_stats,
+        delivered += Boundary {
+            arena: &mut self.inboxes,
+            pending: &mut self.pending,
+            pool: &mut self.pending_pool,
+            stats: &mut self.fault_stats,
             counters,
-            &mut self.pending_pool,
-        );
+            builder: &mut self.builder,
+            dead: None,
+        }
+        .land_due(due);
         self.inboxes.finish();
         self.builder.record_traffic(0, max_recv);
         delivered
     }
 
-    /// Hooked delivery over the sender list. Fates are pure in `(superstep,
-    /// src, dest, msg_idx, slot)`, so each sender's batch is computed once
-    /// and consulted twice: by the counting pass (retained inboxes,
+    /// Hooked delivery over the live lanes. Each lane's seal computed its
+    /// fates (pure in `(superstep, src, dest, msg_idx, slot)`), so they are
+    /// consulted twice here: by the counting pass (retained inboxes,
     /// surviving sends and due late arrivals, straight into the arena's
     /// segment table) and by the placement replay, which applies the fates
     /// in the canonical delivery order the ledger, pending queue and traces
     /// are defined by. The receive maximum is read back from the arena.
-    fn deliver_hooked(
-        &mut self,
-        h: &dyn DeliveryHook,
-        st: Step,
-        due: Vec<(Pid, M)>,
-        counters: &mut FaultCounters,
-    ) -> u64
+    fn deliver_hooked(&mut self, st: Step, due: Vec<(Pid, M)>, counters: &mut FaultCounters) -> u64
     where
         M: Clone,
     {
-        if self.fates.len() != self.params.p {
-            self.fates.resize_with(self.params.p, Vec::new);
-        }
         let (inboxes, spare) = (&mut self.inboxes, &self.spare);
         charge_fault_masks(
             &self.stalled,
@@ -866,18 +690,9 @@ impl<S: Send, M: Send> BspMachine<S, M> {
             counters,
             |pid| inboxes.count(pid, spare.len(pid)),
         );
-        for &pid in &self.senders {
-            let dests = self.outboxes[pid].dests();
-            let fates = &mut self.fates[pid];
-            fates.clear();
-            h.fate_batch(
-                st.index,
-                pid,
-                BatchDests::Lane(dests),
-                &self.resolved[pid],
-                fates,
-            );
-            for (&d, &fate) in dests.iter().zip(fates.iter()) {
+        for &b in &self.live {
+            let lane = &self.lanes[b].lane;
+            for (&d, &fate) in lane.keys.iter().zip(&lane.fates) {
                 if fate.arrives_now() && !self.crashed.contains(d) {
                     self.inboxes.count(d, 1);
                 }
@@ -891,115 +706,56 @@ impl<S: Send, M: Send> BspMachine<S, M> {
         self.inboxes.begin_counted();
         place_retained(&self.spare, &self.stalled, &self.crashed, &mut self.inboxes);
 
-        let mut delivered = 0u64;
-        for &pid in &self.senders {
-            let out = &mut self.outboxes[pid];
-            if out.work != 0 {
-                self.builder.record_work(out.work);
-                // Zeroed where recorded: a drained-and-zeroed population is
-                // what lets the next superstep skip its resets.
-                out.work = 0;
-            }
-            if st.tracing {
-                self.per_proc_sent[pid] = out.envelopes.len() as u64;
-            }
-            self.builder.record_traffic(out.envelopes.len() as u64, 0);
-            let slots = &self.resolved[pid];
-            for (msg_idx, (env, &slot)) in out.envelopes.drain(..).zip(slots).enumerate() {
-                let fate = self.fates[pid][msg_idx];
-                self.fault_stats.injected += 1;
-                // Every fate consumes bandwidth and an injection slot — the
-                // network accepted the send — displaced ones a later slot.
-                self.builder.record_injection(match fate {
-                    Fate::Displace(d) => slot + d,
-                    _ => slot,
-                });
-                match fate {
-                    Fate::Drop => {
-                        self.fault_stats.dropped += 1;
-                        counters.dropped += 1;
-                    }
-                    Fate::Delay(k) => {
-                        queue_pending(
-                            &mut self.pending,
-                            &mut self.pending_pool,
-                            &mut self.fault_stats,
-                            k.max(1),
-                            env.dest,
-                            env.payload,
-                        );
-                        self.fault_stats.delayed += 1;
-                        counters.delayed += 1;
-                    }
-                    Fate::Deliver | Fate::Duplicate | Fate::Displace(_) => {
-                        let copy = (fate == Fate::Duplicate).then(|| env.payload.clone());
-                        // A payload bound for a crash-stopped destination is
-                        // destroyed at the custody transfer: nothing lands,
-                        // and the `crashed` ledger column is charged instead
-                        // of `delivered`.
-                        if self.crashed.contains(env.dest) {
-                            self.fault_stats.crashed += 1;
-                            counters.crashed += 1;
-                        } else {
-                            self.inboxes.place(env.dest, env.payload);
-                            delivered += 1;
-                            self.fault_stats.delivered += 1;
-                        }
-                        if let Some(copy) = copy {
-                            // The spurious copy arrives next superstep and
-                            // meets *that* superstep's crash set when it
-                            // lands.
-                            queue_pending(
-                                &mut self.pending,
-                                &mut self.pending_pool,
-                                &mut self.fault_stats,
-                                1,
-                                env.dest,
-                                copy,
-                            );
-                            self.fault_stats.duplicated += 1;
-                            counters.duplicated += 1;
-                        }
-                        if let Fate::Displace(_) = fate {
-                            self.fault_stats.displaced += 1;
-                            counters.displaced += 1;
-                        }
-                    }
-                }
-            }
-            out.dests.clear();
-            out.explicit = 0;
-        }
         // Late arrivals land at the same boundary as this superstep's sends,
         // after them, and are charged receive bandwidth here. A late arrival
         // whose destination is dead *now* is destroyed now — its earlier
         // delay only deferred the custody transfer.
-        delivered += land_due(
-            due,
-            Some(&self.crashed),
-            &mut self.inboxes,
-            &mut self.fault_stats,
+        let mut at = Boundary {
+            arena: &mut self.inboxes,
+            pending: &mut self.pending,
+            pool: &mut self.pending_pool,
+            stats: &mut self.fault_stats,
             counters,
-            &mut self.pending_pool,
-        );
+            builder: &mut self.builder,
+            dead: Some(&self.crashed),
+        };
+        let mut delivered = 0u64;
+        for &b in &self.live {
+            let Lane {
+                keys,
+                items,
+                senders,
+                slots,
+                fates,
+                ..
+            } = &mut self.lanes[b].lane;
+            let mut payloads = items.drain(..);
+            for (s, r) in ranged(senders) {
+                if s.work != 0 {
+                    at.builder.record_work(s.work);
+                }
+                if st.tracing {
+                    self.per_proc_sent[s.pid] = r.len() as u64;
+                }
+                at.builder.record_traffic(r.len() as u64, 0);
+                for i in r {
+                    let payload = payloads.next();
+                    delivered += u64::from(at.apply(fates[i], slots[i], keys[i], payload));
+                }
+            }
+        }
+        delivered += at.land_due(due);
         self.inboxes.finish();
+        let faults = Some((&self.stalled, &self.crashed));
         let max_recv = self
             .inboxes
             .touched()
             .iter()
-            .map(|d| self.received(d, st))
+            .map(|d| received(&self.inboxes, &self.spare, faults, d))
             .max()
             .unwrap_or(0);
         self.builder.record_traffic(0, max_recv);
         delivered
-    }
-
-    /// Payloads delivered to `d` at this boundary: its arena segment less
-    /// the inbox it retained through a stall. The fault masks are read only
-    /// on hooked supersteps — they are stale otherwise.
-    fn received(&self, d: Pid, st: Step) -> u64 {
-        let retained = st.hooked && self.stalled.contains(d) && !self.crashed.contains(d);
-        (self.inboxes.len(d) - if retained { self.spare.len(d) } else { 0 }) as u64
     }
 
     /// Snapshot the profile, emit the trace event, and advance the
@@ -1017,14 +773,13 @@ impl<S: Send, M: Send> BspMachine<S, M> {
         let mark = self.recovery_mark.take();
         if st.tracing {
             let mut row = vec![0u64; p];
+            let faults = st.hooked.then_some((&self.stalled, &self.crashed));
             for d in self.inboxes.touched().iter() {
-                row[d] = self.received(d, st);
+                row[d] = received(&self.inboxes, &self.spare, faults, d);
             }
-            // Only the senders' slot buffers were resolved this superstep;
-            // every other buffer may hold stale slots, and its pid sent
-            // nothing, so the scan skips it without changing the maximum.
-            let max_mult =
-                crate::max_slot_multiplicity(&self.resolved, self.senders.iter().copied());
+            // Tracing materializes every sender's slots.
+            let lanes = self.live.iter().map(|&b| &self.lanes[b].lane);
+            let max_mult = max_slot_multiplicity(lanes);
             let mut ev = TraceEvent::for_superstep(
                 TraceSource::Bsp,
                 self.trace_label.clone(),
@@ -1234,22 +989,6 @@ struct Step {
     hooked: bool,
     /// Whether the trace sink is enabled.
     tracing: bool,
-    /// Whether individual slot values are read downstream. Only the hooked
-    /// fate machinery and the trace multiplicity scan read them, so plain
-    /// unhooked, untraced supersteps keep the all-implicit marker instead.
-    materialize_slots: bool,
-    /// Whether every outbox was empty and zeroed at entry, so the closure
-    /// passes may skip the per-pid reset.
-    outboxes_clean: bool,
-}
-
-/// What the sender tails accumulate over one closure pass.
-#[derive(Default)]
-struct SenderTail {
-    /// First validation error, reported after every closure has run.
-    err: Option<SimError>,
-    /// Most messages any one sender posted (unhooked supersteps only).
-    max_sent: u64,
 }
 
 /// Reject a declared active set that names a pid `>= p`.
@@ -1258,21 +997,6 @@ fn check_active(active: &[Pid], p: usize) -> Result<(), SimError> {
         Some(&pid) => Err(SimError::BadActivePid { pid, p }),
         None => Ok(()),
     }
-}
-
-/// Check a destination lane against `p`: a vectorizable max over the flat
-/// lane (no envelope walk), and on violation a rescan for the first
-/// offender — the envelope the general slot resolution would name.
-fn check_dests(pid: Pid, p: usize, dests: &[Pid]) -> Result<(), SimError> {
-    let mut max = 0usize;
-    for &d in dests {
-        max = max.max(d);
-    }
-    if max >= p {
-        let dest = dests.iter().copied().find(|&d| d >= p).unwrap_or(max);
-        return Err(SimError::BadDestination { pid, dest });
-    }
-    Ok(())
 }
 
 /// Bucket one all-implicit sender of `n ≥ 1` messages (slots `0..n`) by
@@ -1286,30 +1010,10 @@ fn bucket_len(seq_lens: &mut Vec<u64>, n: usize) {
     seq_lens[n - 1] += 1;
 }
 
-/// Assign injection slots to a processor's envelopes, refilling the recycled
-/// `slots` buffer (see [`crate::resolve_slots`]). Errors if a destination
-/// is invalid or two explicit sends collide.
-fn resolve_slots_into<M>(
-    pid: Pid,
-    p: usize,
-    out: &Outbox<M>,
-    slots: &mut Vec<u64>,
-) -> Result<(), SimError> {
-    check_dests(pid, p, &out.dests)?;
-    // Plain `send` calls only (the outbox counted zero `send_at` posts):
-    // slots are simply `0..n`.
-    if out.explicit == 0 {
-        slots.clear();
-        slots.extend(0..out.envelopes.len() as u64);
-        return Ok(());
-    }
-    crate::resolve_slots(pid, out.envelopes.iter().map(|env| env.slot), slots)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hook::DeliveryCtx;
+    use crate::hook::{DeliveryCtx, Fate};
     use pbw_models::{BspG, BspM, PenaltyFn};
 
     fn params(p: usize) -> MachineParams {
@@ -1610,6 +1314,133 @@ mod tests {
             assert_eq!(m.pending_inbox(1), &[7], "{case}");
             assert_eq!(m.faults_in_flight(), 0, "{case}");
             assert!(m.fault_stats().conserved(), "{case}");
+        }
+    }
+
+    /// A hook that delivers everything: hooked delivery on a reliable
+    /// network.
+    struct Reliable;
+    impl DeliveryHook for Reliable {}
+
+    /// How a test superstep enters the engine.
+    #[derive(Debug, Clone, Copy)]
+    enum Entry {
+        Dense,
+        Declared,
+        Auto,
+    }
+
+    fn run_entry(
+        m: &mut BspMachine<Vec<u8>, u8>,
+        entry: Entry,
+        active: &[Pid],
+        f: impl Fn(Pid, &mut Vec<u8>, &[u8], &mut Outbox<u8>) + Sync,
+    ) -> Result<SuperstepReport, SimError> {
+        match entry {
+            Entry::Dense => m.try_superstep(f),
+            Entry::Declared => m.try_superstep_active(active, f),
+            Entry::Auto => m.try_superstep_auto(active, f),
+        }
+    }
+
+    #[test]
+    fn a_rejected_superstep_leaves_nothing_in_its_lanes() {
+        // p = 256 packs pids 0..32 into one lane. In the rejected superstep
+        // pid 4 posts a valid message and charges work, and pid 5 names a
+        // bad destination; next, pid 6 of the same lane sends once. Only
+        // pid 6's message may arrive, and only it may be priced.
+        let p = 256;
+        assert_eq!(crate::lane::block_len(p), 32);
+        for entry in [Entry::Dense, Entry::Declared, Entry::Auto] {
+            for hooked in [false, true] {
+                let case = format!("{entry:?} hooked={hooked}");
+                let mut m: BspMachine<Vec<u8>, u8> = BspMachine::new(params(p), |_| Vec::new());
+                if hooked {
+                    m.set_delivery_hook(Arc::new(Reliable));
+                }
+                let err = run_entry(&mut m, entry, &[4, 5], |pid, _s, _in, out| match pid {
+                    4 => {
+                        out.send(9, 1);
+                        out.send_at(10, 2, 3);
+                        out.charge_work(50);
+                    }
+                    5 => out.send(p + 1, 3),
+                    _ => {}
+                });
+                assert_eq!(
+                    err.unwrap_err(),
+                    SimError::BadDestination {
+                        pid: 5,
+                        dest: p + 1
+                    },
+                    "{case}"
+                );
+                let r = run_entry(&mut m, entry, &[6], |pid, _s, _in, out| {
+                    if pid == 6 {
+                        out.send(11, 4);
+                    }
+                })
+                .unwrap();
+                assert_eq!(r.delivered, 1, "{case}");
+                assert_eq!(r.profile.total_messages, 1, "{case}");
+                assert_eq!(r.profile.injections, vec![1], "{case}");
+                assert_eq!(r.profile.max_work, 0, "{case}");
+                m.superstep(|_pid, s, inbox, _out| s.extend_from_slice(inbox));
+                let got: Vec<(Pid, Vec<u8>)> = (0..p)
+                    .filter(|&pid| !m.state(pid).is_empty())
+                    .map(|pid| (pid, m.state(pid).clone()))
+                    .collect();
+                assert_eq!(got, vec![(11, vec![4])], "{case}");
+                assert!(m.fault_stats().conserved(), "{case}");
+                assert_eq!(m.fault_stats().injected, 1, "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_closure_leaves_nothing_in_its_lanes() {
+        // Every pid posts one message, and pid 133 panics after posting.
+        // The next superstep must deliver exactly its own messages, and
+        // the ledger must still balance.
+        let p = 256;
+        for width in [1, 8] {
+            for hooked in [false, true] {
+                let case = format!("width={width} hooked={hooked}");
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(width)
+                    .build()
+                    .unwrap()
+                    .install(|| {
+                        let mut m: BspMachine<Vec<u8>, u8> =
+                            BspMachine::new(params(p), |_| Vec::new());
+                        if hooked {
+                            m.set_delivery_hook(Arc::new(Reliable));
+                        }
+                        let unwound =
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                m.superstep(|pid, _s, _in, out| {
+                                    out.send((pid + 1) % p, 1);
+                                    assert_ne!(pid, 133, "planted closure panic");
+                                })
+                            }));
+                        assert!(unwound.is_err(), "{case}");
+                        assert_eq!(m.superstep_index(), 0, "{case}");
+                        let r = m.superstep(|pid, _s, _in, out| {
+                            if pid % 2 == 0 {
+                                out.send(pid + 1, 2);
+                            }
+                        });
+                        assert_eq!(r.delivered, p as u64 / 2, "{case}");
+                        m.superstep(|_pid, s, inbox, _out| s.extend_from_slice(inbox));
+                        for pid in 0..p {
+                            let want: &[u8] = if pid % 2 == 1 { &[2] } else { &[] };
+                            assert_eq!(m.state(pid).as_slice(), want, "{case} pid {pid}");
+                        }
+                        let stats = m.fault_stats();
+                        assert!(stats.conserved(), "{case} ledger {stats:?}");
+                        assert_eq!(stats.injected, p as u64 / 2, "{case}");
+                    });
+            }
         }
     }
 

@@ -17,8 +17,9 @@
 //! * **Determinism.** `fate` must be a pure function of the hook's
 //!   pre-superstep state and the presented [`DeliveryCtx`] (and `stalled`
 //!   pure in `(superstep, pid)`): the engines *compute* all fates for a
-//!   boundary first — QSM in a parallel pass, in unspecified thread order —
-//!   then *apply* them in the fixed delivery order (source pid, then send
+//!   boundary first — as each block of pids' send lane is sealed, in a
+//!   parallel pass on the dense path, in unspecified thread order — then
+//!   *apply* them in the fixed delivery order (source pid, then send
 //!   order). A pure hook therefore yields a bit-identical run at every
 //!   thread count — which the cross-thread-count conformance suite checks
 //!   by comparing traces byte-for-byte.
@@ -34,7 +35,7 @@ use std::collections::VecDeque;
 
 use crate::arena::MsgArena;
 use crate::Pid;
-use pbw_models::FrontierMask;
+use pbw_models::{FrontierMask, ProfileBuilder};
 use pbw_trace::FaultCounters;
 
 /// What happens to one in-flight message.
@@ -75,7 +76,7 @@ pub struct DeliveryCtx {
     pub src: Pid,
     /// Destination processor (for QSM: the requesting processor).
     pub dest: Pid,
-    /// Send order within `src`'s outbox this superstep.
+    /// Send order among `src`'s messages this superstep.
     pub msg_idx: usize,
     /// Resolved injection slot.
     pub slot: u64,
@@ -83,7 +84,7 @@ pub struct DeliveryCtx {
 
 /// Destination lane for one sender's batched fate computation.
 ///
-/// The engines keep destinations as a flat `u64` lane alongside each outbox
+/// The engines keep destinations in a flat `usize` array per block of pids
 /// (BSP) or know them to be constant (QSM, where every message in a phase
 /// belongs to the requesting processor) — this enum lets one dyn-safe
 /// [`DeliveryHook::fate_batch`] signature serve both without materializing
@@ -119,14 +120,16 @@ pub trait DeliveryHook: Send + Sync {
         Fate::Deliver
     }
 
-    /// Decide the fates of one sender's whole outbox for one boundary:
+    /// Decide the fates of all of one sender's messages for one boundary:
     /// message `i` was sent by `src` to `dests.get(i)` into resolved slot
-    /// `slots[i]`. Appends exactly `slots.len()` fates to `out` (which the
-    /// engine has cleared), **bit-identical** to calling [`Self::fate`] once
-    /// per message — the provided implementation does exactly that, and any
-    /// override (see `FaultPlan` in `pbw-faults` for the batched seeded
-    /// plan) must preserve the equivalence, which the engines' conformance
-    /// suite and the kernel bit-equality proptests pin.
+    /// `slots[i]`. Appends exactly `slots.len()` fates to `out`, after the
+    /// fates of earlier senders it may already hold (the engines keep one
+    /// fate array per block of pids), **bit-identical** to calling
+    /// [`Self::fate`] once per message — the provided implementation does
+    /// exactly that, and any override (see `FaultPlan` in `pbw-faults` for
+    /// the batched seeded plan) must preserve the equivalence, which the
+    /// engines' conformance suite and the kernel bit-equality proptests
+    /// pin.
     fn fate_batch(
         &self,
         superstep: u64,
@@ -251,24 +254,6 @@ impl FaultStats {
 /// How many drained pending-delivery buffers an engine keeps for reuse.
 pub(crate) const PENDING_POOL_CAP: usize = 16;
 
-/// Queue `payload` for delivery to `dest` at the boundary `k ≥ 1` steps
-/// from now (`pending[k - 1]`), reusing drained level buffers from `pool`.
-pub(crate) fn queue_pending<T>(
-    pending: &mut VecDeque<Vec<(Pid, T)>>,
-    pool: &mut Vec<Vec<(Pid, T)>>,
-    stats: &mut FaultStats,
-    k: u32,
-    dest: Pid,
-    payload: T,
-) {
-    let idx = (k.max(1) - 1) as usize;
-    while pending.len() <= idx {
-        pending.push_back(pool.pop().unwrap_or_default());
-    }
-    pending[idx].push((dest, payload));
-    stats.in_flight += 1;
-}
-
 /// Call `f` for every processor that keeps its inbox this step — stalled
 /// and not crashed — in ascending pid order. Crash overrides stall: a
 /// crashed processor's undrained inbox evaporates at the arena swap,
@@ -321,36 +306,126 @@ pub(crate) fn place_retained<T: Clone>(
     });
 }
 
-/// Land the late arrivals due at this boundary, after the step's own
-/// deliveries. A payload due at a destination in `dead` (the crash set,
-/// hooked engines only) dies in the network, charged to the crash column;
-/// every other one is placed and counted as delivered. The drained level
-/// buffer goes back to `pool`. Returns the number placed.
-pub(crate) fn land_due<T>(
-    mut due: Vec<(Pid, T)>,
-    dead: Option<&FrontierMask>,
-    arena: &mut MsgArena<T>,
-    stats: &mut FaultStats,
-    counters: &mut FaultCounters,
-    pool: &mut Vec<Vec<(Pid, T)>>,
+/// Payloads delivered to `d` at this boundary: its segment of `fill` less
+/// the inbox it retained from `spare` through a stall. `faults` holds the
+/// stall and crash masks on hooked steps only — they are stale otherwise.
+/// Both engines' trace rows, and BSP's hooked receive maximum, use it.
+pub(crate) fn received<T>(
+    fill: &MsgArena<T>,
+    spare: &MsgArena<T>,
+    faults: Option<(&FrontierMask, &FrontierMask)>,
+    d: Pid,
 ) -> u64 {
-    let mut placed = 0u64;
-    for (dest, payload) in due.drain(..) {
-        stats.in_flight -= 1;
-        if dead.is_some_and(|d| d.contains(dest)) {
-            stats.crashed += 1;
-            counters.crashed += 1;
-            continue;
+    let retained =
+        faults.is_some_and(|(stalled, crashed)| stalled.contains(d) && !crashed.contains(d));
+    (fill.len(d) - if retained { spare.len(d) } else { 0 }) as u64
+}
+
+/// One delivery boundary's mutable bookkeeping: what applying fates and
+/// landing late arrivals write, in both engines. `pending[k]` holds the
+/// payloads due `k + 1` boundaries from now; `pool` recycles its levels.
+pub(crate) struct Boundary<'a, T> {
+    pub(crate) arena: &'a mut MsgArena<T>,
+    pub(crate) pending: &'a mut VecDeque<Vec<(Pid, T)>>,
+    pub(crate) pool: &'a mut Vec<Vec<(Pid, T)>>,
+    pub(crate) stats: &'a mut FaultStats,
+    pub(crate) counters: &'a mut FaultCounters,
+    pub(crate) builder: &'a mut ProfileBuilder,
+    /// The crash set (hooked steps only): a payload whose custody would
+    /// transfer to a crashed processor is destroyed instead.
+    pub(crate) dead: Option<&'a FrontierMask>,
+}
+
+impl<T> Boundary<'_, T> {
+    /// Queue `payload` for delivery to `dest` at the boundary `k ≥ 1` steps
+    /// from now (`pending[k - 1]`), reusing drained level buffers.
+    fn queue(&mut self, k: u32, dest: Pid, payload: T) {
+        let idx = (k.max(1) - 1) as usize;
+        while self.pending.len() <= idx {
+            self.pending.push_back(self.pool.pop().unwrap_or_default());
         }
-        arena.place(dest, payload);
-        placed += 1;
-        stats.delivered += 1;
-        counters.late_arrivals += 1;
+        self.pending[idx].push((dest, payload));
+        self.stats.in_flight += 1;
     }
-    if due.capacity() > 0 && pool.len() < PENDING_POOL_CAP {
-        pool.push(due);
+
+    /// Land the late arrivals due at this boundary, after the step's own
+    /// deliveries. A payload due at a dead destination dies in the network,
+    /// charged to the crash column; every other one is placed and counted
+    /// as delivered. The drained level buffer goes back to the pool.
+    /// Returns the number placed.
+    pub(crate) fn land_due(&mut self, mut due: Vec<(Pid, T)>) -> u64 {
+        let mut placed = 0u64;
+        for (dest, payload) in due.drain(..) {
+            self.stats.in_flight -= 1;
+            if self.dead.is_some_and(|d| d.contains(dest)) {
+                self.stats.crashed += 1;
+                self.counters.crashed += 1;
+                continue;
+            }
+            self.arena.place(dest, payload);
+            placed += 1;
+            self.stats.delivered += 1;
+            self.counters.late_arrivals += 1;
+        }
+        if due.capacity() > 0 && self.pool.len() < PENDING_POOL_CAP {
+            self.pool.push(due);
+        }
+        placed
     }
-    placed
+}
+
+impl<T: Clone> Boundary<'_, T> {
+    /// Apply one message's fate, in the canonical delivery order. Every
+    /// fate consumes bandwidth and an injection slot — the network accepted
+    /// the send — displaced ones a later slot. A payload then is dropped,
+    /// queued late, or placed for `dest` (a duplicate also queues a copy
+    /// for the next boundary, which meets *that* boundary's crash set). A
+    /// QSM write has no payload: the memory absorbs it in order, so only a
+    /// drop stops it. Returns whether the message landed at this boundary.
+    pub(crate) fn apply(&mut self, fate: Fate, slot: u64, dest: Pid, payload: Option<T>) -> bool {
+        self.stats.injected += 1;
+        self.builder.record_injection(match fate {
+            Fate::Displace(d) => {
+                self.stats.displaced += 1;
+                self.counters.displaced += 1;
+                slot + d
+            }
+            _ => slot,
+        });
+        match (fate, payload) {
+            (Fate::Drop, _) => {
+                self.stats.dropped += 1;
+                self.counters.dropped += 1;
+                false
+            }
+            (_, None) => {
+                self.stats.delivered += 1;
+                true
+            }
+            (Fate::Delay(k), Some(payload)) => {
+                self.queue(k, dest, payload);
+                self.stats.delayed += 1;
+                self.counters.delayed += 1;
+                false
+            }
+            (_, Some(payload)) => {
+                if fate == Fate::Duplicate {
+                    self.queue(1, dest, payload.clone());
+                    self.stats.duplicated += 1;
+                    self.counters.duplicated += 1;
+                }
+                if self.dead.is_some_and(|d| d.contains(dest)) {
+                    self.stats.crashed += 1;
+                    self.counters.crashed += 1;
+                    false
+                } else {
+                    self.arena.place(dest, payload);
+                    self.stats.delivered += 1;
+                    true
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! * [`bsp::BspMachine`] — a message-passing machine. Algorithms run as
 //!   closures invoked once per processor per superstep (executed in parallel
 //!   with rayon); they read their inbox, mutate their local state, and post
-//!   messages to an [`bsp::Outbox`], optionally pinning each message to an
+//!   messages through an [`bsp::Outbox`], optionally pinning each message to an
 //!   explicit *injection slot* — the knob that globally-limited algorithms
 //!   use to stay within the aggregate bandwidth `m`.
 //! * [`qsm::QsmMachine`] — a shared-memory machine in the QSM style:
@@ -40,12 +40,13 @@ pub(crate) mod arena;
 pub mod bsp;
 pub mod density;
 pub mod hook;
+pub(crate) mod lane;
 pub mod qsm;
 pub mod rng;
 pub mod summary;
 pub mod timeline;
 
-pub use bsp::{BspMachine, Envelope, MachineCheckpoint, Outbox};
+pub use bsp::{BspMachine, MachineCheckpoint, Outbox};
 pub use hook::{BatchDests, DeliveryCtx, DeliveryHook, Fate, FaultStats};
 pub use pbw_models::FrontierMask;
 pub use qsm::{QsmCtx, QsmMachine, Word};
@@ -54,87 +55,61 @@ pub use summary::CostSummary;
 /// Processor identifier.
 pub type Pid = usize;
 
-/// Largest number of injections any single processor charged to one slot of
-/// a superstep. The pipelining rule requires this to be ≤ 1; it is recomputed
-/// from the engines' resolved slot assignments for each trace event — rather
-/// than assumed — so the conformance suite checks the engine, not itself.
-///
-/// `pids` restricts the scan to the processors whose slot buffers are live
-/// this step: all `0..p` for QSM, the senders for BSP (other BSP buffers
-/// hold stale assignments from an earlier superstep and must not be read).
-/// A pid outside `pids` has no resolved slots this step, so restricting the
-/// scan cannot change the maximum.
-pub(crate) fn max_slot_multiplicity(resolved: &[Vec<u64>], pids: impl Iterator<Item = Pid>) -> u64 {
-    pids.map(|pid| {
-        let slots = &resolved[pid];
-        {
-            let mut sorted = slots.clone();
-            sorted.sort_unstable();
-            let mut best = 0u64;
-            let mut run = 0u64;
-            let mut prev = None;
-            for &s in &sorted {
-                run = if prev == Some(s) { run + 1 } else { 1 };
-                best = best.max(run);
-                prev = Some(s);
-            }
-            best
-        }
-    })
-    .max()
-    .unwrap_or(0)
-}
-
-/// Resolve one processor's injection slots into the recycled `slots`
-/// buffer. `requested` gives each request's explicit slot, or `None`, in
-/// request order: explicit slots are honoured, and the others fill the
-/// earliest slots no request claimed. Two requests claiming one slot is a
-/// [`SimError::DuplicateSlot`] naming the smallest such slot. Both engines
-/// resolve through here; each checks its own destinations or addresses.
-///
-/// Allocation-free once `slots` has warmed up, explicit slots included: the
-/// claim set is a sorted scratch prefix of `slots` itself, drained off
-/// before returning, so a steady all-to-all of pinned requests (the
-/// sample-sort exchange) touches the heap zero times per superstep.
-pub(crate) fn resolve_slots<I>(pid: Pid, requested: I, slots: &mut Vec<u64>) -> Result<(), SimError>
-where
-    I: ExactSizeIterator<Item = Option<u64>> + Clone,
-{
-    slots.clear();
-    slots.extend(requested.clone().flatten());
-    let claimed = slots.len();
-    slots.sort_unstable();
-    if let Some(w) = slots.windows(2).find(|w| w[0] == w[1]) {
-        return Err(SimError::DuplicateSlot { pid, slot: w[0] });
-    }
-    if claimed == requested.len() {
-        // Every request is pinned: the slots are the requests' own, and
-        // the buffer needs no room for a claim prefix beside them.
-        slots.clear();
-        slots.extend(requested.flatten());
+/// Resolve the injection slots of one processor's messages `range` (lane
+/// indices), appending one slot per message to `slots`. `pins` lists its
+/// pinned messages as `(index, slot)`, ascending: pinned slots are
+/// honoured, and the others fill the earliest slots no pin claimed. Two
+/// pins on one slot return the smallest such slot as the error. A cursor
+/// walks the pins beside the messages, and the sorted claim set is scratch
+/// at the end of `slots` itself, so a steady superstep never allocates.
+pub(crate) fn resolve_slots(
+    range: std::ops::Range<usize>,
+    pins: &[(usize, u64)],
+    slots: &mut Vec<u64>,
+) -> Result<(), u64> {
+    let from = slots.len();
+    let n = range.len();
+    if pins.is_empty() {
+        slots.extend(0..n as u64);
         return Ok(());
     }
-    slots.reserve(requested.len());
-    // Autos merge against the sorted claim prefix: `next_auto` is monotone,
+    slots.extend(pins.iter().map(|&(_, s)| s));
+    let claimed = pins.len();
+    slots[from..].sort_unstable();
+    if let Some(w) = slots[from..].windows(2).find(|w| w[0] == w[1]) {
+        let slot = w[0];
+        slots.truncate(from);
+        return Err(slot);
+    }
+    if claimed == n {
+        // Every message is pinned: the slots are the pins' own, and the
+        // buffer needs no room for a claim run beside them.
+        slots.truncate(from);
+        slots.extend(pins.iter().map(|&(_, s)| s));
+        return Ok(());
+    }
+    slots.reserve(n);
+    // Autos merge against the sorted claim run: `next_auto` is monotone,
     // so a single cursor visits each claimed slot at most once.
     let mut next_auto = 0u64;
-    let mut cursor = 0usize;
-    for req in requested {
-        match req {
-            Some(s) => slots.push(s),
-            None => {
-                while cursor < claimed && slots[cursor] <= next_auto {
-                    if slots[cursor] == next_auto {
-                        next_auto += 1;
-                    }
-                    cursor += 1;
-                }
-                slots.push(next_auto);
+    let mut cursor = from;
+    let mut pin = 0;
+    for idx in range {
+        if pin < claimed && pins[pin].0 == idx {
+            slots.push(pins[pin].1);
+            pin += 1;
+            continue;
+        }
+        while cursor < from + claimed && slots[cursor] <= next_auto {
+            if slots[cursor] == next_auto {
                 next_auto += 1;
             }
+            cursor += 1;
         }
+        slots.push(next_auto);
+        next_auto += 1;
     }
-    slots.drain(..claimed);
+    slots.drain(from..from + claimed);
     Ok(())
 }
 

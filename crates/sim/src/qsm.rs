@@ -23,13 +23,12 @@
 
 use crate::arena::MsgArena;
 use crate::hook::{
-    charge_fault_masks, land_due, place_retained, queue_pending, BatchDests, DeliveryHook, Fate,
-    FaultStats,
+    charge_fault_masks, place_retained, received, Boundary, DeliveryHook, Fate, FaultStats,
 };
+use crate::lane::{block_len, max_slot_multiplicity, ranged, AsLane, Lane, Pass};
 use crate::{Pid, SimError};
 use pbw_models::{AccessTally, FrontierMask, MachineParams, ProfileBuilder, SuperstepProfile};
 use pbw_trace::{FaultCounters, TraceEvent, TraceSink, TraceSource};
-use rayon::prelude::*;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -49,53 +48,40 @@ pub struct ReadResult {
     pub value: Word,
 }
 
-#[derive(Debug, Clone)]
-enum Request {
-    Read {
-        addr: Addr,
-        slot: Option<u64>,
-    },
-    Write {
-        addr: Addr,
-        value: Word,
-        slot: Option<u64>,
-    },
+/// What a request does at its address (the lane's key).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Request {
+    Read,
+    Write(Word),
 }
 
-impl Request {
-    fn addr(&self) -> Addr {
-        match self {
-            Request::Read { addr, .. } | Request::Write { addr, .. } => *addr,
-        }
-    }
-
-    fn slot(&self) -> Option<u64> {
-        match self {
-            Request::Read { slot, .. } | Request::Write { slot, .. } => *slot,
-        }
-    }
-}
-
-/// Per-processor request buffer for one QSM phase.
+/// Where a processor issues its requests during a phase.
+///
+/// Every processor of one block of consecutive pids writes into the same
+/// recycled lane (see DESIGN.md §14): addresses and requests in flat
+/// arrays, an explicit slot only for `read_at` and `write_at`.
 #[derive(Debug, Default)]
 pub struct QsmCtx {
-    requests: Vec<Request>,
-    work: u64,
+    lane: Lane<Request>,
+}
+
+impl AsLane<Request> for QsmCtx {
+    fn lane(&mut self) -> &mut Lane<Request> {
+        &mut self.lane
+    }
 }
 
 impl QsmCtx {
     /// Issue a shared-memory read; the value arrives next phase, pipelined
     /// into the earliest free injection slot.
     pub fn read(&mut self, addr: Addr) {
-        self.requests.push(Request::Read { addr, slot: None });
+        self.lane.push(addr, Request::Read);
     }
 
     /// Issue a read pinned to injection step `slot`.
     pub fn read_at(&mut self, addr: Addr, slot: u64) {
-        self.requests.push(Request::Read {
-            addr,
-            slot: Some(slot),
-        });
+        self.lane.push(addr, Request::Read);
+        self.lane.pin(slot);
     }
 
     /// Issue a shared-memory write, pipelined; it lands at the end of the
@@ -104,43 +90,18 @@ impl QsmCtx {
     /// own writes to one location land in program order, so its last one
     /// is the one kept.
     pub fn write(&mut self, addr: Addr, value: Word) {
-        self.requests.push(Request::Write {
-            addr,
-            value,
-            slot: None,
-        });
+        self.lane.push(addr, Request::Write(value));
     }
 
     /// Issue a write pinned to injection step `slot`.
     pub fn write_at(&mut self, addr: Addr, value: Word, slot: u64) {
-        self.requests.push(Request::Write {
-            addr,
-            value,
-            slot: Some(slot),
-        });
+        self.lane.push(addr, Request::Write(value));
+        self.lane.pin(slot);
     }
 
     /// Charge `w` units of local computation.
     pub fn charge_work(&mut self, w: u64) {
-        self.work += w;
-    }
-
-    /// Empty the context for the next phase, keeping its capacity.
-    fn reset(&mut self) {
-        self.requests.clear();
-        self.work = 0;
-    }
-
-    fn counts(&self) -> (u64, u64) {
-        let mut r = 0;
-        let mut w = 0;
-        for req in &self.requests {
-            match req {
-                Request::Read { .. } => r += 1,
-                Request::Write { .. } => w += 1,
-            }
-        }
-        (r, w)
+        self.lane.charge(w);
     }
 }
 
@@ -181,12 +142,9 @@ pub struct QsmMachine<S> {
     /// The previous phase's arena, recycled by swapping (see
     /// [`crate::bsp::BspMachine`]'s double-buffered inboxes).
     spare: MsgArena<ReadResult>,
-    /// Per-processor request contexts, reset (capacity kept) every phase.
-    ctxs: Vec<QsmCtx>,
-    /// Per-processor resolved injection slots, refilled every phase.
-    resolved: Vec<Vec<u64>>,
-    /// Per-processor precomputed fates (hooked machines only).
-    fates: Vec<Vec<Fate>>,
+    /// One request lane per block of [`block_len`] pids, reset every phase
+    /// and recycled (capacity kept).
+    lanes: Vec<QsmCtx>,
     /// Stalled processors this phase (read only behind `hooked`); cleared
     /// by an O(1) epoch bump and filled through
     /// [`DeliveryHook::fill_fault_masks`].
@@ -206,7 +164,7 @@ pub struct QsmMachine<S> {
     /// `pending_results[k]` holds read results the memory system will hand
     /// back `k + 1` phases from now (delayed responses, duplicate copies).
     pending_results: VecDeque<Vec<(Pid, ReadResult)>>,
-    /// Drained pending-level buffers kept for reuse by `queue_pending`.
+    /// Drained pending-level buffers kept for reuse.
     pending_pool: Vec<Vec<(Pid, ReadResult)>>,
     fault_stats: FaultStats,
 }
@@ -227,9 +185,9 @@ impl<S: Send + Sync> QsmMachine<S> {
             states,
             read_results: MsgArena::new(p),
             spare: MsgArena::new(p),
-            ctxs: std::iter::repeat_with(QsmCtx::default).take(p).collect(),
-            resolved: vec![Vec::new(); p],
-            fates: Vec::new(),
+            lanes: std::iter::repeat_with(QsmCtx::default)
+                .take(p.div_ceil(block_len(p)))
+                .collect(),
             stalled: FrontierMask::new(p),
             crashed: FrontierMask::new(p),
             tally: AccessTally::new(size),
@@ -355,10 +313,19 @@ impl<S: Send + Sync> QsmMachine<S> {
 
     /// Execute one phase, returning model-rule violations as errors.
     ///
-    /// Every pass visits all `p` processors (the parallel ones in parallel)
-    /// in ascending pid order where order is observable. Each pass is a
-    /// named method below; a rejected phase returns before anything is
-    /// recorded into the persistent profile builder.
+    /// Every pass visits all `p` processors (the closures block by block in
+    /// parallel) in ascending pid order where order is observable. Each
+    /// pass is a named method below; a rejected phase returns before
+    /// anything is recorded into the persistent profile builder.
+    ///
+    /// A rejected phase has already run every closure, and the state
+    /// changes those closures made stay. Everything else about it is
+    /// discarded: no request is served or applied, no profile or trace
+    /// event is recorded, the phase index does not advance, and the read
+    /// results its closures saw are gone. Responses still held by the
+    /// memory system stay in flight, the fault ledger is untouched, and
+    /// the machine stays runnable. A closure that panics unwinds out of
+    /// this call with the same effects, after only some closures ran.
     pub fn try_phase<F>(&mut self, f: F) -> Result<PhaseReport, SimError>
     where
         F: Fn(Pid, &mut S, &[ReadResult], &mut QsmCtx) + Sync,
@@ -366,8 +333,10 @@ impl<S: Send + Sync> QsmMachine<S> {
         let step = self.phase as u64;
         // Rotate the arenas: `spare` becomes the read side (last phase's
         // responses), and the arena the previous phase read from is cleared
-        // for refill. A rejected phase leaves `read_results` cleared — its
-        // in-flight responses are lost but the machine stays runnable.
+        // for refill. A rejected or panicked phase leaves `read_results`
+        // cleared, so the next phase rotates the responses these closures
+        // read out of reach: they are lost, while the state changes the
+        // closures made stay. The machine stays runnable.
         std::mem::swap(&mut self.read_results, &mut self.spare);
         self.read_results.clear();
 
@@ -385,10 +354,13 @@ impl<S: Send + Sync> QsmMachine<S> {
             h.fill_fault_masks(step, &mut self.stalled, &mut self.crashed);
         }
 
-        self.run_closures(&f, hooked);
-        self.resolve_requests()?;
-        if let Some(h) = &hook {
-            self.compute_fates(h.as_ref(), step);
+        self.run_closures(&f, hook.as_deref(), step);
+        // The first out-of-range address in pid order outranks every slot
+        // collision, then the first collision in pid order.
+        let lanes = || self.lanes.iter().map(|ctx| &ctx.lane);
+        let bad_key = lanes().find_map(|lane| lane.bad_key.clone());
+        if let Some(e) = bad_key.or_else(|| lanes().find_map(|lane| lane.bad_slot.clone())) {
+            return Err(e);
         }
         self.audit_contention()?;
 
@@ -397,91 +369,38 @@ impl<S: Send + Sync> QsmMachine<S> {
         // by earlier Delay/Duplicate fates).
         let due = self.pending_results.pop_front().unwrap_or_default();
         self.lay_out_results(&due, hooked, &mut counters);
-        let (mut reads, writes) = self.serve(hooked, &mut counters);
-        // Late responses land after this phase's on-time serves. A response
-        // falling due while its processor is down dies in the network,
-        // charged to the crash column.
-        reads += land_due(
-            due,
-            hooked.then_some(&self.crashed),
-            &mut self.read_results,
-            &mut self.fault_stats,
-            &mut counters,
-            &mut self.pending_pool,
-        );
+        let (reads, writes) = self.serve(hooked, due, &mut counters);
         self.read_results.finish();
         self.apply_writes(hooked);
         Ok(self.finish_phase(step, hooked, reads, writes, counters))
     }
 
-    /// Run every processor's closure in parallel, each filling its recycled
-    /// context; stalled and crashed processors skip theirs.
-    fn run_closures<F>(&mut self, f: &F, hooked: bool)
+    /// Run every processor's closure, block by block in parallel, each
+    /// block into its own lane; stalled and crashed processors skip
+    /// theirs. Sealing a lane checks its addresses, resolves its injection
+    /// slots and, hooked, computes its fates — pure in `(phase, pid,
+    /// msg_idx, slot)`, so the sequential serve loop only *applies* them,
+    /// in the fixed order the ledger, pending-result queue and traces are
+    /// defined by.
+    fn run_closures<F>(&mut self, f: &F, hook: Option<&dyn DeliveryHook>, step: u64)
     where
         F: Fn(Pid, &mut S, &[ReadResult], &mut QsmCtx) + Sync,
     {
-        let stalled = &self.stalled;
-        let crashed = &self.crashed;
+        let pass = Pass {
+            block: block_len(self.params.p),
+            down: hook.is_some().then_some((&self.stalled, &self.crashed)),
+            bound: self.shared.len(),
+            key_error: |_, addr, size| SimError::BadAddress { addr, size },
+            materialize: true,
+            hook: hook.map(|h| (h, step)),
+            // Every request in a QSM phase belongs to the requesting
+            // processor, so a batch sees one uniform destination.
+            uniform: true,
+        };
         let spare = &self.spare;
-        let _: Vec<()> = self
-            .states
-            .par_iter_mut()
-            .zip(self.ctxs.par_iter_mut())
-            .enumerate()
-            .map(|(pid, (state, ctx))| {
-                ctx.reset();
-                if !(hooked && (stalled.contains(pid) || crashed.contains(pid))) {
-                    f(pid, state, spare.inbox(pid), ctx);
-                }
-            })
-            .collect();
-    }
-
-    /// Validate every address, then resolve each processor's injection
-    /// slots into its recycled slot buffer.
-    fn resolve_requests(&mut self) -> Result<(), SimError> {
-        let size = self.shared.len();
-        for ctx in &self.ctxs {
-            for req in &ctx.requests {
-                let addr = req.addr();
-                if addr >= size {
-                    return Err(SimError::BadAddress { addr, size });
-                }
-            }
-        }
-        let validated: Result<Vec<()>, SimError> = self
-            .ctxs
-            .par_iter()
-            .zip(self.resolved.par_iter_mut())
-            .enumerate()
-            .map(|(pid, (ctx, slots))| {
-                crate::resolve_slots(pid, ctx.requests.iter().map(Request::slot), slots)
-            })
-            .collect();
-        validated.map(drop)
-    }
-
-    /// Fates are pure in `(phase, pid, msg_idx, slot)`, so they are
-    /// *computed* here in a parallel pass; the sequential serve loop only
-    /// *applies* them, preserving the fixed order the ledger, pending-result
-    /// queue, and traces are defined by.
-    fn compute_fates(&mut self, h: &dyn DeliveryHook, step: u64) {
-        let p = self.params.p;
-        if self.fates.len() != p {
-            self.fates.resize_with(p, Vec::new);
-        }
-        let _: Vec<()> = self
-            .resolved
-            .par_iter()
-            .zip(self.fates.par_iter_mut())
-            .enumerate()
-            .map(|(pid, (slots, fates))| {
-                fates.clear();
-                // Every request in a QSM phase belongs to the requesting
-                // processor, so the batch sees one uniform destination.
-                h.fate_batch(step, pid, BatchDests::Uniform(pid), slots, fates);
-            })
-            .collect();
+        pass.dense(&mut self.states, &mut self.lanes, |pid, s, ctx| {
+            f(pid, s, spare.inbox(pid), ctx)
+        });
     }
 
     /// Contention audit: distinct readers and writers per location (the
@@ -490,11 +409,14 @@ impl<S: Send + Sync> QsmMachine<S> {
     fn audit_contention(&mut self) -> Result<(), SimError> {
         let tally = &mut self.tally;
         tally.clear();
-        for (pid, ctx) in self.ctxs.iter().enumerate().rev() {
-            for req in &ctx.requests {
-                match *req {
-                    Request::Read { addr, .. } => tally.read(pid, addr),
-                    Request::Write { addr, .. } => tally.write(pid, addr),
+        for ctx in self.lanes.iter().rev() {
+            let lane = &ctx.lane;
+            for (s, r) in ranged(&lane.senders).rev() {
+                for (&addr, req) in lane.keys[r.clone()].iter().zip(&lane.items[r]) {
+                    match req {
+                        Request::Read => tally.read(s.pid, addr),
+                        Request::Write(_) => tally.write(s.pid, addr),
+                    }
                 }
             }
         }
@@ -532,14 +454,18 @@ impl<S: Send + Sync> QsmMachine<S> {
                 |pid| arena.count(pid, spare.len(pid)),
             );
         }
-        for (pid, ctx) in self.ctxs.iter().enumerate() {
-            let mut served = 0;
-            for (msg_idx, req) in ctx.requests.iter().enumerate() {
-                if let Request::Read { .. } = req {
-                    served += usize::from(!hooked || self.fates[pid][msg_idx].arrives_now());
-                }
+        for ctx in &self.lanes {
+            let lane = &ctx.lane;
+            for (s, r) in ranged(&lane.senders) {
+                let reads = lane.items[r.clone()].iter().enumerate();
+                let served = reads
+                    .filter(|&(k, req)| {
+                        matches!(req, Request::Read)
+                            && (!hooked || lane.fates[r.start + k].arrives_now())
+                    })
+                    .count();
+                self.read_results.count(s.pid, served);
             }
-            self.read_results.count(pid, served);
         }
         for &(pid, _) in due {
             if !(hooked && self.crashed.contains(pid)) {
@@ -557,87 +483,66 @@ impl<S: Send + Sync> QsmMachine<S> {
         }
     }
 
-    /// The sequential serve loop: visit every processor in pid order,
-    /// record its memory-op and work observations, then apply each
+    /// The sequential serve loop: visit every requesting processor in pid
+    /// order, record its memory-op and work observations, then apply each
     /// request's (precomputed) fate — serving reads against the pre-phase
-    /// memory and counting the writes that survive. Returns
-    /// `(reads_served_on_time, writes_surviving)`.
-    fn serve(&mut self, hooked: bool, counters: &mut FaultCounters) -> (u64, u64) {
-        let mut total_reads = 0u64;
-        let mut total_writes = 0u64;
-        for (pid, ctx) in self.ctxs.iter().enumerate() {
-            let (r_i, w_i) = ctx.counts();
-            self.builder.record_memory_ops(r_i, w_i);
-            self.builder.record_work(ctx.work);
-            for (msg_idx, (req, &slot)) in ctx.requests.iter().zip(&self.resolved[pid]).enumerate()
-            {
-                let fate = if hooked {
-                    self.fates[pid][msg_idx]
-                } else {
-                    Fate::Deliver
-                };
-                self.fault_stats.injected += 1;
-                let charged_slot = match fate {
-                    Fate::Displace(d) => {
-                        self.fault_stats.displaced += 1;
-                        counters.displaced += 1;
-                        slot + d
+    /// memory; surviving writes land in [`QsmMachine::apply_writes`]. Late
+    /// responses land after the on-time serves. Returns `(reads, writes)`
+    /// landed.
+    fn serve(
+        &mut self,
+        hooked: bool,
+        due: Vec<(Pid, ReadResult)>,
+        counters: &mut FaultCounters,
+    ) -> (u64, u64) {
+        let mut at = Boundary {
+            arena: &mut self.read_results,
+            pending: &mut self.pending_results,
+            pool: &mut self.pending_pool,
+            stats: &mut self.fault_stats,
+            counters,
+            builder: &mut self.builder,
+            dead: hooked.then_some(&self.crashed),
+        };
+        let (mut reads, mut writes) = (0u64, 0u64);
+        for ctx in &self.lanes {
+            let lane = &ctx.lane;
+            for (s, r) in ranged(&lane.senders) {
+                let items = &lane.items[r.clone()];
+                let r_i = items
+                    .iter()
+                    .filter(|req| matches!(req, Request::Read))
+                    .count() as u64;
+                at.builder.record_memory_ops(r_i, items.len() as u64 - r_i);
+                at.builder.record_work(s.work);
+                let msgs = lane.keys[r.clone()]
+                    .iter()
+                    .zip(items)
+                    .zip(&lane.slots[r.clone()]);
+                for (k, ((&addr, req), &slot)) in msgs.enumerate() {
+                    let fate = if hooked {
+                        lane.fates[r.start + k]
+                    } else {
+                        Fate::Deliver
+                    };
+                    let read = matches!(req, Request::Read);
+                    let result = read.then(|| ReadResult {
+                        addr,
+                        value: self.shared[addr],
+                    });
+                    if !at.apply(fate, slot, s.pid, result) {
+                        continue;
                     }
-                    _ => slot,
-                };
-                self.builder.record_injection(charged_slot);
-                if fate == Fate::Drop {
-                    self.fault_stats.dropped += 1;
-                    counters.dropped += 1;
-                    continue;
-                }
-                match *req {
-                    Request::Read { addr, .. } => {
-                        let result = ReadResult {
-                            addr,
-                            value: self.shared[addr],
-                        };
-                        if let Fate::Delay(k) = fate {
-                            queue_pending(
-                                &mut self.pending_results,
-                                &mut self.pending_pool,
-                                &mut self.fault_stats,
-                                k.max(1),
-                                pid,
-                                result,
-                            );
-                            self.fault_stats.delayed += 1;
-                            counters.delayed += 1;
-                            continue;
-                        }
-                        self.read_results.place(pid, result);
-                        self.fault_stats.delivered += 1;
-                        total_reads += 1;
-                        if fate == Fate::Duplicate {
-                            queue_pending(
-                                &mut self.pending_results,
-                                &mut self.pending_pool,
-                                &mut self.fault_stats,
-                                1,
-                                pid,
-                                result,
-                            );
-                            self.fault_stats.duplicated += 1;
-                            counters.duplicated += 1;
-                        }
-                    }
-                    Request::Write { .. } => {
-                        // Delayed/duplicated writes are absorbed in order by
-                        // the memory system (see
-                        // [`QsmMachine::set_delivery_hook`]) and land in
-                        // [`QsmMachine::apply_writes`].
-                        self.fault_stats.delivered += 1;
-                        total_writes += 1;
+                    if read {
+                        reads += 1;
+                    } else {
+                        writes += 1;
                     }
                 }
             }
         }
-        (total_reads, total_writes)
+        reads += at.land_due(due);
+        (reads, writes)
     }
 
     /// Land every write that was not dropped, from the highest pid down and
@@ -646,11 +551,15 @@ impl<S: Send + Sync> QsmMachine<S> {
     /// deterministic). The audit rejected every location both read and
     /// written, so no read this phase could observe these writes.
     fn apply_writes(&mut self, hooked: bool) {
-        for (pid, ctx) in self.ctxs.iter().enumerate().rev() {
-            for (msg_idx, req) in ctx.requests.iter().enumerate() {
-                if let Request::Write { addr, value, .. } = *req {
-                    if !(hooked && self.fates[pid][msg_idx] == Fate::Drop) {
-                        self.shared[addr] = value;
+        for ctx in self.lanes.iter().rev() {
+            let lane = &ctx.lane;
+            for (_, r) in ranged(&lane.senders).rev() {
+                let msgs = lane.keys[r.clone()].iter().zip(&lane.items[r.clone()]);
+                for (k, (&addr, req)) in msgs.enumerate() {
+                    if let Request::Write(value) = *req {
+                        if !(hooked && lane.fates[r.start + k] == Fate::Drop) {
+                            self.shared[addr] = value;
+                        }
                     }
                 }
             }
@@ -658,7 +567,8 @@ impl<S: Send + Sync> QsmMachine<S> {
     }
 
     /// Snapshot the profile, emit the trace event, and advance the phase
-    /// index.
+    /// index. A processor's received count excludes the results it
+    /// retained through a stall, as in the BSP engine.
     fn finish_phase(
         &mut self,
         step: u64,
@@ -670,18 +580,24 @@ impl<S: Send + Sync> QsmMachine<S> {
         let p = self.params.p;
         let profile = self.builder.snapshot_reset();
         if self.sink.enabled() {
+            let mut sent = vec![0u64; p];
+            for ctx in &self.lanes {
+                for (s, r) in ranged(&ctx.lane.senders) {
+                    sent[s.pid] = r.len() as u64;
+                }
+            }
+            let faults = hooked.then_some((&self.stalled, &self.crashed));
             let mut ev = TraceEvent::for_superstep(
                 TraceSource::Qsm,
                 self.trace_label.clone(),
                 step,
                 self.params,
                 profile.clone(),
-                self.ctxs
-                    .iter()
-                    .map(|ctx| ctx.requests.len() as u64)
+                sent,
+                (0..p)
+                    .map(|d| received(&self.read_results, &self.spare, faults, d))
                     .collect(),
-                (0..p).map(|d| self.read_results.len(d) as u64).collect(),
-                crate::max_slot_multiplicity(&self.resolved, 0..p),
+                max_slot_multiplicity(self.lanes.iter().map(|ctx| &ctx.lane)),
                 reads + writes,
             );
             if hooked {
@@ -913,7 +829,7 @@ mod tests {
         });
         // Autos fill slots 1, 3 and 4 around the pinned 0 and 2.
         assert_eq!(m.profiles()[0].injections, vec![1, 1, 1, 1, 1]);
-        assert_eq!(m.resolved[0], vec![1, 0, 3, 2, 4]);
+        assert_eq!(m.lanes[0].lane.slots, vec![1, 0, 3, 2, 4]);
     }
 
     #[test]
@@ -1147,6 +1063,111 @@ mod tests {
         assert_eq!(stats.in_flight, 0);
         assert_eq!(stats.delivered, 0);
         assert!(stats.conserved(), "ledger {stats:?}");
+    }
+
+    #[test]
+    fn stalled_results_are_not_counted_again_in_the_trace_row() {
+        // Pid 0 reads twice in phase 0 and is stalled in phase 1, which
+        // re-presents the two results without delivering anything new. The
+        // BSP engine's rule: a retained inbox is not received twice.
+        use pbw_trace::RecordingSink;
+        struct StallP0Phase1;
+        impl crate::hook::DeliveryHook for StallP0Phase1 {
+            fn stalled(&self, phase: u64, pid: Pid) -> bool {
+                pid == 0 && phase == 1
+            }
+        }
+        let sink = Arc::new(RecordingSink::new());
+        let mut m: QsmMachine<Word> = QsmMachine::new(params(4), 8, |_| 0);
+        m.set_sink(sink.clone())
+            .set_delivery_hook(Arc::new(StallP0Phase1));
+        m.phase(|pid, _s, _res, ctx| {
+            if pid == 0 {
+                ctx.read(5);
+                ctx.read(6);
+            }
+        });
+        m.phase(|_pid, _s, _res, _ctx| {});
+        let events = sink.take();
+        assert_eq!(events[0].per_proc_recv, vec![2, 0, 0, 0]);
+        assert_eq!(events[1].per_proc_recv, vec![0, 0, 0, 0]);
+        assert_eq!(events[1].delivered, 0);
+    }
+
+    #[test]
+    fn rejected_and_panicked_phases_leave_nothing_in_their_lanes() {
+        // p = 256 packs pids 0..32 into one lane. A rejected phase (pid 4
+        // issues valid requests and charges work, pid 5 reads out of
+        // range) and then a panicking one (every pid reads, pid 133
+        // panics) precede a phase in which only pid 6 reads. Only that
+        // read may be served, priced and returned.
+        struct Reliable;
+        impl crate::hook::DeliveryHook for Reliable {}
+        let p = 256;
+        assert_eq!(crate::lane::block_len(p), 32);
+        for width in [1, 8] {
+            for hooked in [false, true] {
+                let case = format!("width={width} hooked={hooked}");
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(width)
+                    .build()
+                    .unwrap()
+                    .install(|| {
+                        let mut m: QsmMachine<Vec<ReadResult>> =
+                            QsmMachine::new(params(p), 16, |_| Vec::new());
+                        if hooked {
+                            m.set_delivery_hook(Arc::new(Reliable));
+                        }
+                        m.shared_mut()[3] = 30;
+                        m.shared_mut()[7] = 70;
+                        let err = m.try_phase(|pid, _s, _res, ctx| match pid {
+                            4 => {
+                                ctx.read_at(3, 5);
+                                ctx.write(9, 1);
+                                ctx.charge_work(40);
+                            }
+                            5 => ctx.read(16),
+                            _ => {}
+                        });
+                        assert_eq!(
+                            err.unwrap_err(),
+                            SimError::BadAddress { addr: 16, size: 16 },
+                            "{case}"
+                        );
+                        let unwound =
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                m.phase(|pid, _s, _res, ctx| {
+                                    ctx.read(3);
+                                    assert_ne!(pid, 133, "planted closure panic");
+                                })
+                            }));
+                        assert!(unwound.is_err(), "{case}");
+                        assert_eq!(m.phase_index(), 0, "{case}");
+                        let r = m.phase(|pid, _s, _res, ctx| {
+                            if pid == 6 {
+                                ctx.read(7);
+                            }
+                        });
+                        assert_eq!((r.reads, r.writes), (1, 0), "{case}");
+                        assert_eq!(r.profile.injections, vec![1], "{case}");
+                        assert_eq!(r.profile.max_work, 0, "{case}");
+                        m.phase(|_pid, s, res, _ctx| s.extend_from_slice(res));
+                        let got: Vec<(Pid, Vec<ReadResult>)> = (0..p)
+                            .filter(|&pid| !m.state(pid).is_empty())
+                            .map(|pid| (pid, m.state(pid).clone()))
+                            .collect();
+                        assert_eq!(
+                            got,
+                            vec![(6, vec![ReadResult { addr: 7, value: 70 }])],
+                            "{case}"
+                        );
+                        assert_eq!(m.shared()[9], 0, "{case}");
+                        let stats = m.fault_stats();
+                        assert!(stats.conserved(), "{case} ledger {stats:?}");
+                        assert_eq!(stats.injected, 1, "{case}");
+                    });
+            }
+        }
     }
 
     #[test]

@@ -200,13 +200,15 @@ stage_sorting-determinism() {
 # it exercises chunk boundaries neither the degenerate width-1 pool nor the
 # wide-8 pool hits. `faults` drives the hooked recovery supersteps,
 # `broadcast-lb` the broadcast tree's sparse and dense rounds (the engine
-# picks the path per superstep; both paths must give the same bytes).
+# picks the path per superstep; both paths must give the same bytes), and
+# `sorting` the dense all-to-all exchange with pinned slots, the heaviest
+# user of the per-block send lanes the dense pass fills in parallel.
 stage_cross-width-determinism() {
   local w1 wn scen w
   w1="$(mktemp)"
   wn="$(mktemp)"
   trap "rm -f '$w1' '$wn'" EXIT
-  for scen in faults broadcast-lb; do
+  for scen in faults broadcast-lb sorting; do
     PBW_THREADS=1 cargo run --release -q -p pbw-bench --bin reproduce -- --quick --seed 7 --trace "$w1" "$scen" >/dev/null
     # Guard against the vacuous pass: if tracing silently broke and the
     # files are empty, diff would succeed while proving nothing.
@@ -228,19 +230,36 @@ stage_chaos-soak() {
 # workspace): its unit tests, then one short seed-7 run of every workload.
 # Each run must check out — the last stdout line is one JSON object whose
 # `correct` is true and whose `failed` op count is 0 (at seed 7 that
-# includes the recorded cost digests in perfbench/digests.txt).
+# includes the recorded cost digests in perfbench/digests.txt). On hosts
+# with two or more cores, `sort` and `broadcast` run again at pool width 2,
+# where the dense closure pass fills its per-block send lanes in parallel;
+# those runs must also print the recorded seed-7 digest.
 stage_perfbench() {
   cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
-  local out w
+  local out w threads want
   out="$(mktemp)"
   trap "rm -f '$out'" EXIT
-  for w in sort broadcast recovery shared-memory; do
-    PBW_THREADS=1 cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
-      --workload "$w" --seed 7 --seconds 1 --trace 0 > "$out"
+  perfbench_run() {
+    PBW_THREADS="$1" cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+      --workload "$2" --seed 7 --seconds 1 --trace 0 > "$out"
     tail -n 1 "$out" | jq -e '.correct == true and .failed == 0' >/dev/null \
-      || { echo "perfbench: $w did not check out:" >&2; tail -n 1 "$out" >&2; exit 1; }
+      || { echo "perfbench: $2 at width $1 did not check out:" >&2; tail -n 1 "$out" >&2; exit 1; }
+  }
+  for w in sort broadcast recovery shared-memory; do
+    perfbench_run 1 "$w"
     echo "ok: perfbench $w correct, 0 failed"
   done
+  if [ "$(nproc)" -ge 2 ]; then
+    for w in sort broadcast; do
+      perfbench_run 2 "$w"
+      want="$(awk -v w="$w" '$1 == w { print $2 }' perfbench/digests.txt)"
+      grep -q "digest $want" "$out" \
+        || { echo "perfbench: $w at width 2 did not print digest $want" >&2; exit 1; }
+      echo "ok: perfbench $w at PBW_THREADS=2 correct, 0 failed, digest $want"
+    done
+  else
+    echo "skip: perfbench width-2 runs need nproc >= 2 (have $(nproc))"
+  fi
 }
 
 stage_bench-gate() {

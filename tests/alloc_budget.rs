@@ -39,7 +39,8 @@ use parallel_bandwidth::sim::{BspMachine, Fate, QsmMachine};
 use parallel_bandwidth::trace::NullSink;
 
 /// Counts every allocation and reallocation routed through the global
-/// allocator, process-wide and per thread (deallocations are free and
+/// allocator, process-wide and per thread, with the bytes each one asked
+/// for (a reallocation counts its new size; deallocations are free and
 /// irrelevant to the budget).
 struct CountingAlloc;
 
@@ -47,18 +48,20 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(bytes: usize) {
     ALLOCS.fetch_add(1, Ordering::Relaxed);
     // A const-initialized `Cell` needs no lazy init or destructor, so this
     // never allocates; `try_with` only fails during thread teardown.
     let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = THREAD_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc(layout)
     }
 
@@ -67,7 +70,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -84,6 +87,11 @@ fn allocs() -> u64 {
     } else {
         ALLOCS.load(Ordering::Relaxed)
     }
+}
+
+/// Bytes this thread has asked the allocator for so far (width 1 only).
+fn thread_bytes() -> u64 {
+    THREAD_BYTES.with(Cell::get)
 }
 
 const P: usize = 64;
@@ -624,4 +632,87 @@ fn steady_state_supersteps_allocate_o1_parallel() {
             );
         });
     rayon::tune::pin_min_chunk(None);
+}
+
+/// Bytes one `new` call asks the allocator for, measured at width 1 after
+/// a warmup construction has initialized the process-wide trace sink.
+fn construction_bytes<T>(new: impl Fn() -> T) -> u64 {
+    drop(new());
+    let before = thread_bytes();
+    let machine = new();
+    let bytes = thread_bytes() - before;
+    drop(machine);
+    bytes
+}
+
+/// Construction pays for the processor states, the two inbox arenas'
+/// segment tables and a few bitsets — about 42 bytes per processor for a
+/// `BspMachine<u64, u64>` — and a send lane per block of 64 pids, never
+/// per-processor send storage.
+#[test]
+fn bsp_construction_allocates_at_most_48_bytes_per_processor() {
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap()
+        .install(|| {
+            let p = 1 << 16;
+            let mp = MachineParams::from_gap(p, 2, 4);
+            let bytes = construction_bytes(|| BspMachine::<u64, u64>::new(mp, |pid| pid as u64));
+            assert!(
+                bytes <= 48 * p as u64,
+                "BspMachine::new allocated {bytes} bytes at p = {p}: {:.1} per processor, \
+                 budget 48",
+                bytes as f64 / p as f64
+            );
+        });
+}
+
+/// The QSM machine pays the same per-processor storage as BSP plus, per
+/// shared word, the word itself and its 16-byte contention-tally cell.
+#[test]
+fn qsm_construction_allocates_at_most_48_bytes_per_processor_plus_24_per_word() {
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap()
+        .install(|| {
+            let p = 1 << 16;
+            let size = p;
+            let mp = MachineParams::from_gap(p, 2, 4);
+            let bytes = construction_bytes(|| QsmMachine::<u64>::new(mp, size, |pid| pid as u64));
+            let budget = (48 * p + 24 * size) as u64;
+            assert!(
+                bytes <= budget,
+                "QsmMachine::new allocated {bytes} bytes at p = size = {p}, budget {budget}"
+            );
+        });
+}
+
+/// A fresh machine's first superstep grows its send storage from nothing.
+/// With one lane per 64-pid block that costs a few allocations per block,
+/// not a few per sending processor: at most p/4 when all p send once.
+#[test]
+fn a_fresh_machines_first_superstep_allocates_per_block_not_per_sender() {
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap()
+        .install(|| {
+            let p = 4096;
+            let mp = MachineParams::from_gap(p, 2, 4);
+            drop(BspMachine::<u64, u64>::new(mp, |pid| pid as u64));
+            let mut bsp: BspMachine<u64, u64> = BspMachine::new(mp, |pid| pid as u64);
+            let before = allocs();
+            bsp.superstep(|pid, _state, _inbox, out| out.send((pid + 1) % p, pid as u64));
+            let count = allocs() - before;
+            assert!(
+                count <= p as u64 / 4,
+                "first superstep made {count} allocations at p = {p}, budget {}",
+                p / 4
+            );
+        });
 }
