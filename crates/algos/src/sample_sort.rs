@@ -22,7 +22,7 @@
 //! | 1 | pid 0 | sort samples, select `p−1` splitters, start broadcast |
 //! | 2..=r | pids < 2^(s−1) | store-then-forward splitter doubling tree |
 //! | r+1 | all | partition by splitters; staggered all-to-all exchange |
-//! | r+2 | all | merge the `p` received sorted runs |
+//! | r+2 | all | sort the received bucket |
 //!
 //! Oversampling is either [`Sampling::Seeded`] (per-pid ChaCha8 draws,
 //! ratio knob) or [`Sampling::Regular`] (evenly spaced local quantiles —
@@ -150,14 +150,14 @@ impl Default for SampleSortConfig {
 }
 
 /// Per-processor state: the local sorted block, the splitters once the
-/// broadcast reaches this pid, and the merged output bucket.
+/// broadcast reaches this pid, and the sorted output bucket.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct SsState {
     /// Locally sorted `n/p` input keys (set in superstep 0).
     pub keys: Vec<Word>,
     /// The `p−1` splitters (empty until the broadcast arrives).
     pub splitters: Vec<Word>,
-    /// This pid's merged bucket (set in the final superstep).
+    /// This pid's sorted bucket (set in the final superstep).
     pub result: Vec<Word>,
 }
 
@@ -372,22 +372,22 @@ impl SampleSortProgram {
                 out.send_at(t, SsMsg::Key(key), stagger(k as u64, pid, p, m));
             }
         } else {
-            // Merge the p concatenated sorted runs in this pid's bucket.
+            // Sort this pid's bucket: the p sorted runs it received,
+            // concatenated.
             if inbox.is_empty() {
                 return;
             }
-            let bucket: Vec<Word> = inbox
-                .iter()
-                .filter_map(|msg| match msg {
-                    SsMsg::Key(v) => Some(*v),
-                    _ => None,
-                })
-                .collect();
+            let mut bucket = Vec::with_capacity(inbox.len());
+            bucket.extend(inbox.iter().filter_map(|msg| match msg {
+                SsMsg::Key(v) => Some(*v),
+                _ => None,
+            }));
             if bucket.is_empty() {
                 return;
             }
             out.charge_work(lgwork(bucket.len()));
-            s.result = merge_runs(bucket);
+            bucket.sort_unstable();
+            s.result = bucket;
         }
     }
 }
@@ -419,53 +419,6 @@ fn store_splitters(p: usize, s: &mut SsState, inbox: &[SsMsg]) {
     if seen {
         s.splitters = spl;
     }
-}
-
-/// Merge a concatenation of sorted runs by splitting at descents and
-/// pairwise-merging — `O(len·lg(runs))`, matching the charged work.
-fn merge_runs(values: Vec<Word>) -> Vec<Word> {
-    let mut runs: Vec<Vec<Word>> = Vec::new();
-    let mut cur: Vec<Word> = Vec::new();
-    for v in values {
-        if let Some(&last) = cur.last() {
-            if v < last {
-                runs.push(std::mem::take(&mut cur));
-            }
-        }
-        cur.push(v);
-    }
-    if !cur.is_empty() {
-        runs.push(cur);
-    }
-    while runs.len() > 1 {
-        let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut it = runs.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(merge2(&a, &b)),
-                None => next.push(a),
-            }
-        }
-        runs = next;
-    }
-    runs.pop().unwrap_or_default()
-}
-
-fn merge2(a: &[Word], b: &[Word]) -> Vec<Word> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 /// One fault-free (or raw-hooked) sample-sort execution, fully priced.
@@ -868,17 +821,5 @@ mod tests {
         assert!(distinct.len() <= 8);
         let pre = keyset(KeyDist::PreSorted, 512, 1);
         assert!(pre.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn merge_runs_equals_sort() {
-        let mut v = keyset(KeyDist::Zipf, 300, 2);
-        // Shape into concatenated sorted runs like a real inbox.
-        for chunk in v.chunks_mut(37) {
-            chunk.sort_unstable();
-        }
-        let merged = merge_runs(v.clone());
-        v.sort_unstable();
-        assert_eq!(merged, v);
     }
 }

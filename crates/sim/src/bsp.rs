@@ -34,8 +34,9 @@ use pbw_trace::{FaultCounters, RecoveryMark, TraceEvent, TraceSink, TraceSource}
 ///
 /// Every processor of one block of consecutive pids writes into the same
 /// recycled send lane (see DESIGN.md §14): destinations and payloads in
-/// flat arrays, an explicit slot only for [`Outbox::send_at`]. The methods
-/// below see only the calling processor's own messages.
+/// flat arrays, and a slot per message once one of them is pinned with
+/// [`Outbox::send_at`]. The methods below see only the calling processor's
+/// own messages.
 #[derive(Debug)]
 pub struct Outbox<M> {
     pub(crate) lane: Lane<M>,
@@ -66,9 +67,11 @@ impl<M> Outbox<M> {
     /// Post a message pinned to injection step `slot` (0-based within the
     /// superstep). Two pinned sends from the same processor must use
     /// distinct slots.
+    ///
+    /// # Panics
+    /// If `slot` is `u64::MAX`, a step no superstep reaches.
     pub fn send_at(&mut self, dest: Pid, payload: M, slot: u64) {
-        self.lane.push(dest, payload);
-        self.lane.pin(slot);
+        self.lane.push_at(dest, payload, slot);
     }
 
     /// Charge `w` units of local computation to this processor for this
@@ -1090,6 +1093,22 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err, SimError::DuplicateSlot { pid: 2, slot: 5 });
+    }
+
+    #[test]
+    #[should_panic(expected = "injection slot 18446744073709551615 is out of range")]
+    fn a_pin_at_the_unpinned_marker_fails_the_step() {
+        // A lane marks plain messages with `u64::MAX` until its seal
+        // resolves them, so a pin there must fail the step rather than pass
+        // for a plain send: here as the lane's first pin, which marks the
+        // plain send before it.
+        let mut m: BspMachine<(), u8> = BspMachine::new(params(4), |_| ());
+        let _ = m.try_superstep(|pid, _s, _in, out| {
+            if pid == 1 {
+                out.send(0, 1);
+                out.send_at(0, 1, u64::MAX);
+            }
+        });
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! The pids are cut into blocks of [`block_len`] consecutive pids, each
 //! owning one [`Lane`]. A block's closures append their messages (BSP) or
 //! requests (QSM) to its lane in pid order: keys and items in two flat
-//! arrays, an explicit slot only for pinned ones, and a [`Sender`] record
+//! arrays, slots only once one of them is pinned, and a [`Sender`] record
 //! per pid that posted or charged work. Sealing a lane validates it and
 //! resolves slots and (hooked) fates into arrays indexed by message, so
 //! the lanes in block order list every message in the canonical delivery
@@ -29,6 +29,11 @@ use rayon::prelude::*;
 pub(crate) fn block_len(p: usize) -> usize {
     (p / 8).clamp(1, 64)
 }
+
+/// The slot a plain message holds in a lane with a pin, until the seal
+/// resolves it. No pin may equal it: [`Lane::push_at`] panics on one, so it
+/// can never pass for a plain message.
+const UNPINNED: u64 = u64::MAX;
 
 /// One pid that posted a message or charged work, in its block's lane:
 /// its messages end at `end` and start where the previous record ends.
@@ -72,13 +77,16 @@ pub(crate) struct Lane<T> {
     pub(crate) keys: Vec<usize>,
     /// Payload (BSP) or request (QSM) of each message.
     pub(crate) items: Vec<T>,
-    /// `(message index, slot)` for each pinned message, ascending.
-    pins: Vec<(usize, u64)>,
+    /// Sorted claimed slots of the sender being resolved, unless all its
+    /// messages are pinned in ascending order: the seal's recycled scratch.
+    claims: Vec<u64>,
     /// Ascending pids that posted or charged work.
     pub(crate) senders: Vec<Sender>,
-    /// Resolved injection slot of each message. Empty when nothing reads
-    /// slots this step and no sender pinned one: every sender's slots are
-    /// then `0..n`.
+    /// Injection slot of each message. Empty until the lane's first pin,
+    /// then each message's pinned slot or [`UNPINNED`], up to its last pin;
+    /// the seal marks the rest and resolves them in place. Still empty
+    /// after the seal when nothing reads slots this step and no sender
+    /// pinned one: every sender's slots are then `0..n`.
     pub(crate) slots: Vec<u64>,
     /// Fate of each message (hooked steps only).
     pub(crate) fates: Vec<Fate>,
@@ -99,7 +107,7 @@ impl<T> Default for Lane<T> {
         Self {
             keys: Vec::new(),
             items: Vec::new(),
-            pins: Vec::new(),
+            claims: Vec::new(),
             senders: Vec::new(),
             slots: Vec::new(),
             fates: Vec::new(),
@@ -125,10 +133,21 @@ impl<T> Lane<T> {
         self.items.push(item);
     }
 
-    /// Pin the message just pushed to injection step `slot`.
+    /// Append one message of the open pid, pinned to injection step `slot`.
+    /// The plain messages since the lane's previous pin are marked
+    /// [`UNPINNED`] first; the seal marks those after its last.
+    ///
+    /// # Panics
+    /// If `slot` is [`UNPINNED`], which no superstep can reach.
     #[inline]
-    pub(crate) fn pin(&mut self, slot: u64) {
-        self.pins.push((self.keys.len() - 1, slot));
+    pub(crate) fn push_at(&mut self, key: usize, item: T, slot: u64) {
+        assert!(slot != UNPINNED, "injection slot {slot} is out of range");
+        if self.slots.capacity() == 0 {
+            self.slots.reserve(self.keys.capacity().max(self.hint));
+        }
+        self.slots.resize(self.keys.len(), UNPINNED);
+        self.push(key, item);
+        self.slots.push(slot);
     }
 
     /// Charge `w` units of local work to the open pid.
@@ -148,7 +167,6 @@ impl<T> Lane<T> {
     fn reset(&mut self, hint: usize) {
         self.keys.clear();
         self.items.clear();
-        self.pins.clear();
         self.senders.clear();
         self.slots.clear();
         self.fates.clear();
@@ -183,14 +201,12 @@ impl<T> Lane<T> {
     /// only key-checked. Either error rejects the step, so nothing after it
     /// is read.
     fn seal(&mut self, cfg: &Pass) {
-        let resolve = cfg.materialize || !self.pins.is_empty();
-        let mut pin = 0;
+        let pinned = !self.slots.is_empty();
+        if pinned {
+            self.slots.resize(self.keys.len(), UNPINNED);
+        }
         for (Sender { pid, .. }, r) in ranged(&self.senders) {
             let keys = &self.keys[r.clone()];
-            let pins_from = pin;
-            while pin < self.pins.len() && self.pins[pin].0 < r.end {
-                pin += 1;
-            }
             // A vectorizable max over the lane, then a rescan for the
             // first offender only when there is one.
             if keys
@@ -203,11 +219,12 @@ impl<T> Lane<T> {
                 self.bad_key = Some((cfg.key_error)(pid, key.unwrap_or(cfg.bound), cfg.bound));
                 return;
             }
-            if !resolve || self.bad_slot.is_some() {
+            if !(cfg.materialize || pinned) || self.bad_slot.is_some() {
                 continue;
             }
-            let pins = &self.pins[pins_from..pin];
-            if let Err(slot) = crate::resolve_slots(r.clone(), pins, &mut self.slots) {
+            if !pinned {
+                self.slots.extend(0..r.len() as u64);
+            } else if let Err(slot) = resolve_slots(&mut self.slots[r.clone()], &mut self.claims) {
                 self.bad_slot = Some(SimError::DuplicateSlot { pid, slot });
                 continue;
             }
@@ -221,6 +238,57 @@ impl<T> Lane<T> {
             }
         }
     }
+}
+
+/// Resolve one processor's injection slots in place. `slots` holds each of
+/// its messages' pinned slot, or [`UNPINNED`] for a plain one: pinned
+/// slots are honoured, and the plain messages take, in order, the earliest
+/// slots no pin claimed. Two pins on one slot return the smallest such slot
+/// as the error.
+///
+/// A sender whose messages are all pinned, with pins that strictly ascend
+/// as staggered and scheduled sends do, is done after one read-only pass.
+/// Any other sender's pins are copied into `claims`, recycled scratch, so
+/// a steady superstep never allocates; the copy is sorted and checked for
+/// duplicates only when the pins do not ascend.
+fn resolve_slots(slots: &mut [u64], claims: &mut Vec<u64>) -> Result<(), u64> {
+    let (mut ascending, mut floor, mut plain) = (true, 0, 0);
+    for &s in slots.iter() {
+        if s == UNPINNED {
+            plain += 1;
+        } else {
+            // `floor` is the least slot the next pin may take if pins
+            // ascend; no pin is `u64::MAX`, so `s + 1` cannot overflow.
+            ascending &= s >= floor;
+            floor = s + 1;
+        }
+    }
+    if ascending && plain == 0 {
+        return Ok(());
+    }
+    claims.clear();
+    claims.extend(slots.iter().copied().filter(|&s| s != UNPINNED));
+    if !ascending {
+        claims.sort_unstable();
+        if let Some(w) = claims.windows(2).find(|w| w[0] == w[1]) {
+            return Err(w[0]);
+        }
+    }
+    if plain == 0 {
+        return Ok(());
+    }
+    // The plain messages fill the gaps of the sorted claims in order:
+    // `next` only grows, so the cursor passes each claim once.
+    let (mut next, mut c) = (0, 0);
+    for s in slots.iter_mut().filter(|s| **s == UNPINNED) {
+        while claims.get(c) == Some(&next) {
+            next += 1;
+            c += 1;
+        }
+        *s = next;
+        next += 1;
+    }
+    Ok(())
 }
 
 /// Storage wrapping a lane: [`crate::Outbox`] and [`crate::QsmCtx`]. A
@@ -375,8 +443,7 @@ mod tests {
                 0 => w.0.charge(5),
                 2 => {
                     w.0.push(1, 10);
-                    w.0.push(3, 11);
-                    w.0.pin(0);
+                    w.0.push_at(3, 11, 0);
                     w.0.push(2, 12);
                 }
                 3 => w.0.push(0, 13),
@@ -403,9 +470,9 @@ mod tests {
         ] {
             lane.open(pid);
             for &(key, slot) in sends {
-                lane.push(key, 0);
-                if let Some(s) = slot {
-                    lane.pin(s);
+                match slot {
+                    Some(s) => lane.push_at(key, 0, s),
+                    None => lane.push(key, 0),
                 }
             }
             lane.close();
@@ -419,5 +486,137 @@ mod tests {
             lane.bad_key,
             Some(SimError::BadDestination { pid: 1, dest: 9 })
         );
+    }
+
+    mod resolver_props {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+        use std::collections::BTreeSet;
+
+        /// One sender's messages, `Some(slot)` for a pinned one. `kind`
+        /// picks the shape: 0 every message pinned, pins ascending; 1 every
+        /// message pinned, pins shuffled; 2 none pinned; 3 a random mix,
+        /// pins ascending; 4 a random mix, pins shuffled. Pins are distinct
+        /// slots below `2n + 2`, so plain messages must fill the gaps
+        /// between claims, until `dup` makes up to two of them collide.
+        fn sender(kind: u8, dup: bool, n: usize, seed: u64) -> Vec<Option<u64>> {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut shuffle = |v: &mut [u64]| {
+                for i in (1..v.len()).rev() {
+                    v.swap(i, rng.gen_range(0..=i));
+                }
+            };
+            let mut pool: Vec<u64> = (0..2 * n as u64 + 2).collect();
+            shuffle(&mut pool);
+            let pinned = match kind {
+                0 | 1 => n,
+                2 => 0,
+                _ => pool[0] as usize % (n + 1),
+            };
+            let mut pins = pool[..pinned].to_vec();
+            let ascending = kind != 1 && kind != 4;
+            if ascending {
+                pins.sort_unstable();
+            }
+            if dup && pinned >= 2 {
+                // Up to two collisions, each a pin copied onto its
+                // neighbour, which keeps ascending pins non-decreasing.
+                for &r in &pool[1..3] {
+                    let j = r as usize % (pinned - 1);
+                    pins[j + 1] = pins[j];
+                }
+                if !ascending {
+                    shuffle(&mut pins);
+                }
+            }
+            let mut at: Vec<u64> = (0..n as u64).collect();
+            shuffle(&mut at);
+            let mut at: Vec<usize> = at[..pinned].iter().map(|&i| i as usize).collect();
+            at.sort_unstable();
+            let mut pins = pins.into_iter();
+            let mut at = at.into_iter().peekable();
+            (0..n)
+                .map(|i| (at.next_if_eq(&i).is_some()).then(|| pins.next().unwrap()))
+                .collect()
+        }
+
+        /// The naive resolver: claimed slots in a set, then each plain
+        /// message in order takes the smallest slot still free.
+        fn reference(sends: &[Option<u64>]) -> Result<Vec<u64>, u64> {
+            let mut claimed = BTreeSet::new();
+            let mut dups = BTreeSet::new();
+            for &slot in sends.iter().flatten() {
+                if !claimed.insert(slot) {
+                    dups.insert(slot);
+                }
+            }
+            if let Some(&slot) = dups.first() {
+                return Err(slot);
+            }
+            let resolved = sends.iter().map(|s| {
+                s.unwrap_or_else(|| {
+                    let free = (0..).find(|t| !claimed.contains(t)).unwrap();
+                    claimed.insert(free);
+                    free
+                })
+            });
+            Ok(resolved.collect())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            // Every sender of a lane resolves in place exactly as the
+            // naive reference does, up to the first collision, which
+            // reports the smallest duplicated slot; plain senders before
+            // the lane's first pin are back-filled as unpinned.
+            #[test]
+            fn in_place_resolution_matches_the_naive_reference(
+                senders in proptest::collection::vec(
+                    (0u8..5, any::<bool>(), 0usize..24, any::<u64>()),
+                    1..5,
+                ),
+                materialize in any::<bool>(),
+            ) {
+                let sends: Vec<Vec<Option<u64>>> = senders
+                    .iter()
+                    .map(|&(kind, dup, n, seed)| sender(kind, dup, n, seed))
+                    .collect();
+                let mut lane: Lane<u8> = Lane::default();
+                lane.reset(4);
+                for (pid, msgs) in sends.iter().enumerate() {
+                    lane.open(pid);
+                    for &slot in msgs {
+                        match slot {
+                            Some(s) => lane.push_at(0, 0, s),
+                            None => lane.push(0, 0),
+                        }
+                    }
+                    lane.close();
+                }
+                lane.seal(&Pass { materialize, ..pass(4, 1) });
+
+                let mut want = Vec::new();
+                let mut bad = None;
+                for (pid, msgs) in sends.iter().enumerate() {
+                    match reference(msgs) {
+                        Ok(slots) => want.extend(slots),
+                        Err(slot) => {
+                            bad = Some(SimError::DuplicateSlot { pid, slot });
+                            break;
+                        }
+                    }
+                }
+                prop_assert_eq!(&lane.bad_slot, &bad);
+                let pinned = sends.iter().flatten().any(Option::is_some);
+                if bad.is_none() && !(pinned || materialize) {
+                    prop_assert!(lane.slots.is_empty());
+                } else {
+                    prop_assert_eq!(&lane.slots[..want.len()], &want[..]);
+                }
+            }
+        }
     }
 }

@@ -55,64 +55,6 @@ pub use summary::CostSummary;
 /// Processor identifier.
 pub type Pid = usize;
 
-/// Resolve the injection slots of one processor's messages `range` (lane
-/// indices), appending one slot per message to `slots`. `pins` lists its
-/// pinned messages as `(index, slot)`, ascending: pinned slots are
-/// honoured, and the others fill the earliest slots no pin claimed. Two
-/// pins on one slot return the smallest such slot as the error. A cursor
-/// walks the pins beside the messages, and the sorted claim set is scratch
-/// at the end of `slots` itself, so a steady superstep never allocates.
-pub(crate) fn resolve_slots(
-    range: std::ops::Range<usize>,
-    pins: &[(usize, u64)],
-    slots: &mut Vec<u64>,
-) -> Result<(), u64> {
-    let from = slots.len();
-    let n = range.len();
-    if pins.is_empty() {
-        slots.extend(0..n as u64);
-        return Ok(());
-    }
-    slots.extend(pins.iter().map(|&(_, s)| s));
-    let claimed = pins.len();
-    slots[from..].sort_unstable();
-    if let Some(w) = slots[from..].windows(2).find(|w| w[0] == w[1]) {
-        let slot = w[0];
-        slots.truncate(from);
-        return Err(slot);
-    }
-    if claimed == n {
-        // Every message is pinned: the slots are the pins' own, and the
-        // buffer needs no room for a claim run beside them.
-        slots.truncate(from);
-        slots.extend(pins.iter().map(|&(_, s)| s));
-        return Ok(());
-    }
-    slots.reserve(n);
-    // Autos merge against the sorted claim run: `next_auto` is monotone,
-    // so a single cursor visits each claimed slot at most once.
-    let mut next_auto = 0u64;
-    let mut cursor = from;
-    let mut pin = 0;
-    for idx in range {
-        if pin < claimed && pins[pin].0 == idx {
-            slots.push(pins[pin].1);
-            pin += 1;
-            continue;
-        }
-        while cursor < from + claimed && slots[cursor] <= next_auto {
-            if slots[cursor] == next_auto {
-                next_auto += 1;
-            }
-            cursor += 1;
-        }
-        slots.push(next_auto);
-        next_auto += 1;
-    }
-    slots.drain(from..from + claimed);
-    Ok(())
-}
-
 /// Errors raised by the simulation engines when a program violates model
 /// rules.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -59,7 +59,8 @@ pub(crate) enum Request {
 ///
 /// Every processor of one block of consecutive pids writes into the same
 /// recycled lane (see DESIGN.md §14): addresses and requests in flat
-/// arrays, an explicit slot only for `read_at` and `write_at`.
+/// arrays, and a slot per request once one of them is pinned with
+/// `read_at` or `write_at`.
 #[derive(Debug, Default)]
 pub struct QsmCtx {
     lane: Lane<Request>,
@@ -79,9 +80,11 @@ impl QsmCtx {
     }
 
     /// Issue a read pinned to injection step `slot`.
+    ///
+    /// # Panics
+    /// If `slot` is `u64::MAX`, a step no phase reaches.
     pub fn read_at(&mut self, addr: Addr, slot: u64) {
-        self.lane.push(addr, Request::Read);
-        self.lane.pin(slot);
+        self.lane.push_at(addr, Request::Read, slot);
     }
 
     /// Issue a shared-memory write, pipelined; it lands at the end of the
@@ -94,9 +97,11 @@ impl QsmCtx {
     }
 
     /// Issue a write pinned to injection step `slot`.
+    ///
+    /// # Panics
+    /// If `slot` is `u64::MAX`, a step no phase reaches.
     pub fn write_at(&mut self, addr: Addr, value: Word, slot: u64) {
-        self.lane.push(addr, Request::Write(value));
-        self.lane.pin(slot);
+        self.lane.push_at(addr, Request::Write(value), slot);
     }
 
     /// Charge `w` units of local computation.
@@ -813,6 +818,20 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err, SimError::DuplicateSlot { pid: 0, slot: 4 });
+    }
+
+    #[test]
+    #[should_panic(expected = "injection slot 18446744073709551615 is out of range")]
+    fn a_pin_at_the_unpinned_marker_fails_the_phase() {
+        // A pin at the lane's marker for plain requests fails the phase
+        // after other pins too, not only as the lane's first pin.
+        let mut m: QsmMachine<()> = QsmMachine::new(params(4), 8, |_| ());
+        let _ = m.try_phase(|pid, _s, _res, ctx| {
+            if pid == 2 {
+                ctx.read_at(0, 1);
+                ctx.write_at(1, 5, u64::MAX);
+            }
+        });
     }
 
     #[test]

@@ -200,15 +200,17 @@ stage_sorting-determinism() {
 # it exercises chunk boundaries neither the degenerate width-1 pool nor the
 # wide-8 pool hits. `faults` drives the hooked recovery supersteps,
 # `broadcast-lb` the broadcast tree's sparse and dense rounds (the engine
-# picks the path per superstep; both paths must give the same bytes), and
+# picks the path per superstep; both paths must give the same bytes),
 # `sorting` the dense all-to-all exchange with pinned slots, the heaviest
-# user of the per-block send lanes the dense pass fills in parallel.
+# user of the per-block send lanes the dense pass fills in parallel, and
+# `qsm-exercise` the QSM phases, whose `read_at` and `write_at` lanes
+# resolve their slots in place while the dense pass seals them.
 stage_cross-width-determinism() {
   local w1 wn scen w
   w1="$(mktemp)"
   wn="$(mktemp)"
   trap "rm -f '$w1' '$wn'" EXIT
-  for scen in faults broadcast-lb sorting; do
+  for scen in faults broadcast-lb sorting qsm-exercise; do
     PBW_THREADS=1 cargo run --release -q -p pbw-bench --bin reproduce -- --quick --seed 7 --trace "$w1" "$scen" >/dev/null
     # Guard against the vacuous pass: if tracing silently broke and the
     # files are empty, diff would succeed while proving nothing.
@@ -227,28 +229,33 @@ stage_chaos-soak() {
 }
 
 # The repository benchmark (perfbench/, its own cargo package and
-# workspace): its unit tests, then one short seed-7 run of every workload.
-# Each run must check out — the last stdout line is one JSON object whose
-# `correct` is true and whose `failed` op count is 0 (at seed 7 that
-# includes the recorded cost digests in perfbench/digests.txt). On hosts
-# with two or more cores, `sort` and `broadcast` run again at pool width 2,
-# where the dense closure pass fills its per-block send lanes in parallel;
-# those runs must also print the recorded seed-7 digest.
+# workspace): its unit tests, then one short seed-7 run of every workload,
+# and one of `sort` at seed 11, which checks every op against the sorted
+# oracle away from the seed the digests were recorded at. Each run must
+# check out — the last stdout line is one JSON object whose `correct` is
+# true and whose `failed` op count is 0 (at seed 7 that includes the
+# recorded cost digests in perfbench/digests.txt). On hosts with two or
+# more cores, `sort` and `broadcast` run again at pool width 2, where the
+# dense closure pass fills its per-block send lanes in parallel; those
+# runs must also print the recorded seed-7 digest.
 stage_perfbench() {
   cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
   local out w threads want
   out="$(mktemp)"
   trap "rm -f '$out'" EXIT
+  # perfbench_run <width> <workload> [seed, default 7]
   perfbench_run() {
     PBW_THREADS="$1" cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
-      --workload "$2" --seed 7 --seconds 1 --trace 0 > "$out"
+      --workload "$2" --seed "${3:-7}" --seconds 1 --trace 0 > "$out"
     tail -n 1 "$out" | jq -e '.correct == true and .failed == 0' >/dev/null \
-      || { echo "perfbench: $2 at width $1 did not check out:" >&2; tail -n 1 "$out" >&2; exit 1; }
+      || { echo "perfbench: $2 at width $1, seed ${3:-7} did not check out:" >&2; tail -n 1 "$out" >&2; exit 1; }
   }
   for w in sort broadcast recovery shared-memory; do
     perfbench_run 1 "$w"
     echo "ok: perfbench $w correct, 0 failed"
   done
+  perfbench_run 1 sort 11
+  echo "ok: perfbench sort at seed 11 correct, 0 failed"
   if [ "$(nproc)" -ge 2 ]; then
     for w in sort broadcast; do
       perfbench_run 2 "$w"

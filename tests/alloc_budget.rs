@@ -716,3 +716,50 @@ fn a_fresh_machines_first_superstep_allocates_per_block_not_per_sender() {
             );
         });
 }
+
+/// Bytes per message that the first superstep of a fresh
+/// `BspMachine<u64, u64>` at p = 4096 asks for when every pid posts 64
+/// messages, all pinned with `send_at` or all plain.
+fn first_superstep_bytes_per_message(pinned: bool) -> f64 {
+    let p = 4096;
+    let fanout = 64;
+    let mp = MachineParams::from_gap(p, 2, 4);
+    drop(BspMachine::<u64, u64>::new(mp, |pid| pid as u64));
+    let mut bsp: BspMachine<u64, u64> = BspMachine::new(mp, |pid| pid as u64);
+    let before = thread_bytes();
+    bsp.superstep(|pid, _state, _inbox, out| {
+        for k in 0..fanout {
+            let dest = (pid + k + 1) % p;
+            if pinned {
+                out.send_at(dest, k as u64, k as u64);
+            } else {
+                out.send(dest, k as u64);
+            }
+        }
+    });
+    (thread_bytes() - before) as f64 / (p * fanout) as f64
+}
+
+/// A pinned send costs one more 8-byte slot in its lane than a plain send,
+/// and nothing per pin beside it: about 56 bytes per pinned message against
+/// 40.1 per plain one in a fresh machine's first superstep.
+#[test]
+fn a_fresh_machines_first_superstep_asks_at_most_64_bytes_per_pinned_send() {
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap()
+        .install(|| {
+            let pinned = first_superstep_bytes_per_message(true);
+            let plain = first_superstep_bytes_per_message(false);
+            assert!(
+                pinned <= 64.0,
+                "first superstep asked for {pinned:.1} bytes per pinned send, budget 64"
+            );
+            assert!(
+                plain <= 40.5,
+                "first superstep asked for {plain:.1} bytes per plain send, budget 40.5"
+            );
+        });
+}
