@@ -12,8 +12,10 @@
 //! 1-core CI box legitimately reports ≈1×. The core-aware gate in
 //! `scripts/bench_gate.sh --parallel` asserts a ≥2× floor at 4 threads on
 //! hosts with nproc ≥ 4 and degrades to an overhead ceiling (threads=8 at
-//! most 1.25× threads=1) on narrower containers, where the autotuner's
-//! sequential cutoff is the mechanism keeping wide pools cheap.
+//! most 1.25× threads=1) on narrower containers, where the static chunk
+//! plan keeps wide pools cheap: the BSP closure pass cuts the ring's 16
+//! blocks into at most 4 chunks of at least 4 blocks each, and a job too
+//! short for two chunks runs inline.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pbw_models::MachineParams;

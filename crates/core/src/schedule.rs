@@ -18,6 +18,11 @@ use pbw_models::{div_ceil, MachineParams, PenaltyFn, ProfileBuilder, SuperstepPr
 use pbw_trace::{TraceEvent, TraceSink, TraceSource};
 use rayon::prelude::*;
 
+/// The fewest sources one pool chunk of a per-source check holds: a
+/// source's check is a few slot comparisons, so shorter jobs run inline
+/// (DESIGN §13).
+const MIN_SOURCES_PER_CHUNK: usize = 1024;
+
 /// A start slot for every message of a workload (same shape as
 /// `workload.sends()`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,6 +88,7 @@ pub fn validate_schedule(schedule: &Schedule, wl: &Workload) -> Result<(), Sched
     let checks: Result<Vec<()>, ScheduleError> = schedule
         .starts
         .par_iter()
+        .with_min_len(MIN_SOURCES_PER_CHUNK)
         .enumerate()
         .map(|(src, starts)| {
             let msgs = wl.msgs(src);
@@ -119,6 +125,7 @@ pub fn slot_loads(schedule: &Schedule, wl: &Workload) -> Vec<u64> {
     let makespan = schedule
         .starts
         .par_iter()
+        .with_min_len(MIN_SOURCES_PER_CHUNK)
         .enumerate()
         .map(|(src, starts)| {
             starts
@@ -132,23 +139,28 @@ pub fn slot_loads(schedule: &Schedule, wl: &Workload) -> Vec<u64> {
         .into_iter()
         .max()
         .unwrap_or(0);
-    schedule.starts.par_iter().enumerate().fold_chunks(
-        || vec![0u64; makespan as usize],
-        |mut loads, (src, starts)| {
-            for (&s, m) in starts.iter().zip(wl.msgs(src)) {
-                for t in s..s + m.len {
-                    loads[t as usize] += 1;
+    schedule
+        .starts
+        .par_iter()
+        .with_min_len(MIN_SOURCES_PER_CHUNK)
+        .enumerate()
+        .fold_chunks(
+            || vec![0u64; makespan as usize],
+            |mut loads, (src, starts)| {
+                for (&s, m) in starts.iter().zip(wl.msgs(src)) {
+                    for t in s..s + m.len {
+                        loads[t as usize] += 1;
+                    }
                 }
-            }
-            loads
-        },
-        |mut a, b| {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += y;
-            }
-            a
-        },
-    )
+                loads
+            },
+            |mut a, b| {
+                for (x, y) in a.iter_mut().zip(b) {
+                    *x += y;
+                }
+                a
+            },
+        )
 }
 
 /// Convert a schedule into a [`SuperstepProfile`], so it can be priced under
@@ -221,6 +233,7 @@ fn max_per_proc_slot_occupancy(schedule: &Schedule, wl: &Workload) -> u64 {
     schedule
         .starts
         .par_iter()
+        .with_min_len(MIN_SOURCES_PER_CHUNK)
         .enumerate()
         .map(|(src, starts)| {
             // Interval sweep over [start, start+len): ends sort before

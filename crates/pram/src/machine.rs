@@ -336,9 +336,10 @@ impl Pram {
     where
         F: Fn(usize, &mut PramCtx<'_>) + Sync,
     {
-        // Run the processors in parallel over the recycled records. The
-        // fallible collect reports the lowest-pid fault, matching the old
-        // sequential first-fault scan.
+        // Run the processors in parallel over the recycled records, at
+        // least 1024 to a pool chunk (DESIGN §13). The fallible collect
+        // reports the lowest-pid fault, matching the old sequential
+        // first-fault scan.
         if self.records.len() < nprocs {
             self.records.resize_with(nprocs, ProcRecord::default);
         }
@@ -351,6 +352,7 @@ impl Pram {
             } = *self;
             let run: Result<Vec<()>, PramError> = records[..nprocs]
                 .par_iter_mut()
+                .with_min_len(1024)
                 .enumerate()
                 .map(|(pid, rec)| {
                     rec.clear();

@@ -6,13 +6,15 @@
 //! ([`IndexedParallelIterator::split_at`]), chunks are executed by whichever
 //! pool thread steals them first, each chunk's results land in its own
 //! pre-allocated slot, and the slots are concatenated in chunk order. The
-//! chunk *boundaries* are picked by the autotuner in [`crate::tune`] (and so
-//! vary with measured per-item cost), but every per-element computation sees
-//! exactly the indices and values it would see sequentially, and the merge
-//! is always in index order — so `PBW_THREADS=1` and `PBW_THREADS=64`
-//! produce identical values. The only construct whose result could observe
-//! chunk boundaries is [`IndexedParallelIterator::fold_chunks`], which is
-//! restricted to merges that are exact under regrouping (see its docs).
+//! chunk *boundaries* come from a static plan (`chunk_count`): a pure
+//! function of the job length, the pool width and the minimum chunk length
+//! the chain declares with [`IndexedParallelIterator::with_min_len`].
+//! Every per-element computation sees exactly the indices and values it
+//! would see sequentially, and the merge is always in index order — so
+//! `PBW_THREADS=1` and `PBW_THREADS=64` produce identical values. The only
+//! construct whose result could observe chunk boundaries is
+//! [`IndexedParallelIterator::fold_chunks`], which is restricted to merges
+//! that are exact under regrouping (see its docs).
 //!
 //! Deliberately absent: parallel `sum`/`reduce`. A tree reduction over
 //! floats re-associates with the chunk count, which would make results
@@ -22,10 +24,8 @@
 
 use std::ops::Range;
 use std::sync::Mutex;
-use std::time::Instant;
 
 use crate::pool::{current_num_threads, lock, run_range_tasks};
-use crate::tune;
 
 /// A splittable, exactly-sized source of parallel work.
 ///
@@ -52,6 +52,21 @@ pub trait IndexedParallelIterator: Sized + Send {
 
     /// Lower to a sequential iterator over this (chunk of the) chain.
     fn seq_iter(self) -> Self::SeqIter;
+
+    /// The fewest items one chunk of this chain may hold (see
+    /// [`with_min_len`](Self::with_min_len)); 1 unless declared.
+    fn min_len(&self) -> usize {
+        1
+    }
+
+    /// Declare that no chunk of this chain should hold fewer than `min`
+    /// items, as upstream rayon's `with_min_len` does. A job too short to
+    /// cut into two such chunks runs inline on the caller. `map` and
+    /// `enumerate` keep the declaration; `zip` keeps the larger of its two
+    /// sides'.
+    fn with_min_len(self, min: usize) -> MinLen<Self> {
+        MinLen { base: self, min }
+    }
 
     /// Transform every element with `f`.
     ///
@@ -129,6 +144,18 @@ fn balanced_chunks<P: IndexedParallelIterator>(mut p: P, k: usize) -> Vec<P> {
     chunks
 }
 
+/// The static chunk plan: the number of chunks a job of `n` items is cut
+/// into at pool width `width` when its chain declares `min_len`.
+///
+/// The chunk length is `len = max(min_len, ⌈n / 4·width⌉)`, and the job
+/// becomes `⌊n / len⌋` balanced chunks, so there are at most `4·width` of
+/// them and each holds at least `len` items. A result of 0 or 1 means the
+/// job runs inline on the caller.
+fn chunk_count(n: usize, width: usize, min_len: usize) -> usize {
+    let len = min_len.max(n.div_ceil(4 * width)).max(1);
+    n / len
+}
+
 /// Run `per_chunk` over index chunks of `p` on the pool and return the
 /// per-chunk results **in chunk order** — the ordered-merge primitive
 /// behind every collect.
@@ -138,47 +165,24 @@ where
     R: Send,
     F: Fn(P::SeqIter) -> R + Sync,
 {
-    let n = p.len();
     let threads = current_num_threads();
-    if threads <= 1 || n <= 1 {
+    let k = if threads > 1 {
+        chunk_count(p.len(), threads, p.min_len())
+    } else {
+        1
+    };
+    if k <= 1 {
         return vec![per_chunk(p.seq_iter())];
     }
-    // Chunk sizing is autotuned: the per-site cost estimator and the
-    // calibrated chunk floor decide the minimum items one chunk should
-    // carry. `min_items >= n` is the sequential cutoff — the whole job is
-    // worth at most ~one floor of work, so handing it to the scheduler
-    // would cost more than it buys. The cutoff still feeds the estimator,
-    // so a site whose jobs grow later re-enters the parallel path.
-    let site = tune::site_for::<F>();
-    // A test-support pin bypasses calibration and the estimator so chunk
-    // counts (and thus dispatch allocation counts) are a pure function of n.
-    let min_items = match tune::pinned_min_chunk() {
-        Some(pin) => pin.min(n),
-        None => tune::min_chunk_items(
-            site.estimate_ns_per_item(),
-            tune::chunk_floor_ns(),
-            n,
-            threads,
-        ),
-    };
-    if min_items >= n {
-        let t0 = Instant::now();
-        let out = per_chunk(p.seq_iter());
-        site.record(n, tune::elapsed_ns(t0));
-        return vec![out];
-    }
-    let chunks = balanced_chunks(p, n.div_ceil(min_items));
-    let k = chunks.len();
-    let inputs: Vec<Mutex<Option<P>>> = chunks.into_iter().map(|c| Mutex::new(Some(c))).collect();
+    let inputs: Vec<Mutex<Option<P>>> = balanced_chunks(p, k)
+        .into_iter()
+        .map(|c| Mutex::new(Some(c)))
+        .collect();
     let outputs: Vec<Mutex<Option<R>>> = (0..k).map(|_| Mutex::new(None)).collect();
-    run_range_tasks(k, 1, &|lo, hi| {
+    run_range_tasks(k, &|lo, hi| {
         for i in lo..hi {
             let chunk = lock(&inputs[i]).take().expect("chunk claimed twice");
-            let items = chunk.len();
-            let t0 = Instant::now();
-            let result = per_chunk(chunk.seq_iter());
-            site.record(items, tune::elapsed_ns(t0));
-            *lock(&outputs[i]) = Some(result);
+            *lock(&outputs[i]) = Some(per_chunk(chunk.seq_iter()));
         }
     });
     outputs
@@ -429,6 +433,35 @@ impl_range_producer!(usize, u32, u64);
 // Adaptors
 // ---------------------------------------------------------------------------
 
+/// Minimum-chunk-length declaration ([`IndexedParallelIterator::with_min_len`]).
+pub struct MinLen<P> {
+    base: P,
+    min: usize,
+}
+
+impl<P> IndexedParallelIterator for MinLen<P>
+where
+    P: IndexedParallelIterator,
+{
+    type Item = P::Item;
+    type SeqIter = P::SeqIter;
+
+    fn len(&self) -> usize {
+        self.base.len()
+    }
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let (l, r) = self.base.split_at(mid);
+        let min = self.min;
+        (MinLen { base: l, min }, MinLen { base: r, min })
+    }
+    fn seq_iter(self) -> Self::SeqIter {
+        self.base.seq_iter()
+    }
+    fn min_len(&self) -> usize {
+        self.min.max(self.base.min_len())
+    }
+}
+
 /// Parallel `map` adaptor.
 pub struct Map<P, F> {
     base: P,
@@ -462,6 +495,9 @@ where
             inner: self.base.seq_iter(),
             f: self.f,
         }
+    }
+    fn min_len(&self) -> usize {
+        self.base.min_len()
     }
 }
 
@@ -507,6 +543,9 @@ where
     fn seq_iter(self) -> Self::SeqIter {
         self.a.seq_iter().zip(self.b.seq_iter())
     }
+    fn min_len(&self) -> usize {
+        self.a.min_len().max(self.b.min_len())
+    }
 }
 
 /// Parallel `enumerate` adaptor; `offset` keeps indices global across
@@ -544,6 +583,9 @@ where
             inner: self.base.seq_iter(),
             next: self.offset,
         }
+    }
+    fn min_len(&self) -> usize {
+        self.base.min_len()
     }
 }
 
@@ -693,33 +735,122 @@ mod tests {
         }
     }
 
-    mod autotune_props {
+    /// Chunk lengths the plan gives a job of `n` items at `width` under
+    /// `min_len`; one chunk of `n` when the job runs inline.
+    fn plan_lens(n: usize, width: usize, min_len: usize) -> Vec<usize> {
+        match chunk_count(n, width, min_len) {
+            0 | 1 => vec![n],
+            k => balanced_chunks(ParRange(0..n), k)
+                .iter()
+                .map(IndexedParallelIterator::len)
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn chunk_plan_pins_exact_boundaries() {
+        for (n, width, min_len, want) in [
+            // Four chunks of the declared minimum.
+            (16, 8, 4, vec![4; 4]),
+            // `sort`'s lane pass at width 2: 8 blocks, two chunks of 4.
+            (8, 2, 4, vec![4, 4]),
+            // PRAM's p = 512 step under its 1024-processor minimum: inline.
+            (512, 8, 1024, vec![512]),
+            // Exactly one minimum's worth, or just under two: inline.
+            (4, 8, 4, vec![4]),
+            (7, 2, 4, vec![7]),
+            // Long jobs stop at 4·width chunks, each at least ⌈n / 4w⌉.
+            (256, 2, 4, vec![32; 8]),
+            (16384, 8, 4, vec![512; 32]),
+            (10, 2, 1, vec![2; 5]),
+            (1000, 2, 1, vec![125; 8]),
+            // An uneven cut: ⌈11 / 8⌉ = 2, so five chunks, the first one
+            // carrying the remainder.
+            (11, 2, 1, vec![3, 2, 2, 2, 2]),
+            (0, 8, 1, vec![0]),
+            (1, 8, 1, vec![1]),
+        ] {
+            assert_eq!(
+                plan_lens(n, width, min_len),
+                want,
+                "n={n} width={width} min_len={min_len}"
+            );
+        }
+    }
+
+    #[test]
+    fn zip_keeps_the_larger_minimum_through_map_and_enumerate() {
+        let a = vec![0u8; 100];
+        let b = vec![0u8; 100];
+        let plain = a.par_iter().zip(b.par_iter()).map(|x| x).enumerate();
+        assert_eq!(plain.min_len(), 1);
+        let left = a
+            .par_iter()
+            .with_min_len(7)
+            .zip(b.par_iter().with_min_len(3))
+            .map(|x| x)
+            .enumerate();
+        assert_eq!(left.min_len(), 7);
+        let right = a
+            .par_iter()
+            .map(|x| x)
+            .with_min_len(3)
+            .zip(b.par_iter().enumerate().with_min_len(7))
+            .enumerate()
+            .map(|x| x);
+        assert_eq!(right.min_len(), 7);
+        // Splitting keeps the declaration on both halves.
+        let (l, r) = right.split_at(40);
+        assert_eq!((l.min_len(), r.min_len()), (7, 7));
+    }
+
+    #[test]
+    fn a_job_within_its_minimum_runs_on_the_caller_at_width_8() {
+        let caller = std::thread::current().id();
+        for n in [1usize, 63, 64, 127] {
+            let ids: Vec<std::thread::ThreadId> = at_width(8, || {
+                (0..n)
+                    .into_par_iter()
+                    .with_min_len(64)
+                    .map(|_| std::thread::current().id())
+                    .collect()
+            });
+            assert_eq!(ids.len(), n);
+            assert!(ids.iter().all(|&id| id == caller), "n={n}");
+        }
+    }
+
+    mod plan_props {
         use super::super::*;
         use proptest::prelude::*;
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            // Any (len, floor, workers, estimate) triple the tuner can see
-            // yields chunks that (a) never outnumber the items and (b)
-            // concatenate in order to the identity permutation — the full
-            // sizing-then-splitting path run_chunks takes.
+            // Any (len, width, min_len) the plan can see yields at most
+            // 4·width chunks, each holding at least `min_len` items unless
+            // the job runs inline, that concatenate in order to the
+            // identity permutation — the cutting path run_chunks takes.
             #[test]
-            fn tuned_chunking_is_identity_permutation(
-                len in 1usize..5_000,
-                floor in 1u64..200_000,
-                workers in 1usize..16,
-                est_centi_ns in 0u64..100_000,
+            fn planned_chunks_are_identity_permutation(
+                len in 0usize..5_000,
+                width in 2usize..16,
+                min_len in 1usize..2_000,
             ) {
-                // 0 plays the cold-site (no estimate) path.
-                let est = (est_centi_ns > 0).then(|| est_centi_ns as f64 / 100.0);
-                let min_items = crate::tune::min_chunk_items(est, floor, len, workers);
-                prop_assert!((1..=len).contains(&min_items));
-                let chunks = balanced_chunks(ParRange(0..len), len.div_ceil(min_items));
-                prop_assert!(chunks.len() <= len);
-                let flat: Vec<usize> =
-                    chunks.into_iter().flat_map(|c| c.seq_iter()).collect();
-                prop_assert_eq!(flat, (0..len).collect::<Vec<_>>());
+                let k = chunk_count(len, width, min_len);
+                prop_assert!(k <= 4 * width);
+                if k > 1 {
+                    let chunks = balanced_chunks(ParRange(0..len), k);
+                    prop_assert_eq!(chunks.len(), k);
+                    prop_assert!(chunks.iter().all(|c| c.len() >= min_len));
+                    let flat: Vec<usize> =
+                        chunks.into_iter().flat_map(|c| c.seq_iter()).collect();
+                    prop_assert_eq!(flat, (0..len).collect::<Vec<_>>());
+                } else {
+                    // Inline: fewer than two minimums' worth, or too short
+                    // for two ⌈len / 4·width⌉ chunks.
+                    prop_assert!(len < 2 * min_len.max(len.div_ceil(4 * width)));
+                }
             }
 
             // End to end through the stealing pool: a parallel collect at a

@@ -3,16 +3,17 @@
 //! The build environment has no registry access, so upstream rayon cannot be
 //! fetched. Unlike the earlier sequential stand-in, this shim actually runs
 //! parallel chains on a pool of `std::thread` workers ([`mod@pool`]): work is
-//! split into contiguous index chunks sized by a calibrated autotuner
-//! ([`mod@tune`]), distributed by work-stealing over per-thread deques
-//! (owner LIFO, thieves FIFO, splitting while idle workers exist), and chunk
-//! results are merged back **in index order** ([`mod@iter`]).
+//! split into contiguous index chunks by a static plan ([`mod@iter`]; a pure
+//! function of the job length, the pool width and the chain's declared
+//! minimum chunk length), distributed by work-stealing over per-thread
+//! deques (owner LIFO, thieves FIFO, splitting while idle workers exist),
+//! and chunk results are merged back **in index order**.
 //!
 //! Contract kept from upstream: `par_iter` / `par_iter_mut` /
 //! `par_chunks_mut` / `into_par_iter` with `map` / `zip` / `enumerate` /
-//! `collect` (including `collect::<Result<_, _>>()`), `join`,
-//! `current_num_threads`, `ThreadPoolBuilder` → [`ThreadPool::install`],
-//! and the work-stealing deque scheduler with split-until-floor chunking.
+//! `with_min_len` / `collect` (including `collect::<Result<_, _>>()`),
+//! `join`, `current_num_threads`, `ThreadPoolBuilder` →
+//! [`ThreadPool::install`], and a work-stealing deque scheduler.
 //! Results are element-for-element identical to sequential execution at
 //! every thread count — the deterministic ordered merge is the
 //! load-bearing guarantee the workspace's cross-thread-count conformance

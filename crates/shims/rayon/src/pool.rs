@@ -1,10 +1,10 @@
 //! The work-stealing thread pool behind the parallel iterators.
 //!
 //! A *job* is a contiguous index range `[0, n)` executed by a closure
-//! `f(start, end)` over disjoint subranges, plus a per-job chunk floor
-//! `min_chunk` (the smallest range worth handing to another thread — sized
-//! by the autotuner in [`crate::tune`]). Distribution is work-stealing over
-//! per-thread deques:
+//! `f(start, end)` over disjoint subranges. The chunking layer in
+//! [`crate::iter`] submits one index per planned chunk, so the pool never
+//! decides chunk sizes; it only decides which thread runs which indices.
+//! Distribution is work-stealing over per-thread deques:
 //!
 //! * Every worker (and every submitting caller) owns a deque of *spans*
 //!   (job + subrange). The owner pushes and pops at the **back** (LIFO, so
@@ -12,12 +12,11 @@
 //!   steal from the **front** (FIFO, so a thief takes the largest,
 //!   coldest span — the classic Chase-Lev discipline, here under a mutex
 //!   per deque since this shim favors auditability over lock-freedom).
-//! * While executing a span, a thread keeps **splitting in half** — pushing
-//!   the far half onto its own deque and waking one sleeper — as long as
-//!   idle workers exist and both halves stay at or above the job's chunk
-//!   floor. Between floor-sized pieces of real work it re-checks, so
-//!   capacity freed mid-span is still recruited. With no idle workers, no
-//!   splits happen and the span runs as one sequential sweep.
+//! * Before executing a span, a thread keeps **splitting it in half** —
+//!   pushing the far half onto its own deque and waking one sleeper — as
+//!   long as idle workers exist and the span holds at least two indices.
+//!   It then runs what is left as one sequential sweep. With no idle
+//!   workers, no splits happen.
 //! * The submitting caller participates through its own deque: it executes
 //!   the root span itself, then drains its deque and steals back its own
 //!   job's spans until the job completes. Every span therefore always sits
@@ -77,12 +76,11 @@ struct RangeFn(*const (dyn Fn(usize, usize) + Sync + 'static));
 unsafe impl Send for RangeFn {}
 unsafe impl Sync for RangeFn {}
 
-/// One submitted job: the range `[0, n)`, its chunk floor, completion
-/// tracked item-by-item in `done`, first panic captured for the caller.
+/// One submitted job: the range `[0, n)`, completion tracked item-by-item
+/// in `done`, first panic captured for the caller.
 struct Job {
     func: RangeFn,
     n: usize,
-    min_chunk: usize,
     done: AtomicUsize,
     panic: Mutex<Option<Box<dyn Any + Send>>>,
     finished: Mutex<bool>,
@@ -165,7 +163,7 @@ impl Deque {
 struct Pool {
     /// Every registered deque: one per worker, plus one per thread that has
     /// ever submitted a job. Steals scan this list.
-    deques: Mutex<Vec<Arc<Deque>>>,
+    deques: Mutex<Vec<&'static Deque>>,
     /// Workers currently waiting for work — the split policy's signal.
     idle: AtomicUsize,
     /// Wake generation: bumped (under the mutex) whenever a span is pushed,
@@ -188,34 +186,44 @@ fn pool() -> &'static Pool {
 }
 
 thread_local! {
-    /// This thread's deque, created on first use (workers at startup,
-    /// callers at their first submission) and registered for the lifetime
-    /// of the process.
-    static MY_DEQUE: std::cell::OnceCell<Arc<Deque>> = const { std::cell::OnceCell::new() };
+    /// This thread's deque: a worker's is set when it starts, a caller's is
+    /// created at its first submission. A plain reference, so no access
+    /// ever registers a thread-local destructor (which allocates).
+    static MY_DEQUE: Cell<Option<&'static Deque>> = const { Cell::new(None) };
+}
+
+/// Create a deque and register it for the lifetime of the process.
+fn register_deque() -> &'static Deque {
+    let d: &'static Deque = Box::leak(Box::new(Deque::new()));
+    lock(&pool().deques).push(d);
+    d
 }
 
 /// This thread's registered deque, creating and registering it on first use.
-fn my_deque() -> Arc<Deque> {
+fn my_deque() -> &'static Deque {
     MY_DEQUE.with(|cell| {
-        cell.get_or_init(|| {
-            let d = Arc::new(Deque::new());
-            lock(&pool().deques).push(Arc::clone(&d));
+        cell.get().unwrap_or_else(|| {
+            let d = register_deque();
+            cell.set(Some(d));
             d
         })
-        .clone()
     })
 }
 
 impl Pool {
     /// Make sure at least `want` workers exist (they are never torn down).
+    /// Each worker's deque is created and registered here, on the spawning
+    /// thread, so everything a spawn allocates is allocated by the dispatch
+    /// that asked for the worker.
     fn ensure_workers(&'static self, want: usize) {
         let mut spawned = lock(&self.spawned);
         while *spawned < want {
             *spawned += 1;
             let name = format!("pbw-rayon-worker-{spawned}");
+            let me = register_deque();
             std::thread::Builder::new()
                 .name(name)
-                .spawn(worker_loop)
+                .spawn(move || worker_loop(me))
                 .expect("failed to spawn pool worker");
         }
     }
@@ -229,12 +237,11 @@ impl Pool {
     /// Steal one span from any registered deque but `me` — front-most span,
     /// optionally restricted to `want`'s job. Scanning holds the registry
     /// lock; per-deque locks nest inside it (always in that order, so no
-    /// cycle). Steals happen at chunk-floor granularity, so neither lock is
-    /// hot.
-    fn steal(&self, me: &Arc<Deque>, want: Option<&Arc<Job>>) -> Option<Span> {
+    /// cycle). Steals happen at chunk granularity, so neither lock is hot.
+    fn steal(&self, me: &Deque, want: Option<&Arc<Job>>) -> Option<Span> {
         let deques = lock(&self.deques);
-        for d in deques.iter() {
-            if Arc::ptr_eq(d, me) {
+        for &d in deques.iter() {
+            if std::ptr::eq(d, me) {
                 continue;
             }
             if let Some(span) = d.steal_front(want) {
@@ -245,48 +252,43 @@ impl Pool {
     }
 }
 
-/// Execute one span: keep offering the far half to idle workers while the
-/// range stays splittable, and run the remainder in chunk-floor-sized pieces
-/// so capacity freed mid-span is still recruited.
-fn execute(p: &'static Pool, me: &Arc<Deque>, span: Span) {
+/// Execute one span: offer the far half to idle workers while the range
+/// still holds two indices, then run the rest as one sweep.
+fn execute(p: &'static Pool, me: &Deque, span: Span) {
     let Span {
         job,
-        mut start,
+        start,
         mut end,
     } = span;
     // SAFETY: see the module docs — this span's items are not yet counted
     // done, so the submitting caller (owner of the borrow) is still parked.
     let f = unsafe { &*job.func.0 };
-    while start < end {
-        while end - start >= 2 * job.min_chunk && p.idle.load(Ordering::Relaxed) > 0 {
-            let mid = start + (end - start) / 2;
-            me.push_back(Span {
-                job: Arc::clone(&job),
-                start: mid,
-                end,
-            });
-            p.wake_one();
-            end = mid;
-        }
-        let stop = end.min(start + job.min_chunk);
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(start, stop))) {
-            lock(&job.panic).get_or_insert(payload);
-        }
-        job.complete(stop - start);
-        start = stop;
+    while end - start >= 2 && p.idle.load(Ordering::Relaxed) > 0 {
+        let mid = start + (end - start) / 2;
+        me.push_back(Span {
+            job: Arc::clone(&job),
+            start: mid,
+            end,
+        });
+        p.wake_one();
+        end = mid;
     }
+    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(start, end))) {
+        lock(&job.panic).get_or_insert(payload);
+    }
+    job.complete(end - start);
 }
 
-fn worker_loop() {
+fn worker_loop(me: &'static Deque) {
+    MY_DEQUE.with(|cell| cell.set(Some(me)));
     let p = pool();
-    let me = my_deque();
     loop {
         if let Some(span) = me.pop_back() {
-            execute(p, &me, span);
+            execute(p, me, span);
             continue;
         }
-        if let Some(span) = p.steal(&me, None) {
-            execute(p, &me, span);
+        if let Some(span) = p.steal(me, None) {
+            execute(p, me, span);
             continue;
         }
         // Go idle: record the wake generation, advertise idleness, re-check
@@ -295,9 +297,9 @@ fn worker_loop() {
         // it bumps the generation under the same mutex the wait watches.
         let gen = *lock(&p.wake_gen);
         p.idle.fetch_add(1, Ordering::SeqCst);
-        if let Some(span) = p.steal(&me, None) {
+        if let Some(span) = p.steal(me, None) {
             p.idle.fetch_sub(1, Ordering::SeqCst);
-            execute(p, &me, span);
+            execute(p, me, span);
             continue;
         }
         let mut g = lock(&p.wake_gen);
@@ -310,18 +312,16 @@ fn worker_loop() {
 }
 
 /// Run `f` over disjoint subranges covering `[0, n)` across the pool plus
-/// the calling thread, returning when every index has been executed. Spans
-/// handed to other threads never shrink below `min_chunk` items. Panics
-/// inside `f` are re-thrown on the caller (first one wins). With an
-/// effective width of 1, or `n <= min_chunk`, `f(0, n)` runs sequentially
-/// on the caller.
-pub fn run_range_tasks(n: usize, min_chunk: usize, f: &(dyn Fn(usize, usize) + Sync)) {
+/// the calling thread, returning when every index has been executed.
+/// Panics inside `f` are re-thrown on the caller (first one wins). With an
+/// effective width of 1, or `n == 1`, `f(0, n)` runs sequentially on the
+/// caller.
+pub fn run_range_tasks(n: usize, f: &(dyn Fn(usize, usize) + Sync)) {
     if n == 0 {
         return;
     }
-    let min_chunk = min_chunk.max(1);
     let threads = current_num_threads();
-    if threads <= 1 || n <= min_chunk {
+    if threads <= 1 || n == 1 {
         f(0, n);
         return;
     }
@@ -333,20 +333,19 @@ pub fn run_range_tasks(n: usize, min_chunk: usize, f: &(dyn Fn(usize, usize) + S
     let job = Arc::new(Job {
         func: RangeFn(erased),
         n,
-        min_chunk,
         done: AtomicUsize::new(0),
         panic: Mutex::new(None),
         finished: Mutex::new(false),
         cv: Condvar::new(),
     });
     let p = pool();
-    p.ensure_workers((threads - 1).min(n.div_ceil(min_chunk)));
+    p.ensure_workers((threads - 1).min(n));
     let me = my_deque();
     // Execute the root span directly: splits (not an initial broadcast)
     // recruit workers, so a pool with no idle capacity costs nothing extra.
     execute(
         p,
-        &me,
+        me,
         Span {
             job: Arc::clone(&job),
             start: 0,
@@ -362,11 +361,11 @@ pub fn run_range_tasks(n: usize, min_chunk: usize, f: &(dyn Fn(usize, usize) + S
             break;
         }
         if let Some(span) = me.pop_back() {
-            execute(p, &me, span);
+            execute(p, me, span);
             continue;
         }
-        if let Some(span) = p.steal(&me, Some(&job)) {
-            execute(p, &me, span);
+        if let Some(span) = p.steal(me, Some(&job)) {
+            execute(p, me, span);
             continue;
         }
         job.wait_finished();
@@ -380,10 +379,9 @@ pub fn run_range_tasks(n: usize, min_chunk: usize, f: &(dyn Fn(usize, usize) + S
 
 /// Run `f(0) .. f(n-1)` across the pool plus the calling thread, returning
 /// when all `n` tasks have finished — the index-at-a-time surface `join`
-/// and the tests use, layered over [`run_range_tasks`] with a chunk floor
-/// of one.
+/// and the tests use, layered over [`run_range_tasks`].
 pub fn run_tasks(n: usize, f: &(dyn Fn(usize) + Sync)) {
-    run_range_tasks(n, 1, &|start, end| {
+    run_range_tasks(n, &|start, end| {
         for i in start..end {
             f(i);
         }
@@ -534,23 +532,21 @@ mod tests {
     }
 
     #[test]
-    fn range_tasks_cover_range_disjointly_at_any_floor() {
+    fn range_tasks_cover_range_disjointly() {
         for width in [2, 8] {
-            for min_chunk in [1usize, 3, 7, 100, 5000] {
-                wide(width).install(|| {
-                    let hits: Vec<AtomicU64> = (0..997).map(|_| AtomicU64::new(0)).collect();
-                    run_range_tasks(997, min_chunk, &|start, end| {
-                        assert!(start < end && end <= 997);
-                        for h in &hits[start..end] {
-                            h.fetch_add(1, Ordering::SeqCst);
-                        }
-                    });
-                    assert!(
-                        hits.iter().all(|h| h.load(Ordering::SeqCst) == 1),
-                        "width {width} min_chunk {min_chunk}"
-                    );
+            wide(width).install(|| {
+                let hits: Vec<AtomicU64> = (0..997).map(|_| AtomicU64::new(0)).collect();
+                run_range_tasks(997, &|start, end| {
+                    assert!(start < end && end <= 997);
+                    for h in &hits[start..end] {
+                        h.fetch_add(1, Ordering::SeqCst);
+                    }
                 });
-            }
+                assert!(
+                    hits.iter().all(|h| h.load(Ordering::SeqCst) == 1),
+                    "width {width}"
+                );
+            });
         }
     }
 
@@ -600,7 +596,7 @@ mod tests {
             });
             for attempt in 0..3 {
                 let seen: StdMutex<HashSet<std::thread::ThreadId>> = StdMutex::new(HashSet::new());
-                run_range_tasks(8, 1, &|_, _| {
+                run_range_tasks(8, &|_, _| {
                     seen.lock().unwrap().insert(std::thread::current().id());
                     std::thread::sleep(std::time::Duration::from_millis(2));
                 });

@@ -1,299 +1,16 @@
-//! Chunk-size autotuning: how much work one parallel chunk should carry.
+//! The chunk floor figure reported alongside pool results.
 //!
-//! The scheduler in [`crate::pool`] distributes work at *chunk* granularity;
-//! everything here exists to pick chunk sizes so that a chunk's useful work
-//! dwarfs the cost of handing it to another thread. Three pieces:
-//!
-//! * **The chunk floor** — a per-process target for the minimum wall-clock
-//!   work one chunk should carry, calibrated once by timing the pool's own
-//!   dispatch round trip ([`chunk_floor_ns`]) and clamped to the 50–100µs
-//!   band where parallel handoff overhead (a condvar wake, a steal, the
-//!   completion accounting) amortizes to a few percent. The derivation from
-//!   probe samples is the pure function [`floor_from_probe`], so calibration
-//!   is deterministic given a fixed probe input.
-//! * **Per-call-site cost estimates** — a registry of exponentially-weighted
-//!   per-item cost averages, keyed by the monomorphized closure type of the
-//!   call site ([`site_for`]). Every executed chunk feeds its measured
-//!   ns/item back, so estimates track the workload across a run.
-//! * **The sizing rule** — [`min_chunk_items`] converts (estimate, floor)
-//!   into a minimum chunk length. When the estimate says the *entire* job is
-//!   worth less than one floor, the caller runs it sequentially instead
-//!   (the "sequential cutoff"): this is what keeps an 8-wide pool on a
-//!   1-core container within noise of width 1 — small jobs never touch the
-//!   scheduler at all.
-//!
-//! None of this affects results, only chunk *boundaries*: every consumer of
-//! the pool merges per-chunk outputs in index order and the one chunked fold
-//! in the workspace merges integer histograms (exact under any regrouping),
-//! so timing-dependent chunk sizes cannot leak into observable values. The
-//! cross-thread-count conformance suite pins that byte-for-byte.
+//! Chunk sizes come from the static plan in [`crate::iter`]: a pure
+//! function of the job length, the pool width and the minimum chunk length
+//! the call site declares with
+//! [`with_min_len`](crate::iter::IndexedParallelIterator::with_min_len).
+//! Nothing is timed. [`chunk_floor_ns`] remains as the constant dispatch
+//! budget the per-site minimums were chosen against, so reports that print
+//! it keep their field.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
-
-use crate::pool::lock;
-
-/// Lower clamp for the calibrated chunk floor (ns): below ~50µs of work per
-/// chunk, handoff overhead stops being negligible.
-pub const FLOOR_MIN_NS: u64 = 50_000;
-/// Upper clamp for the calibrated chunk floor (ns): past ~100µs, bigger
-/// chunks only cost load-balancing slack without buying overhead back.
-pub const FLOOR_MAX_NS: u64 = 100_000;
-/// A chunk should out-weigh one measured dispatch round trip by this factor.
-const FLOOR_OVERHEAD_FACTOR: u64 = 16;
-/// How many dispatch round trips the startup probe times.
-const PROBE_ROUNDS: usize = 8;
-/// EWMA weight given to each new per-chunk cost sample.
-const EWMA_ALPHA: f64 = 0.25;
-
-/// Derive the chunk floor from dispatch-overhead probe samples.
-///
-/// Pure and total: the *minimum* sample (the least-disturbed round trip)
-/// times [`FLOOR_OVERHEAD_FACTOR`], clamped to the
-/// [`FLOOR_MIN_NS`]..=[`FLOOR_MAX_NS`] band. An empty probe yields the
-/// conservative upper clamp.
-pub fn floor_from_probe(samples_ns: &[u64]) -> u64 {
-    match samples_ns.iter().copied().min() {
-        Some(best) => best
-            .max(1)
-            .saturating_mul(FLOOR_OVERHEAD_FACTOR)
-            .clamp(FLOOR_MIN_NS, FLOOR_MAX_NS),
-        None => FLOOR_MAX_NS,
-    }
-}
-
-/// The process-wide calibrated chunk floor, probed on first use.
-///
-/// The probe times [`PROBE_ROUNDS`] round trips of the smallest real
-/// dispatch the pool performs — a two-span job at width 2, exercising the
-/// deque push, the worker wake, the steal, and the completion notification —
-/// and feeds the samples to [`floor_from_probe`]. Called lazily from the
-/// chunking layer, so width-1 processes never pay for (or spawn workers
-/// during) calibration.
-pub fn chunk_floor_ns() -> u64 {
-    static FLOOR: OnceLock<u64> = OnceLock::new();
-    *FLOOR.get_or_init(|| {
-        let mut samples = [0u64; PROBE_ROUNDS];
-        let pool = crate::ThreadPoolBuilder::new()
-            .num_threads(2)
-            .build()
-            .expect("shim pool build is infallible");
-        pool.install(|| {
-            for s in &mut samples {
-                let t0 = Instant::now();
-                crate::pool::run_range_tasks(2, 1, &|lo, hi| {
-                    std::hint::black_box(hi - lo);
-                });
-                *s = elapsed_ns(t0);
-            }
-        });
-        floor_from_probe(&samples)
-    })
-}
-
-/// Minimum chunk length for a job of `n` items under the calibrated
-/// `floor_ns`, given the call site's estimated per-item cost.
-///
-/// * With an estimate: `floor / estimate` items, clamped to `1..=n` — a
-///   result of `n` means the whole job is worth at most one floor, and the
-///   caller should take the sequential cutoff.
-/// * Without one (first visit to a call site): fall back to even chunking at
-///   `threads * 4` pieces, the pre-tuning policy, so a cold site still
-///   parallelizes while its first measurements seed the estimator.
-pub fn min_chunk_items(
-    est_ns_per_item: Option<f64>,
-    floor_ns: u64,
-    n: usize,
-    threads: usize,
-) -> usize {
-    debug_assert!(n > 0);
-    match est_ns_per_item {
-        Some(est) => {
-            let items = (floor_ns as f64 / est.max(f64::MIN_POSITIVE)).ceil();
-            if items >= n as f64 {
-                n
-            } else {
-                (items as usize).max(1)
-            }
-        }
-        None => n.div_ceil(threads.max(1) * 4).max(1),
-    }
-}
-
-/// `0` encodes "no pin"; any other value is a fixed minimum chunk length.
-static PINNED_MIN_CHUNK: AtomicUsize = AtomicUsize::new(0);
-
-/// Test-support pin: force every call site to a fixed minimum chunk length,
-/// bypassing floor calibration and the per-site estimators entirely.
-///
-/// Autotuned chunk sizing is timing-fed, so the *number* of chunks a
-/// dispatch builds — and with it the dispatch's constant heap-allocation
-/// count — can legitimately differ between two otherwise identical jobs
-/// (e.g. the sequential cutoff engaging at one message volume but not
-/// another). Allocation-accounting tests pin chunking so dispatch counts
-/// are a pure function of job length. `None` (or `Some(0)`) restores
-/// autotuning. Results are unaffected either way — only chunk boundaries
-/// move.
-pub fn pin_min_chunk(items: Option<usize>) {
-    PINNED_MIN_CHUNK.store(items.unwrap_or(0), Ordering::Relaxed);
-}
-
-/// The active test-support pin, if any. Consulted by the chunking layer
-/// before any calibration or estimator lookup.
-pub fn pinned_min_chunk() -> Option<usize> {
-    match PINNED_MIN_CHUNK.load(Ordering::Relaxed) {
-        0 => None,
-        n => Some(n),
-    }
-}
-
-/// Exponentially-weighted per-item cost estimate for one parallel call site.
-///
-/// Lock-free and racy by design: concurrent chunk completions may overwrite
-/// each other's EWMA update, which only perturbs a heuristic — chunk
-/// boundaries — never results.
-pub struct SiteEstimator {
-    /// `f64::to_bits` of the EWMA ns/item; `0` means no sample yet.
-    ewma_bits: AtomicU64,
-}
-
-impl SiteEstimator {
-    /// A fresh estimator with no samples.
-    pub const fn new() -> Self {
-        SiteEstimator {
-            ewma_bits: AtomicU64::new(0),
-        }
-    }
-
-    /// Current estimate in ns/item, if any chunk has been measured.
-    pub fn estimate_ns_per_item(&self) -> Option<f64> {
-        match self.ewma_bits.load(Ordering::Relaxed) {
-            0 => None,
-            bits => Some(f64::from_bits(bits)),
-        }
-    }
-
-    /// Feed one measured chunk (`items` elements in `elapsed_ns`).
-    pub fn record(&self, items: usize, elapsed_ns: u64) {
-        if items == 0 {
-            return;
-        }
-        // Clamp away a zero sample: 0 encodes "no estimate".
-        let sample = (elapsed_ns as f64 / items as f64).max(0.01);
-        let next = match self.estimate_ns_per_item() {
-            None => sample,
-            Some(prev) => prev + EWMA_ALPHA * (sample - prev),
-        };
-        self.ewma_bits.store(next.to_bits(), Ordering::Relaxed);
-    }
-}
-
-impl Default for SiteEstimator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// The estimator for the call site monomorphized as `F` (keyed by
-/// `std::any::type_name`). Closure names carry the enclosing item path but
-/// not a per-closure index, so sibling closures defined in one function can
-/// share an estimator — acceptable for a heuristic that only moves chunk
-/// boundaries.
-pub fn site_for<F: ?Sized>() -> &'static SiteEstimator {
-    static REGISTRY: OnceLock<Mutex<HashMap<&'static str, &'static SiteEstimator>>> =
-        OnceLock::new();
-    let registry = REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
-    let key = std::any::type_name::<F>();
-    let mut map = lock(registry);
-    map.entry(key)
-        .or_insert_with(|| Box::leak(Box::new(SiteEstimator::new())))
-}
-
-/// Nanoseconds since `t0`, saturated into a `u64`.
-pub(crate) fn elapsed_ns(t0: Instant) -> u64 {
-    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn floor_from_probe_is_deterministic_and_clamped() {
-        // Fixed probe input -> fixed floor, twice over.
-        let samples = [9_000u64, 3_000, 12_000, 5_000];
-        assert_eq!(floor_from_probe(&samples), floor_from_probe(&samples));
-        // min = 3_000, x16 = 48_000 -> clamped up to the band's low edge.
-        assert_eq!(floor_from_probe(&samples), FLOOR_MIN_NS);
-        // A slow probe clamps to the band's high edge.
-        assert_eq!(floor_from_probe(&[40_000]), FLOOR_MAX_NS);
-        // An in-band probe is taken as-is.
-        assert_eq!(floor_from_probe(&[4_000]), 64_000);
-        // Degenerate inputs stay in-band.
-        assert_eq!(floor_from_probe(&[]), FLOOR_MAX_NS);
-        assert_eq!(floor_from_probe(&[0]), FLOOR_MIN_NS);
-        assert_eq!(floor_from_probe(&[u64::MAX]), FLOOR_MAX_NS);
-    }
-
-    #[test]
-    fn min_chunk_respects_floor_and_bounds() {
-        // 100ns/item under a 50µs floor -> 500-item chunks.
-        assert_eq!(min_chunk_items(Some(100.0), 50_000, 10_000, 8), 500);
-        // Whole job under one floor -> n (sequential cutoff signal).
-        assert_eq!(min_chunk_items(Some(100.0), 50_000, 300, 8), 300);
-        // Heavy items -> chunk of one.
-        assert_eq!(min_chunk_items(Some(2e6), 50_000, 64, 8), 1);
-        // No estimate -> pre-tuning even chunking.
-        assert_eq!(min_chunk_items(None, 50_000, 1_000, 8), 32);
-        assert_eq!(min_chunk_items(None, 50_000, 5, 8), 1);
-    }
-
-    #[test]
-    fn estimator_seeds_then_smooths() {
-        let s = SiteEstimator::new();
-        assert_eq!(s.estimate_ns_per_item(), None);
-        s.record(100, 10_000); // 100 ns/item
-        assert_eq!(s.estimate_ns_per_item(), Some(100.0));
-        s.record(100, 30_000); // sample 300, EWMA -> 150
-        let est = s.estimate_ns_per_item().unwrap();
-        assert!((est - 150.0).abs() < 1e-9, "est={est}");
-        // Zero-item chunks are ignored.
-        s.record(0, 1_000_000);
-        assert_eq!(s.estimate_ns_per_item(), Some(est));
-    }
-
-    #[test]
-    fn site_registry_is_stable_per_type() {
-        // Same type -> same estimator, every time.
-        let a1 = site_for::<fn()>() as *const _;
-        let a2 = site_for::<fn()>() as *const _;
-        assert_eq!(a1, a2);
-        // Distinctly-named types get distinct estimators.
-        let b = site_for::<fn(usize)>() as *const _;
-        assert_ne!(a1, b);
-    }
-
-    #[test]
-    fn chunk_pin_roundtrips_and_zero_means_off() {
-        // Concurrent tests only ever see chunk boundaries move, never
-        // results, so briefly flipping the global pin here is safe.
-        assert_eq!(pinned_min_chunk(), None);
-        pin_min_chunk(Some(8));
-        assert_eq!(pinned_min_chunk(), Some(8));
-        pin_min_chunk(Some(0));
-        assert_eq!(pinned_min_chunk(), None);
-        pin_min_chunk(Some(3));
-        pin_min_chunk(None);
-        assert_eq!(pinned_min_chunk(), None);
-    }
-
-    #[test]
-    fn calibrated_floor_is_in_band_and_cached() {
-        let f1 = chunk_floor_ns();
-        let f2 = chunk_floor_ns();
-        assert_eq!(f1, f2);
-        assert!((FLOOR_MIN_NS..=FLOOR_MAX_NS).contains(&f1), "floor={f1}");
-    }
+/// Wall-clock work one parallel chunk should carry to amortize its
+/// dispatch (a wake, a steal and the completion accounting), in ns. A
+/// constant: the chunk plan times nothing.
+pub const fn chunk_floor_ns() -> u64 {
+    50_000
 }

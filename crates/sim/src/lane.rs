@@ -341,6 +341,8 @@ impl Pass<'_> {
 
     /// Dense pass: every block in parallel, one task per block, each
     /// running its pids in order into its own lane and then sealing it.
+    /// A pool chunk holds at least 4 blocks, so machines of fewer than 8
+    /// blocks run the pass inline (DESIGN §13 has the measurement).
     pub(crate) fn dense<S, T, W, F>(&self, states: &mut [S], lanes: &mut [W], f: F)
     where
         S: Send,
@@ -350,6 +352,7 @@ impl Pass<'_> {
         let _: Vec<()> = states
             .par_chunks_mut(self.block)
             .zip(lanes.par_iter_mut())
+            .with_min_len(4)
             .enumerate()
             .map(|(b, (states, w))| {
                 w.lane().reset(self.block);

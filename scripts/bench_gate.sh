@@ -35,8 +35,10 @@
 #   nproc < 4   speedup is physically impossible, so the gate degrades to
 #               the only thing a narrow box can prove: a wide pool must be
 #               nearly free. threads_8 median <= OVERHEAD_CEIL (1.25x) of
-#               threads_1 — the autotuner's sequential cutoff is the
-#               mechanism — and the cross-width determinism suite
+#               threads_1 — the static chunk plan is the mechanism: each
+#               call site's minimum chunk length caps how many chunks a
+#               job is cut into, and a job too short for two runs inline —
+#               and the cross-width determinism suite
 #               (tests/parallel_conformance.rs) must pass.
 #
 # Both branches sanity-check the committed BENCH_parallel.json: it must

@@ -235,9 +235,12 @@ stage_chaos-soak() {
 # check out — the last stdout line is one JSON object whose `correct` is
 # true and whose `failed` op count is 0 (at seed 7 that includes the
 # recorded cost digests in perfbench/digests.txt). On hosts with two or
-# more cores, `sort` and `broadcast` run again at pool width 2, where the
-# dense closure pass fills its per-block send lanes in parallel; those
-# runs must also print the recorded seed-7 digest.
+# more cores, every workload runs again at pool width 2, where the pool
+# runs the jobs the static chunk plan cuts into more than one chunk: the
+# BSP closure pass on `sort` (8 blocks) and `broadcast`'s dense rounds,
+# and the QSM closure pass at p = 16384 on `shared-memory` (whose
+# p = 512 PRAM step stays inline under its 1024-processor minimum).
+# Those runs must also print the recorded seed-7 digest.
 stage_perfbench() {
   cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
   local out w threads want
@@ -257,7 +260,7 @@ stage_perfbench() {
   perfbench_run 1 sort 11
   echo "ok: perfbench sort at seed 11 correct, 0 failed"
   if [ "$(nproc)" -ge 2 ]; then
-    for w in sort broadcast; do
+    for w in sort broadcast recovery shared-memory; do
       perfbench_run 2 "$w"
       want="$(awk -v w="$w" '$1 == w { print $2 }' perfbench/digests.txt)"
       grep -q "digest $want" "$out" \

@@ -174,12 +174,12 @@ fn qsm_explicit_slot_allocs_per_phase(reqs: usize) -> u64 {
     (allocs() - before) / MEASURED
 }
 
-/// Allocations per steady-state PRAM step at the given per-processor
-/// operation count.
-fn pram_allocs_per_step(ops: usize) -> u64 {
-    let mut pram = Pram::new(AccessMode::Erew, P);
+/// Allocations per steady-state PRAM step of `p` processors at the given
+/// per-processor operation count.
+fn pram_allocs_per_step(p: usize, ops: usize) -> u64 {
+    let mut pram = Pram::new(AccessMode::Erew, p);
     let round = |pram: &mut Pram| {
-        pram.step(P, |pid, ctx| {
+        pram.step(p, |pid, ctx| {
             // Re-reading one's own cell is legal under EREW and scales the
             // access volume without changing the access pattern.
             let mut v = 0;
@@ -381,21 +381,10 @@ fn recovery_ack_allocs(p: usize) -> u64 {
 /// deliberately generous so the test fails on O(volume) regressions, not on
 /// constant-factor drift.
 fn assert_o1(engine: &str, low: u64, high: u64, budget: u64) {
-    assert_o1_slack(engine, low, high, budget, 0);
-}
-
-/// [`assert_o1`] with a tolerance for sub-superstep jitter. The counts are
-/// truncated averages over `MEASURED` supersteps, so on a multi-threaded
-/// pool a single stray allocation anywhere in the window — a worker waking
-/// for the first time in a while, a lazy std init on a pool thread — can
-/// flip the quotient by one. The O(volume) regressions this suite exists to
-/// catch show up as ≥ fanout (64+) extra allocations per superstep, so a
-/// slack of a couple loses no signal.
-fn assert_o1_slack(engine: &str, low: u64, high: u64, budget: u64, slack: u64) {
-    assert!(
-        low.abs_diff(high) <= slack,
+    assert_eq!(
+        low, high,
         "{engine}: allocations per superstep grew with message volume \
-         ({low} at 1x vs {high} at 16x, slack {slack})"
+         ({low} at 1x vs {high} at 16x)"
     );
     assert!(
         high <= budget,
@@ -424,8 +413,8 @@ fn steady_state_supersteps_allocate_o1_sequential() {
             assert_o1("qsm", qsm_allocs_per_phase(1), qsm_allocs_per_phase(16), 16);
             assert_o1(
                 "pram",
-                pram_allocs_per_step(1),
-                pram_allocs_per_step(16),
+                pram_allocs_per_step(P, 1),
+                pram_allocs_per_step(P, 16),
                 16,
             );
         });
@@ -593,45 +582,37 @@ fn sample_sort_exchange_stays_on_the_allocation_free_path() {
 #[test]
 fn steady_state_supersteps_allocate_o1_parallel() {
     let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
-    // Autotuned chunk sizing is timing-fed: the sequential cutoff can
-    // engage at one message volume and not the other, which legitimately
-    // flickers the dispatch's constant allocation count by one or two.
-    // Pin chunking so dispatch allocations are a pure function of p and
-    // the counts compare exactly; results are unaffected by the pin.
-    rayon::tune::pin_min_chunk(Some(8));
     rayon::ThreadPoolBuilder::new()
         .num_threads(8)
         .build()
         .unwrap()
         .install(|| {
             // The pool dispatch allocates O(threads) per parallel pass —
-            // still independent of message volume. Slack 2: worker wakeups
-            // are demand-driven, so one-off allocations (a thread's lazy
-            // init, a first-wake registration) can land inside either
-            // measured window; see assert_o1_slack.
-            assert_o1_slack(
+            // still independent of message volume. Chunk counts are a pure
+            // function of p and the width, and a worker's spawn allocates
+            // inside the dispatch that asks for it, so the counts compare
+            // exactly.
+            assert_o1(
                 "bsp",
                 bsp_allocs_per_superstep(1),
                 bsp_allocs_per_superstep(16),
                 256,
-                2,
             );
-            assert_o1_slack(
+            assert_o1(
                 "qsm",
                 qsm_allocs_per_phase(1),
                 qsm_allocs_per_phase(16),
                 256,
-                2,
             );
-            assert_o1_slack(
+            // A PRAM step of P processors is under its 1024-processor
+            // chunk minimum and would run inline; 4096 make 4 chunks.
+            assert_o1(
                 "pram",
-                pram_allocs_per_step(1),
-                pram_allocs_per_step(16),
+                pram_allocs_per_step(4096, 1),
+                pram_allocs_per_step(4096, 16),
                 256,
-                2,
             );
         });
-    rayon::tune::pin_min_chunk(None);
 }
 
 /// Bytes one `new` call asks the allocator for, measured at width 1 after
