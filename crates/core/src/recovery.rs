@@ -140,44 +140,72 @@ impl RecoveryOutcome {
     }
 }
 
-/// Tracks which flits of the original workload are still undelivered.
+/// Tracks which flits of the original workload are still undelivered, in
+/// flat arrays: message `k` of source `src` is message `msg_off[src] + k`,
+/// and flit `f` of message `m` is flit `flit_off[m] + f`. Building it costs
+/// a fixed number of allocations, however many messages the workload has.
 #[derive(Clone)]
 struct DeliveryLedger {
-    /// `missing[src][msg_idx][flit]`.
-    missing: Vec<Vec<Vec<bool>>>,
+    /// `msg_off[src]..msg_off[src + 1]` are `src`'s messages (length p + 1).
+    msg_off: Vec<usize>,
+    /// `flit_off[m]..flit_off[m + 1]` are message `m`'s flits.
+    flit_off: Vec<usize>,
+    /// Destination of each message.
+    dest: Vec<Pid>,
+    /// Whether each flit is still undelivered.
+    missing: Vec<bool>,
+    /// Whether any flit of each message has arrived: the ack relation.
+    heard: Vec<bool>,
     outstanding: u64,
     arrival_steps: Vec<u64>,
 }
 
 impl DeliveryLedger {
     fn new(wl: &Workload) -> Self {
-        let missing: Vec<Vec<Vec<bool>>> = (0..wl.p())
-            .map(|src| {
-                wl.msgs(src)
-                    .iter()
-                    .map(|m| vec![true; m.len as usize])
-                    .collect()
-            })
-            .collect();
-        DeliveryLedger {
-            missing,
-            outstanding: wl.n_flits(),
-            arrival_steps: Vec::new(),
+        let p = wl.p();
+        let n_msgs = wl.n_messages() as usize;
+        let n_flits = wl.n_flits() as usize;
+        let mut msg_off = Vec::with_capacity(p + 1);
+        let mut flit_off = Vec::with_capacity(n_msgs + 1);
+        let mut dest = Vec::with_capacity(n_msgs);
+        msg_off.push(0);
+        flit_off.push(0);
+        for src in 0..p {
+            for m in wl.msgs(src) {
+                flit_off.push(flit_off[dest.len()] + m.len as usize);
+                dest.push(m.dest);
+            }
+            msg_off.push(dest.len());
         }
+        DeliveryLedger {
+            msg_off,
+            flit_off,
+            dest,
+            missing: vec![true; n_flits],
+            heard: vec![false; n_msgs],
+            outstanding: n_flits as u64,
+            arrival_steps: Vec::with_capacity(n_flits),
+        }
+    }
+
+    fn p(&self) -> usize {
+        self.msg_off.len() - 1
     }
 
     /// Mark everything visible in the machine's inboxes as delivered
     /// (duplicates and acks are ignored). `now` is the number of supersteps
-    /// executed so far.
+    /// executed so far. Only receivers are visited: O(arrivals), not O(p).
     fn scan(&mut self, machine: &BspMachine<(), FlitTag>, now: u64) {
-        for pid in 0..machine.params().p {
-            for &(src, msg_idx, flit) in machine.pending_inbox(pid) {
+        for (_, inbox) in machine.pending_inboxes() {
+            for &(src, msg_idx, flit) in inbox {
                 if src == ACK_SRC {
                     continue;
                 }
-                let slot = &mut self.missing[src as usize][msg_idx as usize][flit as usize];
+                let m = self.msg_off[src as usize] + msg_idx as usize;
+                let slot = &mut self.missing[self.flit_off[m] + flit as usize];
                 if *slot {
                     *slot = false;
+                    self.heard[m] = true;
                     self.outstanding -= 1;
                     self.arrival_steps.push(now);
                 }
@@ -185,65 +213,150 @@ impl DeliveryLedger {
         }
     }
 
-    /// Sources each processor has received at least one data flit from so
-    /// far (the ack relation), each list ascending. Sources are walked in
-    /// ascending order, so a repeat source can only be a list's last entry:
-    /// O(messages), with no p×p table.
-    fn ack_targets(&self, wl: &Workload) -> Vec<Vec<Pid>> {
-        let mut acks: Vec<Vec<Pid>> = vec![Vec::new(); wl.p()];
-        for (src, msgs) in self.missing.iter().enumerate() {
-            for (msg_idx, flits) in msgs.iter().enumerate() {
-                if flits.iter().any(|&m| !m) {
-                    let heard = &mut acks[wl.msgs(src)[msg_idx].dest];
-                    if heard.last() != Some(&src) {
-                        heard.push(src);
+    /// The residual workload: one message per original message with
+    /// missing flits, each as long as its missing flits. `resend` receives
+    /// the original tags those flits must carry when resent.
+    fn residual(&self, resend: &mut ResidualTags) -> Workload {
+        let p = self.p();
+        let mut sends: Vec<Vec<Msg>> = vec![Vec::new(); p];
+        let ResidualTags {
+            msg_off,
+            flit_off,
+            tags,
+        } = resend;
+        msg_off.clear();
+        flit_off.clear();
+        tags.clear();
+        msg_off.push(0);
+        flit_off.push(0);
+        for (src, msgs) in sends.iter_mut().enumerate() {
+            let first_msg = self.msg_off[src];
+            for m in first_msg..self.msg_off[src + 1] {
+                let first_flit = self.flit_off[m];
+                let before = tags.len();
+                for f in first_flit..self.flit_off[m + 1] {
+                    if self.missing[f] {
+                        tags.push((src as u32, (m - first_msg) as u32, (f - first_flit) as u32));
                     }
                 }
-            }
-        }
-        acks
-    }
-
-    /// The residual workload (one message per original message with missing
-    /// flits) plus, per residual message, the original tags its flits must
-    /// carry when resent.
-    fn residual(&self, wl: &Workload) -> (Workload, Vec<Vec<Vec<FlitTag>>>) {
-        let p = wl.p();
-        let mut sends: Vec<Vec<Msg>> = vec![Vec::new(); p];
-        let mut tags: Vec<Vec<Vec<FlitTag>>> = vec![Vec::new(); p];
-        for (src, msgs) in self.missing.iter().enumerate() {
-            for (msg_idx, flits) in msgs.iter().enumerate() {
-                let lost: Vec<FlitTag> = flits
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &m)| m)
-                    .map(|(f, _)| (src as u32, msg_idx as u32, f as u32))
-                    .collect();
-                if !lost.is_empty() {
-                    sends[src].push(Msg {
-                        dest: wl.msgs(src)[msg_idx].dest,
-                        len: lost.len() as u64,
+                if tags.len() > before {
+                    msgs.push(Msg {
+                        dest: self.dest[m],
+                        len: (tags.len() - before) as u64,
                     });
-                    tags[src].push(lost);
+                    flit_off.push(tags.len());
                 }
             }
+            msg_off.push(flit_off.len() - 1);
         }
-        (Workload::new(sends), tags)
+        Workload::new(sends)
+    }
+}
+
+/// The ack relation in CSR form: processor `d` acks the sources
+/// `srcs[off[d]..off[d + 1]]`, ascending, and `ackers` lists the processors
+/// with at least one. Rebuilt in place each ack round and never part of a
+/// [`SessionCheckpoint`]: it is a function of the ledger.
+#[derive(Default)]
+struct AckRelation {
+    /// The workload's messages by destination, indexed at the first round:
+    /// `inbound[inbound_off[d]..inbound_off[d + 1]]` are the `(source,
+    /// message)` pairs addressed to `d`, sources ascending.
+    inbound_off: Vec<usize>,
+    inbound: Vec<(Pid, usize)>,
+    off: Vec<usize>,
+    srcs: Vec<Pid>,
+    ackers: Vec<Pid>,
+}
+
+impl AckRelation {
+    /// Rebuild the relation: each processor acks every source it has
+    /// received at least one data flit from so far. O(messages + p), with
+    /// no p×p table and no per-processor list.
+    fn rebuild(&mut self, ledger: &DeliveryLedger) {
+        let p = ledger.p();
+        if self.inbound_off.is_empty() {
+            self.index(ledger);
+        }
+        self.off.clear();
+        self.off.reserve(p + 1);
+        self.off.push(0);
+        self.srcs.clear();
+        self.ackers.clear();
+        for d in 0..p {
+            let first = self.srcs.len();
+            for &(src, m) in &self.inbound[self.inbound_off[d]..self.inbound_off[d + 1]] {
+                // Sources ascend within `d`'s run: a repeat is the last entry.
+                if ledger.heard[m] && (self.srcs.len() == first || self.srcs.last() != Some(&src)) {
+                    self.srcs.push(src);
+                }
+            }
+            if self.srcs.len() > first {
+                self.ackers.push(d);
+            }
+            self.off.push(self.srcs.len());
+        }
+    }
+
+    /// Group the ledger's messages by destination: a counting sort of its
+    /// source-ascending message order, so each run keeps sources ascending.
+    fn index(&mut self, ledger: &DeliveryLedger) {
+        let p = ledger.p();
+        let off = &mut self.inbound_off;
+        off.resize(p + 1, 0);
+        for &d in &ledger.dest {
+            off[d + 1] += 1;
+        }
+        for d in 0..p {
+            off[d + 1] += off[d];
+        }
+        let mut cursor = off[..p].to_vec();
+        self.inbound.resize(ledger.dest.len(), (0, 0));
+        for src in 0..p {
+            for m in ledger.msg_off[src]..ledger.msg_off[src + 1] {
+                let d = ledger.dest[m];
+                self.inbound[cursor[d]] = (src, m);
+                cursor[d] += 1;
+            }
+        }
+    }
+
+    /// The sources processor `d` acks, ascending.
+    fn sources(&self, d: Pid) -> &[Pid] {
+        &self.srcs[self.off[d]..self.off[d + 1]]
+    }
+}
+
+/// The original tags of a retransmission's flits, flat: flit `f` of
+/// residual message `k` of `src` carries `tags[flit_off[msg_off[src] + k] +
+/// f]`. Rebuilt in place each round and never part of a
+/// [`SessionCheckpoint`].
+#[derive(Default)]
+struct ResidualTags {
+    msg_off: Vec<usize>,
+    flit_off: Vec<usize>,
+    tags: Vec<FlitTag>,
+}
+
+impl ResidualTags {
+    /// The tag flit `f` of residual message `k` of `src` carries.
+    fn tag(&self, src: Pid, k: usize, f: u64) -> FlitTag {
+        self.tags[self.flit_off[self.msg_off[src] + k] + f as usize]
     }
 }
 
 /// Execute one scheduled send superstep: flit `f` of message `k` of `pid`
-/// goes out at `starts[pid][k] + f`, carrying `tags[pid][k][f]`.
+/// goes out at `starts[pid][k] + f`, carrying `tag(pid, k, f)`.
 fn send_round(
     machine: &mut BspMachine<(), FlitTag>,
     wl: &Workload,
     schedule: &Schedule,
-    tags: &[Vec<Vec<FlitTag>>],
+    tag: impl Fn(Pid, usize, u64) -> FlitTag + Sync,
 ) {
     let body = |pid: Pid, _s: &mut (), _in: &[FlitTag], out: &mut Outbox<FlitTag>| {
         for (k, (msg, &start)) in wl.msgs(pid).iter().zip(&schedule.starts[pid]).enumerate() {
-            for (f, &tag) in tags[pid][k].iter().enumerate() {
-                out.send_at(msg.dest, tag, start + f as u64);
+            for f in 0..msg.len {
+                out.send_at(msg.dest, tag(pid, k, f), start + f);
             }
         }
     };
@@ -355,6 +468,8 @@ pub struct RecoverySession<'a> {
     seed: u64,
     machine: BspMachine<(), FlitTag>,
     ledger: DeliveryLedger,
+    acks: AckRelation,
+    resend: ResidualTags,
     resume: Resume,
     round: u32,
     resent_flits: u64,
@@ -382,6 +497,8 @@ impl<'a> RecoverySession<'a> {
         }
         RecoverySession {
             ledger: DeliveryLedger::new(wl),
+            acks: AckRelation::default(),
+            resend: ResidualTags::default(),
             wl,
             scheduler,
             cfg,
@@ -409,22 +526,10 @@ impl<'a> RecoverySession<'a> {
             match self.resume {
                 Resume::Send => {
                     // Round 0: the full workload, original tags.
-                    let full_tags: Vec<Vec<Vec<FlitTag>>> = (0..self.wl.p())
-                        .map(|src| {
-                            self.wl
-                                .msgs(src)
-                                .iter()
-                                .enumerate()
-                                .map(|(k, m)| {
-                                    (0..m.len as u32)
-                                        .map(|f| (src as u32, k as u32, f))
-                                        .collect()
-                                })
-                                .collect()
-                        })
-                        .collect();
                     let schedule = self.scheduler.schedule(self.wl, self.params.m, self.seed);
-                    send_round(&mut self.machine, self.wl, &schedule, &full_tags);
+                    send_round(&mut self.machine, self.wl, &schedule, |src, k, f| {
+                        (src as u32, k as u32, f as u32)
+                    });
                     self.scan();
                     self.resume = Resume::LoopHead;
                     return RecoveryPhase::Send;
@@ -445,17 +550,16 @@ impl<'a> RecoverySession<'a> {
                     // Ack superstep: every destination acks the sources it
                     // heard from.
                     let round = self.round;
-                    let acks = self.ledger.ack_targets(self.wl);
+                    self.acks.rebuild(&self.ledger);
                     self.machine.set_trace_label(format!("recovery/ack{round}"));
+                    let acks = &self.acks;
                     let ack_body =
                         |pid: Pid, _s: &mut (), _in: &[FlitTag], out: &mut Outbox<FlitTag>| {
-                            for &src in &acks[pid] {
+                            for &src in acks.sources(pid) {
                                 out.send(src, (ACK_SRC, pid as u32, 0));
                             }
                         };
-                    let ackers: Vec<Pid> =
-                        (0..self.wl.p()).filter(|&d| !acks[d].is_empty()).collect();
-                    self.machine.superstep_auto(&ackers, ack_body);
+                    self.machine.superstep_auto(&acks.ackers, ack_body);
                     self.ack_supersteps += 1;
                     self.scan();
                     self.resume = Resume::BackoffEnter;
@@ -499,8 +603,9 @@ impl<'a> RecoverySession<'a> {
                     // Retransmit the residual through the same scheduler,
                     // fresh seed.
                     let round = self.round;
-                    let (residual, tags) = self.ledger.residual(self.wl);
-                    self.resent_flits += residual.n_flits();
+                    let residual = self.ledger.residual(&mut self.resend);
+                    let resend = &self.resend;
+                    self.resent_flits += resend.tags.len() as u64;
                     let round_seed = self.seed ^ (round as u64).wrapping_mul(0x9E37);
                     let schedule = self
                         .scheduler
@@ -508,7 +613,9 @@ impl<'a> RecoverySession<'a> {
                     self.machine
                         .set_trace_label(format!("recovery/retransmit{round}"));
                     self.machine.set_fault_round(round);
-                    send_round(&mut self.machine, &residual, &schedule, &tags);
+                    send_round(&mut self.machine, &residual, &schedule, |src, k, f| {
+                        resend.tag(src, k, f)
+                    });
                     self.scan();
                     self.resume = Resume::LoopHead;
                     return RecoveryPhase::Retransmit(round);
@@ -678,8 +785,10 @@ impl SessionCheckpoint {
 mod tests {
     use super::*;
     use crate::exec::run_schedule_on_bsp;
+    use crate::flits::UnbalancedFlitSend;
     use crate::schedulers::{OfflineOptimal, UnbalancedSend};
     use crate::workload;
+    use pbw_faults::FaultScript;
     use pbw_sim::{DeliveryCtx, Fate};
 
     fn params(p: usize, m: usize) -> MachineParams {
@@ -688,17 +797,89 @@ mod tests {
 
     #[test]
     fn reliable_network_is_bit_exact_with_the_fault_free_path() {
-        let wl = workload::uniform_random(32, 4, 5);
+        let unit = workload::uniform_random(32, 4, 5);
+        let multi_flit = workload::variable_length(32, 4, 3.0, 5);
+        let cases: [(&Workload, &dyn Scheduler); 2] = [
+            (&unit, &UnbalancedSend::new(0.2)),
+            (&multi_flit, &UnbalancedFlitSend::new(0.2)),
+        ];
         let mp = params(32, 8);
-        let sched = UnbalancedSend::new(0.2);
-        let direct = run_schedule_on_bsp(&wl, &sched.schedule(&wl, mp.m, 9), mp);
-        let recovered = run_with_recovery(&wl, &sched, mp, 9, None, &RecoveryConfig::default());
-        assert_eq!(recovered.summary, direct.summary);
-        assert_eq!(recovered.profiles.len(), 1);
-        assert_eq!(recovered.rounds, 0);
-        assert!(recovered.delivered_all);
-        assert_eq!(recovered.resent_flits, 0);
-        assert_eq!(recovered.ack_supersteps + recovered.backoff_supersteps, 0);
+        for (wl, sched) in cases {
+            let direct = run_schedule_on_bsp(wl, &sched.schedule(wl, mp.m, 9), mp);
+            let recovered = run_with_recovery(wl, sched, mp, 9, None, &RecoveryConfig::default());
+            assert_eq!(recovered.summary, direct.summary, "{}", sched.name());
+            assert_eq!(recovered.profiles.len(), 1);
+            assert_eq!(recovered.rounds, 0);
+            assert!(recovered.delivered_all);
+            assert_eq!(recovered.resent_flits, 0);
+            assert_eq!(recovered.ack_supersteps + recovered.backoff_supersteps, 0);
+            assert_eq!(recovered.arrival_steps.len() as u64, wl.n_flits());
+        }
+    }
+
+    /// Partial loss of one multi-flit message: the script drops its first
+    /// and last flits in the send superstep and delivers the rest. Round 1
+    /// must resend exactly those two flits, under their original tags.
+    #[test]
+    fn partial_loss_of_a_multi_flit_message_resends_exactly_the_missing_flits() {
+        let p = 16;
+        let wl = workload::variable_length(p, 3, 3.0, 5);
+        assert!(!wl.is_unit());
+        let (src, k) = (0..p)
+            .flat_map(|src| (0..wl.msgs(src).len()).map(move |k| (src, k)))
+            .find(|&(src, k)| wl.msgs(src)[k].len >= 3)
+            .expect("a message of three or more flits");
+        let msg = wl.msgs(src)[k];
+        // The engine numbers a sender's envelopes in send order, and each
+        // flit is one envelope: `src`'s earlier messages' flits come first.
+        let first: u64 = wl.msgs(src)[..k].iter().map(|m| m.len).sum();
+        let dropped = [0, msg.len - 1];
+        let script = dropped.iter().fold(FaultScript::new(), |s, &f| {
+            s.with_fate(0, src, (first + f) as usize, Fate::Drop)
+        });
+        let sched = UnbalancedFlitSend::new(0.2);
+        let cfg = RecoveryConfig::default();
+        let mut session = RecoverySession::new(
+            Arc::new(pbw_trace::NullSink),
+            &wl,
+            &sched,
+            params(p, 4),
+            3,
+            Some(Arc::new(script)),
+            &cfg,
+        );
+        let mut resent = None;
+        loop {
+            let phase = session.step();
+            if phase == RecoveryPhase::Done {
+                break;
+            }
+            // The ledger conserves at every boundary: each flit is either
+            // outstanding or has exactly one recorded arrival.
+            assert_eq!(
+                session.outstanding() + session.ledger.arrival_steps.len() as u64,
+                wl.n_flits(),
+                "after {phase:?}"
+            );
+            assert!(session.fault_stats().conserved(), "after {phase:?}");
+            if phase == RecoveryPhase::Retransmit(1) {
+                resent = Some(session.machine().pending_inbox(msg.dest).to_vec());
+            }
+        }
+        let tags: Vec<FlitTag> = dropped
+            .iter()
+            .map(|&f| (src as u32, k as u32, f as u32))
+            .collect();
+        assert_eq!(resent, Some(tags), "the resent flits keep their tags");
+
+        let out = session.into_outcome();
+        assert!(out.delivered_all);
+        assert_eq!(out.rounds, 1);
+        assert_eq!(out.fault_stats.dropped, dropped.len() as u64);
+        assert_eq!(out.resent_flits, out.fault_stats.dropped);
+        assert_eq!(out.arrival_steps.len() as u64, wl.n_flits());
+        assert!(out.fault_stats.conserved());
+        assert_eq!(out.fault_stats.in_flight, 0);
     }
 
     /// Drops every copy of one (src → dest) edge in superstep 0 only.

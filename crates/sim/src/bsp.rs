@@ -317,6 +317,18 @@ impl<S: Send, M: Send> BspMachine<S, M> {
         self.inboxes.inbox(pid)
     }
 
+    /// Every non-empty pending inbox as `(pid, inbox)`, in ascending pid
+    /// order: exactly the pids whose [`BspMachine::pending_inbox`] is
+    /// non-empty, with the same slices. The walk follows the inbox arena's
+    /// touched mask, so a full pass costs O(receivers + messages), not O(p).
+    pub fn pending_inboxes(&self) -> impl Iterator<Item = (Pid, &[M])> + '_ {
+        let inboxes = &self.inboxes;
+        inboxes
+            .touched()
+            .iter()
+            .map(move |pid| (pid, inboxes.inbox(pid)))
+    }
+
     /// Profiles of all executed supersteps.
     pub fn profiles(&self) -> &[SuperstepProfile] {
         &self.profiles

@@ -37,6 +37,7 @@ STAGES=(
   model-check
   clippy
   docs
+  shims
   trace-smoke
   fault-determinism
   sorting-determinism
@@ -156,6 +157,24 @@ stage_clippy() {
 # (for example to an item a refactor deleted) fails the stage.
 stage_docs() {
   RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+}
+
+# The offline dependency shims are packages of their own outside the
+# workspace (the root manifest excludes crates/shims), so the stages above
+# never build their unit tests or docs. Run the suites of the four shims
+# that have one, and the rayon shim's docs with warnings denied. Builds go
+# to the workspace's ignored target dir; each shim keeps its own committed
+# Cargo.lock.
+stage_shims() {
+  local shim
+  for shim in rayon rand rand_chacha proptest; do
+    CARGO_TARGET_DIR=target/shims cargo test --offline -q \
+      --manifest-path "crates/shims/$shim/Cargo.toml"
+    echo "ok: $shim shim tests pass"
+  done
+  CARGO_TARGET_DIR=target/shims RUSTDOCFLAGS="-D warnings" \
+    cargo doc --offline --no-deps -q --manifest-path crates/shims/rayon/Cargo.toml
+  echo "ok: rayon shim docs build warning-free"
 }
 
 stage_trace-smoke() {

@@ -375,6 +375,35 @@ fn recovery_ack_allocs(p: usize) -> u64 {
     count
 }
 
+/// Allocations of [`RecoverySession::new`] on a `P`-processor machine whose
+/// first 8 processors each send `per` unit messages. The delivery ledger is
+/// a fixed set of flat arrays, so the count must not depend on `per`; one
+/// allocation per source or per message would add 8 or `8 · per`.
+fn recovery_setup_allocs(per: usize) -> u64 {
+    let sends: Vec<Vec<Msg>> = (0..P)
+        .map(|src| match src {
+            0..=7 => (0..per).map(|k| Msg::unit((src + k + 1) % P)).collect(),
+            _ => Vec::new(),
+        })
+        .collect();
+    let wl = Workload::new(sends);
+    let cfg = RecoveryConfig::default();
+    let sink = std::sync::Arc::new(NullSink);
+    let before = allocs();
+    let session = RecoverySession::new(
+        sink,
+        &wl,
+        &EagerSend,
+        MachineParams::from_gap(P, 2, 4),
+        7,
+        None,
+        &cfg,
+    );
+    let count = allocs() - before;
+    drop(session);
+    count
+}
+
 /// Per-superstep allocation count must not grow with message volume, and
 /// must stay under a small absolute budget. `budget` covers the profile
 /// snapshot, the amortized `profiles` push and the pool dispatch; it is
@@ -552,6 +581,29 @@ fn recovery_ack_round_allocations_do_not_scale_with_p() {
             assert_eq!(
                 small, large,
                 "ack-step allocations scale with p ({small} at p=1k vs {large} at p=16k)"
+            );
+        });
+}
+
+/// Setting up a recovery session allocates a fixed number of flat ledger
+/// arrays: the same count for 16× the messages from the same senders.
+#[test]
+fn recovery_session_setup_allocations_do_not_scale_with_messages() {
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap()
+        .install(|| {
+            // Warm up: a process's first machine also sets up the global
+            // trace sink.
+            recovery_setup_allocs(4);
+            let small = recovery_setup_allocs(4);
+            let large = recovery_setup_allocs(64);
+            assert_eq!(
+                small, large,
+                "session setup allocations scale with messages \
+                 ({small} at 32 messages vs {large} at 512)"
             );
         });
 }

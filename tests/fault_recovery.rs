@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{run_hooked, spec_strategy};
+use common::{at_width, run_hooked, spec_strategy};
 use parallel_bandwidth::models::MachineParams;
 use parallel_bandwidth::prelude::*;
 use parallel_bandwidth::sched::exec::run_schedule_on_bsp;
@@ -121,6 +121,79 @@ fn due_and_retained_inboxes_reactivate_idle_processors_on_the_sparse_path() {
     assert_eq!(machine.state(40), &vec![7]);
     assert_eq!(machine.fault_stats().delivered, 1);
     assert_eq!(machine.fault_stats().in_flight, 0);
+}
+
+/// `pending_inboxes` is the receivers-only form of `pending_inbox`: after
+/// dense, sparse and auto supersteps under stalls (retained inboxes),
+/// delays and duplicates (late arrivals landing at later boundaries), it
+/// yields exactly the non-empty inboxes, ascending, with the same slices,
+/// at pool widths 1 and 8.
+#[test]
+fn pending_inboxes_yields_exactly_the_non_empty_inboxes_in_pid_order() {
+    use parallel_bandwidth::sim::Outbox;
+
+    fn assert_view(m: &BspMachine<u64, u64>, ctx: &str) {
+        let want: Vec<(usize, &[u64])> = (0..m.params().p)
+            .filter(|&d| !m.pending_inbox(d).is_empty())
+            .map(|d| (d, m.pending_inbox(d)))
+            .collect();
+        let got: Vec<(usize, &[u64])> = m.pending_inboxes().collect();
+        assert_eq!(got, want, "{ctx}");
+    }
+
+    let p = 256;
+    let params = MachineParams::from_gap(p, 8, 4);
+    let spec = FaultSpec {
+        drop_rate: 0.1,
+        duplicate_rate: 0.1,
+        delay_rate: 0.2,
+        max_delay: 3,
+        stall_rate: 0.05,
+        ..FaultSpec::none()
+    };
+    let senders: Vec<usize> = (0..p).step_by(8).collect();
+    // Forward every inbox payload once more (until it has made three
+    // hops); declared senders also post a fresh one. Every other pid with
+    // an empty inbox is a no-op, as the sparse path requires.
+    let body = |pid: usize, s: &mut u64, inbox: &[u64], out: &mut Outbox<u64>| {
+        for &v in inbox {
+            if v % 4 != 3 {
+                out.send((pid * 31 + v as usize) % p, v + 1);
+            }
+        }
+        if pid.is_multiple_of(8) {
+            *s += 1;
+            out.send((pid * 13 + *s as usize) % p, 4 * *s);
+        }
+    };
+    let idle = |_: usize, s: &mut u64, inbox: &[u64], _: &mut Outbox<u64>| {
+        *s += inbox.len() as u64;
+    };
+    for width in [1, 8] {
+        let stats = at_width(width, || {
+            let mut m: BspMachine<u64, u64> = BspMachine::new(params, |_| 0);
+            m.set_delivery_hook(Arc::new(FaultPlan::new(spec, 17)));
+            assert_view(&m, "fresh machine");
+            for round in 0..4 {
+                m.superstep(body);
+                assert_view(&m, &format!("width {width}, round {round}, dense"));
+                m.superstep_active(&senders, body);
+                assert_view(&m, &format!("width {width}, round {round}, sparse"));
+                m.superstep_auto(&senders, body);
+                assert_view(&m, &format!("width {width}, round {round}, auto"));
+                m.superstep_auto(&[], idle);
+                assert_view(&m, &format!("width {width}, round {round}, idle"));
+            }
+            while m.faults_in_flight() > 0 {
+                m.superstep_auto(&[], idle);
+                assert_view(&m, &format!("width {width}, drain"));
+            }
+            m.fault_stats()
+        });
+        assert!(stats.stalled_steps > 0, "no stall retained an inbox");
+        assert!(stats.delayed > 0 && stats.duplicated > 0, "{stats:?}");
+        assert!(stats.conserved(), "{stats:?}");
+    }
 }
 
 /// Active-set recovery (PR 5): `run_with_recovery` now routes every
