@@ -27,78 +27,86 @@
 //!    contract are defined by. [`MsgArena::finish`] then asserts every
 //!    reserved slot was filled and publishes the segments.
 //!
-//! ## Epoch-stamped segments
+//! ## Zero outside `touched`
 //!
-//! Segment validity is tracked by an epoch stamp per destination instead of
-//! a dense offset table zeroed every superstep: a destination's segment is
-//! meaningful only if its stamp equals the arena's current epoch, and
-//! [`MsgArena::clear`] resets the arena by bumping the epoch — O(1), never
-//! an O(p) `fill(0)`. Only counted destinations are stamped and laid out,
-//! so a whole fill costs O(touched + messages) regardless of `p`; unstamped
-//! destinations read as empty. The arena also publishes the destinations
-//! that received at least one message ([`MsgArena::touched`]), which is how
-//! the engines seed the next superstep's frontier without scanning all `p`
-//! inboxes. Segments are laid out in ascending destination order; the
-//! layout order is unobservable anyway — `inbox(d)` content and order
-//! depend only on the placement replay.
+//! Between fills the arena keeps one invariant: a destination that is not
+//! in the touched mask ([`MsgArena::touched`]) has an all-zero segment. So
+//! [`MsgArena::inbox`] and [`MsgArena::len`] read a segment with no validity
+//! check (an untouched destination reads `0..0`), and the counting pass
+//! recognises a first touch by `end == 0`. [`MsgArena::clear`] restores the
+//! invariant by zeroing only the previous fill's touched segments, so a
+//! whole fill costs O(touched + messages) regardless of `p`. The touched
+//! mask is also how the engines seed the next superstep's frontier without
+//! scanning all `p` inboxes.
+//!
+//! While a fill is open, `start` is the destination's write cursor and
+//! `end` its bound, so one compare rejects a placement to an uncounted
+//! (`0..0`) or full destination. Segments are laid out contiguously in
+//! ascending destination order, so [`MsgArena::finish`] restores each
+//! `start` from the previous touched segment's `end`. The layout order is
+//! unobservable: `inbox(d)` content and order depend only on the placement
+//! replay.
 //!
 //! ## Safety
 //!
 //! During a fill the backing vector's length stays 0 while `place` writes
-//! initialized payloads into reserved capacity through raw pointers; the
+//! initialized payloads into reserved capacity through raw pointers. The
 //! cursor bound check (a hard assert, not a debug assert) keeps every write
-//! inside its destination's segment and therefore inside the reservation.
-//! If the engine panics mid-fill, already-placed payloads are leaked — never
-//! double-dropped — because the vector still reports length 0. `finish`
-//! publishes the length only after checking that the number of placements
-//! equals the reserved total, so no uninitialized slot is ever readable.
+//! inside its destination's segment, and the zero-outside-touched invariant
+//! keeps every segment inside the reservation. If the engine panics
+//! mid-fill, already-placed payloads are leaked — never double-dropped —
+//! because the vector still reports length 0. `finish` publishes the length
+//! only after checking that every touched segment is full and that the
+//! segments cover the reserved total, so no uninitialized slot is ever
+//! readable.
 
 use pbw_models::FrontierMask;
 
-/// One destination's segment metadata, interleaved so the layout pass, the
-/// placement cursor bump, and the inbox read each touch a single cache line
-/// per destination instead of one line in each of four parallel arrays.
-/// All four fields are `u32` — 16 bytes per destination, four per cache
-/// line — which halves the memory traffic of the counting and layout
-/// sweeps. A fill is capped at `u32::MAX` payloads (enforced by
-/// `begin_counted`); any larger superstep would hold tens of gigabytes of
-/// envelopes in memory before ever reaching the arena.
+/// One destination's segment, both bounds side by side so the layout pass,
+/// the placement cursor bump and the inbox read each touch one cache line
+/// per destination. Two `u32`s — 8 bytes per destination, eight per cache
+/// line. A fill is capped at `u32::MAX` payloads (enforced by the counting
+/// pass); any larger superstep would hold tens of gigabytes of envelopes in
+/// memory before ever reaching the arena.
 #[derive(Debug, Clone, Copy, Default)]
 struct Seg {
-    /// Start of the segment (valid iff `stamp` equals the arena epoch).
+    /// Start of the segment; the write cursor while a fill is open.
     start: u32,
-    /// One-past-the-end of the segment (same validity rule). Doubles as the
-    /// count accumulator between [`MsgArena::count`] and
-    /// [`MsgArena::begin_counted`].
+    /// One-past-the-end of the segment. Doubles as the count accumulator
+    /// between [`MsgArena::count`] and [`MsgArena::begin_counted`].
     end: u32,
-    /// Next write index during a fill.
-    cursor: u32,
-    /// Epoch at which this destination was last counted.
-    stamp: u32,
 }
 
+const _: () = assert!(std::mem::size_of::<Seg>() == 8);
+
 /// A reusable flat message store with one contiguous segment per
-/// destination and O(1) reset.
+/// destination and O(touched) reset.
 #[derive(Debug)]
 pub(crate) struct MsgArena<M> {
     /// Backing storage; `len()` is 0 while a fill is open, the segment total
     /// once published.
     data: Vec<M>,
-    /// Per-destination segment table.
+    /// Per-destination segment table, all zero outside `touched`.
     segs: Vec<Seg>,
-    /// Current epoch; bumped by `clear`. A `u32`
-    /// can wrap within a very long run, so the bump hard-resets every stamp
-    /// when it does (once per ~4G resets) — stale stamps never alias.
-    epoch: u32,
-    /// Destinations holding at least one message this fill, as a bitset
-    /// mask (cleared by an O(1) epoch bump alongside the arena's own).
+    /// Destinations counted by this fill, as a bitset mask.
     touched: FrontierMask,
-    /// Total payloads reserved by the open (or last published) fill.
-    total: usize,
-    /// Payloads placed since `begin_counted`.
-    placed: usize,
+    /// Payloads counted by the open fill, or published by the last one.
+    total: u64,
     /// Whether a fill is open (`begin_counted` called, `finish` not yet).
     filling: bool,
+}
+
+/// Call `f` on every touched destination's segment, in ascending
+/// destination order.
+#[inline]
+fn for_each_touched(touched: &FrontierMask, segs: &mut [Seg], mut f: impl FnMut(usize, &mut Seg)) {
+    for (leaf, mut bits) in touched.words() {
+        while bits != 0 {
+            let d = leaf * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            f(d, &mut segs[d]);
+        }
+    }
 }
 
 impl<M> MsgArena<M> {
@@ -106,82 +114,74 @@ impl<M> MsgArena<M> {
     pub(crate) fn new(p: usize) -> Self {
         Self {
             data: Vec::new(),
-            // Stamps start below the first epoch, so every destination is
-            // unstamped (empty) until a fill lays it out.
             segs: vec![Seg::default(); p],
-            epoch: 1,
             touched: FrontierMask::new(p),
             total: 0,
-            placed: 0,
             filling: false,
         }
     }
 
-    /// Drop all stored payloads and reset every segment to empty, in O(1):
-    /// the epoch bump invalidates every stamp at once. Keeps the backing
-    /// capacity. Every fill's counting pass starts here.
+    /// Drop all stored payloads and reset every segment to empty by zeroing
+    /// the touched ones, O(touched). Keeps the backing capacity. Every
+    /// fill's counting pass starts here.
     pub(crate) fn clear(&mut self) {
         debug_assert!(!self.filling, "clear during an open fill");
         self.data.clear();
-        self.bump_epoch();
+        for_each_touched(&self.touched, &mut self.segs, |_, seg| {
+            *seg = Seg::default()
+        });
         self.touched.clear();
         self.total = 0;
-        self.placed = 0;
         self.filling = false;
     }
 
-    /// Restart the epoch counter at `epoch`, leaving every stamp as it is,
-    /// so a test can reach the wrap in [`MsgArena::bump_epoch`] without
-    /// ~4G clears.
-    #[cfg(test)]
-    fn seed_epoch(&mut self, epoch: u32) {
-        self.epoch = epoch;
-    }
-
-    /// Invalidate every stamp by bumping the epoch. On the (once per ~4G
-    /// resets) wrap, hard-reset every stamp instead, so a stale segment can
-    /// never alias the restarted counter.
+    /// Add `n` payloads to the fill's running total.
+    ///
+    /// # Panics
+    /// Panics once the fill passes `u32::MAX` payloads.
     #[inline]
-    fn bump_epoch(&mut self) {
-        if self.epoch == u32::MAX {
-            for seg in &mut self.segs {
-                seg.stamp = 0;
-            }
-            self.epoch = 1;
-        } else {
-            self.epoch += 1;
-        }
+    fn add_to_total(&mut self, n: usize) {
+        self.total = self.total.saturating_add(n as u64);
+        assert!(
+            self.total <= u64::from(u32::MAX),
+            "fill exceeds u32 payload indexing"
+        );
     }
 
     /// Accumulate `n` payloads for `dest` directly into the segment table
     /// (`end` doubles as the count accumulator until
     /// [`MsgArena::begin_counted`] converts the counts to offsets by prefix
     /// sum). Must run between [`MsgArena::clear`] and `begin_counted`. A
-    /// zero increment on a never-counted destination is a no-op: the
-    /// destination stays unstamped and reads as empty, exactly as if it
-    /// were laid out with an empty segment.
+    /// zero increment is a no-op: a never-counted destination stays
+    /// untouched and reads as empty.
+    ///
+    /// # Panics
+    /// Panics once the fill passes `u32::MAX` payloads.
     #[inline]
     pub(crate) fn count(&mut self, dest: usize, n: usize) {
         debug_assert!(!self.filling, "count during an open fill");
         if n == 0 {
             return;
         }
+        self.add_to_total(n);
         let seg = &mut self.segs[dest];
-        if seg.stamp != self.epoch {
-            seg.stamp = self.epoch;
-            seg.end = n as u32;
+        if seg.end == 0 {
             self.touched.insert(dest);
-        } else {
-            seg.end += n as u32;
         }
+        // The running total bounds every segment's count, so neither the
+        // cast nor the sum can wrap.
+        seg.end += n as u32;
     }
 
     /// Count one payload for every destination in `dests` — the batched
-    /// form of [`MsgArena::count`]`(d, 1)`, with the epoch hoisted. This is
-    /// the unhooked per-sender counting kernel.
+    /// form of [`MsgArena::count`]`(d, 1)`, with the cap checked once. This
+    /// is the unhooked per-sender counting kernel.
+    ///
+    /// # Panics
+    /// Panics once the fill passes `u32::MAX` payloads.
     pub(crate) fn count_ones(&mut self, dests: &[usize]) {
         debug_assert!(!self.filling, "count during an open fill");
-        let epoch = self.epoch;
+        self.add_to_total(dests.len());
         // Newly touched destinations are accumulated one leaf word at a
         // time and flushed with a single `insert_word` per run — for the
         // (typical) ascending destination lanes this replaces a two-level
@@ -191,33 +191,33 @@ impl<M> MsgArena<M> {
         let mut cur_leaf = usize::MAX;
         let mut cur_bits = 0u64;
         for &d in dests {
-            let seg = &mut self.segs[d];
-            if seg.stamp != epoch {
-                seg.stamp = epoch;
-                seg.end = 1;
+            let Some(seg) = self.segs.get_mut(d) else {
+                // Flush before failing, so `clear` still finds every
+                // counted segment.
+                self.touched.insert_word(cur_leaf, cur_bits);
+                panic!(
+                    "destination {d} out of range for {} destinations",
+                    self.segs.len()
+                );
+            };
+            if seg.end == 0 {
                 let leaf = d / 64;
                 if leaf != cur_leaf {
-                    if cur_bits != 0 {
-                        self.touched.insert_word(cur_leaf, cur_bits);
-                    }
+                    self.touched.insert_word(cur_leaf, cur_bits);
                     cur_leaf = leaf;
                     cur_bits = 0;
                 }
                 cur_bits |= 1u64 << (d % 64);
-            } else {
-                seg.end += 1;
             }
+            seg.end += 1;
         }
-        if cur_bits != 0 {
-            self.touched.insert_word(cur_leaf, cur_bits);
-        }
+        self.touched.insert_word(cur_leaf, cur_bits);
     }
 
     /// Open a fill from the counts accumulated by [`MsgArena::count`] /
     /// [`MsgArena::count_ones`]: one in-place prefix-sum walk over the
-    /// touched mask turns each count into its segment bounds, O(touched).
-    /// The epoch is *not* bumped: the stamps the counting pass set mark
-    /// exactly the destinations this fill lays out.
+    /// touched mask turns each count into its segment bounds, O(touched),
+    /// with each `start` armed as the destination's write cursor.
     ///
     /// Returns the largest single segment laid out (0 when none): the
     /// layout walk reads every count anyway, and on the unhooked path that
@@ -228,37 +228,18 @@ impl<M> MsgArena<M> {
     pub(crate) fn begin_counted(&mut self) -> u64 {
         assert!(!self.filling, "begin while a fill is already open");
         self.data.clear();
-        let mut total = 0usize;
-        let mut max_seg = 0usize;
-        let Self {
-            ref touched,
-            ref mut segs,
-            ..
-        } = *self;
-        for (leaf, word) in touched.words() {
-            let base = leaf * 64;
-            let mut bits = word;
-            while bits != 0 {
-                let bit = bits.trailing_zeros();
-                bits &= bits - 1;
-                let seg = &mut segs[base + bit as usize];
-                let c = seg.end as usize;
-                seg.start = total as u32;
-                seg.cursor = total as u32;
-                total += c;
-                seg.end = total as u32;
-                max_seg = max_seg.max(c);
-            }
-        }
-        assert!(
-            total <= u32::MAX as usize,
-            "fill exceeds u32 payload indexing"
-        );
-        self.data.reserve(total);
-        self.total = total;
-        self.placed = 0;
+        let mut next = 0u32;
+        let mut max_seg = 0u32;
+        for_each_touched(&self.touched, &mut self.segs, |_, seg| {
+            let c = seg.end;
+            seg.start = next;
+            next += c;
+            seg.end = next;
+            max_seg = max_seg.max(c);
+        });
+        self.data.reserve(self.total as usize);
         self.filling = true;
-        max_seg as u64
+        u64::from(max_seg)
     }
 
     /// Place the next payload for `dest`, in delivery order.
@@ -271,69 +252,75 @@ impl<M> MsgArena<M> {
     pub(crate) fn place(&mut self, dest: usize, payload: M) {
         assert!(self.filling, "place outside an open fill");
         let seg = &mut self.segs[dest];
-        assert!(
-            seg.stamp == self.epoch,
-            "delivery to destination {dest}, which the counting pass never counted"
-        );
-        let cursor = seg.cursor;
+        let cursor = seg.start;
+        // An uncounted destination's segment is `0..0`, so this one
+        // compare refuses it as well as a full one; the mask only words
+        // the message.
         assert!(
             cursor < seg.end,
-            "delivery overflows destination {dest}'s counted segment"
+            "delivery to destination {dest}{}",
+            if self.touched.contains(dest) {
+                " overflows its counted segment"
+            } else {
+                ", which the counting pass never counted"
+            }
         );
-        seg.cursor = cursor + 1;
-        // SAFETY: `begin_counted` reserved capacity for the segment
-        // total; the stamp assert proves `seg.end` belongs to this fill's
-        // layout, and the cursor assert keeps the write strictly inside it
-        // (hence inside the reservation). The length is still 0, so this
+        seg.start = cursor + 1;
+        // SAFETY: `begin_counted` reserved capacity for the fill's total,
+        // and every segment lies inside it: touched ones by the layout
+        // walk, untouched ones are `0..0`. The assert keeps the write
+        // strictly inside `dest`'s segment. The length is still 0, so this
         // writes an initialized value into reserved, unobservable capacity
         // (leaked, not double-dropped, on panic).
         unsafe { self.data.as_mut_ptr().add(cursor as usize).write(payload) };
-        self.placed += 1;
     }
 
-    /// Close the fill and publish the segments.
+    /// Close the fill and publish the segments: check that every touched
+    /// segment is full, and move each `start` back from the cursor's final
+    /// position to the previous touched segment's `end`.
     ///
     /// # Panics
-    /// Panics if the number of placements differs from the reserved total —
-    /// every counted slot must have been filled.
+    /// Panics if a counted slot was never filled.
     pub(crate) fn finish(&mut self) {
         assert!(self.filling, "finish without an open fill");
+        let mut next = 0u32;
+        for_each_touched(&self.touched, &mut self.segs, |d, seg| {
+            assert!(
+                seg.start == seg.end,
+                "counting pass and delivery replay disagree at destination {d}"
+            );
+            seg.start = next;
+            next = seg.end;
+        });
         assert_eq!(
-            self.placed, self.total,
+            u64::from(next),
+            self.total,
             "counting pass and delivery replay disagree"
         );
-        // SAFETY: exactly `total` slots were initialized by `place` (one per
-        // placement, each at a distinct index by the per-destination cursor
-        // discipline) into capacity reserved by `begin_counted`.
-        unsafe { self.data.set_len(self.total) };
+        // SAFETY: the touched segments tile `0..total`, and each is full:
+        // its cursor wrote every slot exactly once, into capacity reserved
+        // by `begin_counted`.
+        unsafe { self.data.set_len(next as usize) };
         self.filling = false;
     }
 
-    /// Destination `d`'s messages, in delivery order. Unstamped
-    /// destinations (never counted by the last fill, or cleared) are empty.
+    /// Destination `d`'s messages, in delivery order. A destination the
+    /// last fill did not count (or a cleared one) is empty.
     ///
     /// # Panics
     /// Panics if a fill is open.
     #[inline]
     pub(crate) fn inbox(&self, d: usize) -> &[M] {
         assert!(!self.filling, "inbox read during an open fill");
-        let seg = &self.segs[d];
-        if seg.stamp == self.epoch {
-            &self.data[seg.start as usize..seg.end as usize]
-        } else {
-            &[]
-        }
+        let Seg { start, end } = self.segs[d];
+        &self.data[start as usize..end as usize]
     }
 
     /// Number of messages stored for destination `d`.
     #[inline]
     pub(crate) fn len(&self, d: usize) -> usize {
-        let seg = &self.segs[d];
-        if seg.stamp == self.epoch {
-            (seg.end - seg.start) as usize
-        } else {
-            0
-        }
+        let Seg { start, end } = self.segs[d];
+        (end - start) as usize
     }
 
     /// Destinations holding at least one message in the current fill, as a
@@ -395,7 +382,7 @@ mod tests {
         a.clear();
         a.count(6, 2);
         a.count_ones(&[1, 6, 1]);
-        // A zero count leaves the destination unstamped: empty, untouched.
+        // A zero count leaves the destination untouched: empty.
         a.count(4, 0);
         assert_eq!(a.begin_counted(), 3, "largest segment");
         for (d, m) in [(6, 60), (1, 10), (6, 61), (1, 11), (6, 62)] {
@@ -414,7 +401,7 @@ mod tests {
         let mut a: MsgArena<String> = MsgArena::new(2);
         fill(&mut a, &[(0, "a".into()), (1, "b".into())]);
         fill(&mut a, &[(1, "c".into()), (1, "d".into())]);
-        // Destination 0's old segment is stale, not re-served.
+        // Destination 0's old segment was zeroed by the clear, not re-served.
         assert!(a.inbox(0).is_empty());
         assert_eq!(a.inbox(1), &["c".to_string(), "d".to_string()]);
         assert_eq!(touched(&a), vec![1]);
@@ -428,38 +415,6 @@ mod tests {
         assert!(a.inbox(0).is_empty());
         assert!(a.inbox(1).is_empty());
         assert!(a.touched().is_empty());
-    }
-
-    #[test]
-    fn epoch_wrap_hard_resets_stale_stamps() {
-        let mut a: MsgArena<u32> = MsgArena::new(130);
-        fill(&mut a, &[(129, 7), (3, 8)]);
-        // Destinations 3 and 129 now carry stamp 2, the epoch the counter
-        // reaches again one fill after the wrap.
-        assert_eq!(a.epoch, 2);
-        a.seed_epoch(u32::MAX - 1);
-        fill(&mut a, &[(64, 1), (0, 2), (64, 3)]);
-        assert_eq!(a.epoch, u32::MAX);
-        assert_eq!(a.inbox(64), &[1, 3]);
-        assert_eq!(a.inbox(0), &[2]);
-        assert_eq!(touched(&a), vec![0, 64]);
-        // The wrap itself.
-        fill(&mut a, &[(5, 50)]);
-        assert_eq!(a.epoch, 1);
-        assert_eq!(a.inbox(5), &[50]);
-        assert_eq!(touched(&a), vec![5]);
-        // Back at epoch 2: without the hard reset, 3's and 129's stale
-        // stamps would match again and serve dead segments.
-        fill(&mut a, &[(0, 60), (129, 61), (0, 62)]);
-        assert_eq!(a.epoch, 2);
-        assert_eq!(a.inbox(0), &[60, 62]);
-        assert_eq!(a.inbox(129), &[61]);
-        for d in (1..129).filter(|&d| d != 64) {
-            assert!(a.inbox(d).is_empty(), "dest {d} survived the wrap");
-            assert_eq!(a.len(d), 0, "dest {d}");
-        }
-        assert!(a.inbox(64).is_empty());
-        assert_eq!(touched(&a), vec![0, 129]);
     }
 
     #[test]
@@ -495,6 +450,33 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "fill exceeds u32 payload indexing")]
+    fn counting_one_past_the_u32_cap_panics() {
+        let mut a: MsgArena<u8> = MsgArena::new(2);
+        a.clear();
+        a.count(0, u32::MAX as usize);
+        a.count(0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "fill exceeds u32 payload indexing")]
+    fn counting_ones_past_the_u32_cap_panics() {
+        let mut a: MsgArena<u8> = MsgArena::new(2);
+        a.clear();
+        a.count(1, u32::MAX as usize);
+        a.count_ones(&[0]);
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    #[should_panic(expected = "fill exceeds u32 payload indexing")]
+    fn a_count_past_u32_panics_instead_of_truncating() {
+        let mut a: MsgArena<u8> = MsgArena::new(2);
+        a.clear();
+        a.count(1, 1 << 32);
+    }
+
+    #[test]
     #[should_panic(expected = "open fill")]
     fn inbox_read_during_fill_panics() {
         let mut a: MsgArena<u8> = MsgArena::new(1);
@@ -521,5 +503,93 @@ mod tests {
         }
         assert_eq!(a.data.capacity(), cap_after_warmup);
         assert_eq!(a.inbox(7)[3], 973);
+    }
+
+    mod fill_props {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+
+        /// One generated fill: a destination window (`lo`, `width`), its
+        /// counting calls as `(batched, n, raw destinations)` and the seed
+        /// of its placement order. A batched call is one `count_ones` over
+        /// the destinations; otherwise each gets `count(d, n)`, zero counts
+        /// included.
+        type Fill = (usize, usize, Vec<(bool, usize, Vec<usize>)>, u64);
+
+        fn fills() -> impl Strategy<Value = Vec<Fill>> {
+            let call = (
+                any::<bool>(),
+                0usize..4,
+                proptest::collection::vec(0usize..1024, 0..12),
+            );
+            let fill = (
+                0usize..1024,
+                0usize..1024,
+                proptest::collection::vec(call, 0..8),
+                any::<u64>(),
+            );
+            proptest::collection::vec(fill, 1..6)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            // A sequence of fills over one arena reads exactly like a
+            // `Vec<Vec<u32>>` inbox table rebuilt per fill. Each fill counts
+            // inside its own window of destinations, so most destinations
+            // an earlier fill counted sit out the current one; batched
+            // counts revisit leaf words out of order, and placement follows
+            // a seeded shuffle of the counted deliveries.
+            #[test]
+            fn fills_match_a_vec_of_vecs_reference(p in 1usize..260, fills in fills()) {
+                let mut a: MsgArena<u32> = MsgArena::new(p);
+                let mut payload = 0u32;
+                for (lo, width, calls, order) in fills {
+                    let (lo, width) = (lo % p, 1 + width % p);
+                    let dest = |raw: usize| (lo + raw % width) % p;
+                    a.clear();
+                    for d in 0..p {
+                        prop_assert_eq!(a.len(d), 0, "dest {} after clear", d);
+                        prop_assert!(a.inbox(d).is_empty(), "dest {} after clear", d);
+                    }
+                    prop_assert!(a.touched().is_empty());
+                    let mut deliveries = Vec::new();
+                    for (batched, n, raws) in &calls {
+                        let ds: Vec<usize> = raws.iter().map(|&r| dest(r)).collect();
+                        if *batched {
+                            a.count_ones(&ds);
+                            deliveries.extend(&ds);
+                        } else {
+                            for &d in &ds {
+                                a.count(d, *n);
+                                deliveries.extend(std::iter::repeat_n(d, *n));
+                            }
+                        }
+                    }
+                    let mut rng = ChaCha8Rng::seed_from_u64(order);
+                    for i in (1..deliveries.len()).rev() {
+                        deliveries.swap(i, rng.gen_range(0..=i));
+                    }
+                    let mut want = vec![Vec::new(); p];
+                    let max_seg = a.begin_counted();
+                    for &d in &deliveries {
+                        a.place(d, payload);
+                        want[d].push(payload);
+                        payload += 1;
+                    }
+                    a.finish();
+                    let longest = want.iter().map(Vec::len).max().unwrap_or(0);
+                    prop_assert_eq!(max_seg, longest as u64);
+                    for (d, msgs) in want.iter().enumerate() {
+                        prop_assert_eq!(a.inbox(d), &msgs[..], "dest {}", d);
+                        prop_assert_eq!(a.len(d), msgs.len(), "dest {}", d);
+                    }
+                    let counted: Vec<usize> = (0..p).filter(|&d| !want[d].is_empty()).collect();
+                    prop_assert_eq!(touched(&a), counted);
+                }
+            }
+        }
     }
 }

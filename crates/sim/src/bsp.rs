@@ -426,10 +426,10 @@ impl<S: Send, M: Send> BspMachine<S, M> {
     /// and delayed payloads that have landed). Per-superstep cost is
     /// O(frontier + messages), not O(p): counting and delivery walk only
     /// the lanes of the frontier's blocks, and the per-destination tallies
-    /// live in the arena's
-    /// epoch-stamped segment table, so resetting them is an epoch bump,
-    /// never an O(p) `fill(0)`. Exceptions, documented: a machine with a
-    /// delivery hook reads the stall/crash masks word-at-a-time
+    /// live in the arena's segment table, which a reset zeroes only where
+    /// the last fill counted, never an O(p) `fill(0)`. Exceptions,
+    /// documented: a machine with a delivery hook reads the stall/crash
+    /// masks word-at-a-time
     /// (O(fault-words), filled once per superstep via
     /// [`DeliveryHook::fill_fault_masks`]), and a superstep observed by an
     /// enabled trace sink materializes the dense per-processor traffic

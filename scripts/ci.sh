@@ -44,6 +44,7 @@ STAGES=(
   cross-width-determinism
   chaos-soak
   perfbench
+  perfbench-ab
   bench-gate
   parallel-gate
   tsan
@@ -289,6 +290,14 @@ stage_perfbench() {
   else
     echo "skip: perfbench width-2 runs need nproc >= 2 (have $(nproc))"
   fi
+}
+
+# The same-host A/B script, run A/A: it builds the checkout's own commit
+# in a worktree under target/ and runs one alternating pair of 1-s
+# `recovery` runs against the working tree, each of which must check out,
+# so the script cannot rot. Its report informs; it gates nothing.
+stage_perfbench-ab() {
+  scripts/perfbench_ab.sh --base HEAD --pairs 1 --seconds 1 --workload recovery
 }
 
 stage_bench-gate() {

@@ -19,13 +19,13 @@
 //! Width-1 measurements run inline on the measuring thread, so they read
 //! that thread's own count, which allocations by other test threads cannot
 //! reach. The width-8 measurement spreads over pool workers and reads the
-//! process-wide count, so the tests still take one lock to keep their
-//! measured sections apart.
+//! process-wide count, so the tests still take one lock ([`serial`]) to
+//! keep their measured sections apart.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use parallel_bandwidth::algos::sample_sort::{
     keyset, KeyDist, SampleSortConfig, SampleSortProgram, Sampling,
@@ -425,9 +425,19 @@ fn assert_o1(engine: &str, low: u64, high: u64, budget: u64) {
 /// process-wide count, which any concurrent measurement would pollute.
 static SERIAL: Mutex<()> = Mutex::new(());
 
+/// Take the measurement lock, then touch the process-wide trace sink. The
+/// first machine a process builds sets that sink up; touching it here keeps
+/// the set-up out of every measured section, so no count depends on which
+/// test happened to run first.
+fn serial() -> MutexGuard<'static, ()> {
+    let guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    drop(parallel_bandwidth::trace::global_sink());
+    guard
+}
+
 #[test]
 fn steady_state_supersteps_allocate_o1_sequential() {
-    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let _guard = serial();
     rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
@@ -454,7 +464,7 @@ fn steady_state_supersteps_allocate_o1_sequential() {
 /// request names a slot allocates exactly as often at 1x as at 16x volume.
 #[test]
 fn explicit_slot_qsm_phases_stay_on_the_allocation_free_path() {
-    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let _guard = serial();
     rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
@@ -476,7 +486,7 @@ fn explicit_slot_qsm_phases_stay_on_the_allocation_free_path() {
 /// the barrier, not per message.)
 #[test]
 fn checkpointed_supersteps_stay_on_the_allocation_free_path() {
-    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let _guard = serial();
     rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
@@ -502,7 +512,7 @@ fn checkpointed_supersteps_stay_on_the_allocation_free_path() {
 /// back into the sparse path shows up here as a count difference.
 #[test]
 fn sparse_superstep_allocations_do_not_scale_with_p() {
-    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let _guard = serial();
     rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
@@ -531,7 +541,7 @@ fn sparse_superstep_allocations_do_not_scale_with_p() {
 /// itself performed would push the count above the snapshot floor.
 #[test]
 fn masked_supersteps_allocate_nothing_at_steady_state() {
-    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let _guard = serial();
     rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
@@ -570,7 +580,7 @@ fn masked_supersteps_allocate_nothing_at_steady_state() {
 /// p×p "heard" table would add one allocation per row.
 #[test]
 fn recovery_ack_round_allocations_do_not_scale_with_p() {
-    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let _guard = serial();
     rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
@@ -589,15 +599,12 @@ fn recovery_ack_round_allocations_do_not_scale_with_p() {
 /// arrays: the same count for 16× the messages from the same senders.
 #[test]
 fn recovery_session_setup_allocations_do_not_scale_with_messages() {
-    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let _guard = serial();
     rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
         .unwrap()
         .install(|| {
-            // Warm up: a process's first machine also sets up the global
-            // trace sink.
-            recovery_setup_allocs(4);
             let small = recovery_setup_allocs(4);
             let large = recovery_setup_allocs(64);
             assert_eq!(
@@ -616,7 +623,7 @@ fn recovery_session_setup_allocations_do_not_scale_with_messages() {
 /// count difference between the two volumes.
 #[test]
 fn sample_sort_exchange_stays_on_the_allocation_free_path() {
-    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let _guard = serial();
     rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
@@ -633,7 +640,7 @@ fn sample_sort_exchange_stays_on_the_allocation_free_path() {
 
 #[test]
 fn steady_state_supersteps_allocate_o1_parallel() {
-    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let _guard = serial();
     rayon::ThreadPoolBuilder::new()
         .num_threads(8)
         .build()
@@ -667,10 +674,8 @@ fn steady_state_supersteps_allocate_o1_parallel() {
         });
 }
 
-/// Bytes one `new` call asks the allocator for, measured at width 1 after
-/// a warmup construction has initialized the process-wide trace sink.
+/// Bytes one `new` call asks the allocator for, measured at width 1.
 fn construction_bytes<T>(new: impl Fn() -> T) -> u64 {
-    drop(new());
     let before = thread_bytes();
     let machine = new();
     let bytes = thread_bytes() - before;
@@ -679,12 +684,12 @@ fn construction_bytes<T>(new: impl Fn() -> T) -> u64 {
 }
 
 /// Construction pays for the processor states, the two inbox arenas'
-/// segment tables and a few bitsets — about 42 bytes per processor for a
-/// `BspMachine<u64, u64>` — and a send lane per block of 64 pids, never
-/// per-processor send storage.
+/// 8-byte segment tables and a few bitsets — about 28.8 bytes per
+/// processor for a `BspMachine<u64, u64>` — and a send lane per block of 64
+/// pids, never per-processor send storage.
 #[test]
-fn bsp_construction_allocates_at_most_48_bytes_per_processor() {
-    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+fn bsp_construction_allocates_at_most_32_bytes_per_processor() {
+    let _guard = serial();
     rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
@@ -694,9 +699,9 @@ fn bsp_construction_allocates_at_most_48_bytes_per_processor() {
             let mp = MachineParams::from_gap(p, 2, 4);
             let bytes = construction_bytes(|| BspMachine::<u64, u64>::new(mp, |pid| pid as u64));
             assert!(
-                bytes <= 48 * p as u64,
+                bytes <= 32 * p as u64,
                 "BspMachine::new allocated {bytes} bytes at p = {p}: {:.1} per processor, \
-                 budget 48",
+                 budget 32",
                 bytes as f64 / p as f64
             );
         });
@@ -705,8 +710,8 @@ fn bsp_construction_allocates_at_most_48_bytes_per_processor() {
 /// The QSM machine pays the same per-processor storage as BSP plus, per
 /// shared word, the word itself and its 16-byte contention-tally cell.
 #[test]
-fn qsm_construction_allocates_at_most_48_bytes_per_processor_plus_24_per_word() {
-    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+fn qsm_construction_allocates_at_most_32_bytes_per_processor_plus_24_per_word() {
+    let _guard = serial();
     rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
@@ -716,7 +721,7 @@ fn qsm_construction_allocates_at_most_48_bytes_per_processor_plus_24_per_word() 
             let size = p;
             let mp = MachineParams::from_gap(p, 2, 4);
             let bytes = construction_bytes(|| QsmMachine::<u64>::new(mp, size, |pid| pid as u64));
-            let budget = (48 * p + 24 * size) as u64;
+            let budget = (32 * p + 24 * size) as u64;
             assert!(
                 bytes <= budget,
                 "QsmMachine::new allocated {bytes} bytes at p = size = {p}, budget {budget}"
@@ -729,7 +734,7 @@ fn qsm_construction_allocates_at_most_48_bytes_per_processor_plus_24_per_word() 
 /// not a few per sending processor: at most p/4 when all p send once.
 #[test]
 fn a_fresh_machines_first_superstep_allocates_per_block_not_per_sender() {
-    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let _guard = serial();
     rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
@@ -778,7 +783,7 @@ fn first_superstep_bytes_per_message(pinned: bool) -> f64 {
 /// 40.1 per plain one in a fresh machine's first superstep.
 #[test]
 fn a_fresh_machines_first_superstep_asks_at_most_64_bytes_per_pinned_send() {
-    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let _guard = serial();
     rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
