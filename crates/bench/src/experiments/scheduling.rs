@@ -197,27 +197,26 @@ pub fn flits(quick: bool) -> String {
     let laws: Vec<(&str, Workload)> = vec![
         ("fixed-4", {
             let base = workload::uniform_random(p, 16, 21);
-            Workload::new(
-                base.sends()
-                    .iter()
-                    .map(|l| {
-                        l.iter()
-                            .map(|msg| workload::Msg {
-                                dest: msg.dest,
-                                len: 4,
-                            })
-                            .collect()
-                    })
-                    .collect(),
-            )
+            Workload::from_fn(p, |src, out| {
+                out.extend(base.msgs(src).iter().map(|msg| workload::Msg {
+                    dest: msg.dest,
+                    len: 4,
+                }))
+            })
         }),
         ("geometric-8", workload::variable_length(p, 16, 8.0, 22)),
         ("heavy-tail", {
             // A few very long messages on top of a geometric base.
-            let mut wl = workload::variable_length(p, 12, 4.0, 23).sends().to_vec();
-            wl[0].push(workload::Msg { dest: 1, len: 256 });
-            wl[p / 2].push(workload::Msg { dest: 0, len: 512 });
-            Workload::new(wl)
+            let base = workload::variable_length(p, 12, 4.0, 23);
+            Workload::from_fn(p, |src, out| {
+                out.extend_from_slice(base.msgs(src));
+                if src == 0 {
+                    out.push(workload::Msg { dest: 1, len: 256 });
+                }
+                if src == p / 2 {
+                    out.push(workload::Msg { dest: 0, len: 512 });
+                }
+            })
         }),
     ];
     for (name, wl) in laws {

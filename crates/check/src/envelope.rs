@@ -106,13 +106,11 @@ fn subject(wl: &Workload, p: usize, m: usize, scheduler: &str, seed: u64) -> Str
 /// Independent recount of per-slot loads straight from the start lists.
 fn recount_loads(schedule: &Schedule) -> Vec<u64> {
     let mut loads: Vec<u64> = Vec::new();
-    for starts in &schedule.starts {
-        for &slot in starts {
-            if loads.len() <= slot as usize {
-                loads.resize(slot as usize + 1, 0);
-            }
-            loads[slot as usize] += 1;
+    for &slot in schedule.starts.slots() {
+        if loads.len() <= slot as usize {
+            loads.resize(slot as usize + 1, 0);
         }
+        loads[slot as usize] += 1;
     }
     loads
 }

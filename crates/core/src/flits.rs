@@ -14,7 +14,7 @@
 //! `n' = Σ(ℓ+o)`; the resulting bound is
 //! `(1+ε)(1+o/ℓ̄)·n/m + ℓ̂ + o`. This is [`OverheadSend`].
 
-use crate::schedule::{Schedule, ScheduleCost, ScheduleError};
+use crate::schedule::{validate_starts, Schedule, ScheduleCost, ScheduleError, StartTable};
 use crate::schedulers::Scheduler;
 use crate::workload::{Msg, Workload};
 use pbw_models::{div_ceil, PenaltyFn};
@@ -48,51 +48,43 @@ impl Scheduler for UnbalancedFlitSend {
     fn schedule(&self, wl: &Workload, m: usize, seed: u64) -> Schedule {
         let n = wl.n_flits();
         let w = (((1.0 + self.eps) * n as f64 / m as f64).ceil() as u64).max(1);
-        let starts = (0..wl.p())
-            .map(|pid| {
-                let msgs = wl.msgs(pid);
-                let x_i: u64 = msgs.iter().map(|m| m.len).sum();
-                if msgs.is_empty() {
-                    return Vec::new();
+        Schedule::lay_out(wl.offsets().to_vec(), |pid, out| {
+            let msgs = wl.msgs(pid);
+            let x_i: u64 = msgs.iter().map(|m| m.len).sum();
+            if msgs.is_empty() {
+                return;
+            }
+            if x_i > w {
+                // Oversized sender: eager consecutive stream from 0.
+                let mut t = 0u64;
+                out.extend(msgs.iter().map(|msg| {
+                    let s = t;
+                    t += msg.len;
+                    s
+                }));
+                return;
+            }
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            rng.set_stream(pid as u64);
+            let j = rng.gen_range(0..w);
+            // Lay the flit stream cyclically from j; the (at most one)
+            // message crossing the window boundary extends past it.
+            let mut cursor = j;
+            out.extend(msgs.iter().map(|msg| {
+                let start = cursor;
+                let end = cursor + msg.len;
+                if end < w {
+                    cursor = end;
+                } else if end == w {
+                    cursor = 0;
+                } else {
+                    // Crossing message: keep it contiguous past w; the rest
+                    // of the stream resumes at the wrapped position.
+                    cursor = end - w;
                 }
-                if x_i > w {
-                    // Oversized sender: eager consecutive stream from 0.
-                    let mut t = 0u64;
-                    return msgs
-                        .iter()
-                        .map(|msg| {
-                            let s = t;
-                            t += msg.len;
-                            s
-                        })
-                        .collect();
-                }
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                rng.set_stream(pid as u64);
-                let j = rng.gen_range(0..w);
-                // Lay the flit stream cyclically from j; the (at most one)
-                // message crossing the window boundary extends past it.
-                let mut cursor = j;
-                msgs.iter()
-                    .map(|msg| {
-                        let start = cursor;
-                        let end = cursor + msg.len;
-                        if end < w {
-                            cursor = end;
-                        } else if end == w {
-                            cursor = 0;
-                        } else {
-                            // Crossing message: keep it contiguous past w;
-                            // the rest of the stream resumes at the wrapped
-                            // position.
-                            cursor = end - w;
-                        }
-                        start
-                    })
-                    .collect()
-            })
-            .collect();
-        Schedule { starts }
+                start
+            }))
+        })
     }
 }
 
@@ -103,7 +95,7 @@ impl Scheduler for UnbalancedFlitSend {
 pub struct OverheadSchedule {
     /// `window_starts[src][k]`: start of the k-th message's (overhead +
     /// flits) window.
-    pub window_starts: Vec<Vec<u64>>,
+    pub window_starts: StartTable,
     /// The per-message start-up cost.
     pub o: u64,
 }
@@ -127,26 +119,25 @@ impl OverheadSend {
 
     /// Produce the overhead-aware schedule.
     pub fn schedule(&self, wl: &Workload, m: usize, seed: u64) -> OverheadSchedule {
-        // Inflate: each message of length ℓ becomes ℓ + o.
-        let padded = Workload::new(
-            wl.sends()
-                .iter()
-                .map(|list| {
-                    list.iter()
-                        .map(|msg| Msg {
-                            dest: msg.dest,
-                            len: msg.len + self.o,
-                        })
-                        .collect()
-                })
-                .collect(),
-        );
-        let inner = UnbalancedFlitSend::new(self.eps).schedule(&padded, m, seed);
+        let inner = UnbalancedFlitSend::new(self.eps).schedule(&padded(wl, self.o), m, seed);
         OverheadSchedule {
             window_starts: inner.starts,
             o: self.o,
         }
     }
+}
+
+/// `wl` with every message inflated by a dummy `o`-flit preamble: each
+/// message of length `ℓ` becomes `ℓ + o`, same layout and destinations.
+fn padded(wl: &Workload, o: u64) -> Workload {
+    let mut padded = Workload::new(Vec::new());
+    padded.refill(wl.p(), wl.messages().len(), |src, out| {
+        out.extend(wl.msgs(src).iter().map(|msg| Msg {
+            dest: msg.dest,
+            len: msg.len + o,
+        }))
+    });
+    padded
 }
 
 /// Validate an overhead schedule: per-processor `(o + ℓ)`-windows must be
@@ -156,25 +147,7 @@ pub fn validate_overhead_schedule(
     wl: &Workload,
 ) -> Result<(), ScheduleError> {
     // Reuse the plain validator on the inflated workload.
-    let padded = Workload::new(
-        wl.sends()
-            .iter()
-            .map(|list| {
-                list.iter()
-                    .map(|msg| Msg {
-                        dest: msg.dest,
-                        len: msg.len + sched.o,
-                    })
-                    .collect()
-            })
-            .collect(),
-    );
-    crate::schedule::validate_schedule(
-        &Schedule {
-            starts: sched.window_starts.clone(),
-        },
-        &padded,
-    )
+    validate_starts(&sched.window_starts, &padded(wl, sched.o))
 }
 
 /// Price an overhead schedule: network load counts only real flits (the
@@ -189,18 +162,17 @@ pub fn evaluate_overhead_schedule(
     validate_overhead_schedule(sched, wl)
         .unwrap_or_else(|e| panic!("invalid overhead schedule: {e}"));
     let o = sched.o;
-    let mut makespan = 0u64;
-    for (src, starts) in sched.window_starts.iter().enumerate() {
-        for (&s, msg) in starts.iter().zip(wl.msgs(src)) {
-            makespan = makespan.max(s + o + msg.len);
-        }
-    }
+    // Validation matched the table's shape to the workload's, so the flat
+    // slots and messages align one to one.
+    let windows = || sched.window_starts.slots().iter().zip(wl.messages());
+    let makespan = windows()
+        .map(|(&s, msg)| s + o + msg.len)
+        .max()
+        .unwrap_or(0);
     let mut loads = vec![0u64; makespan as usize];
-    for (src, starts) in sched.window_starts.iter().enumerate() {
-        for (&s, msg) in starts.iter().zip(wl.msgs(src)) {
-            for t in s + o..s + o + msg.len {
-                loads[t as usize] += 1;
-            }
+    for (&s, msg) in windows() {
+        for t in s + o..s + o + msg.len {
+            loads[t as usize] += 1;
         }
     }
     let n = wl.n_flits();
@@ -287,7 +259,7 @@ mod tests {
         let sched = UnbalancedFlitSend::new(0.2).schedule(&wl, m, 7);
         validate_schedule(&sched, &wl).unwrap();
         let w = ((1.2_f64) * wl.n_flits() as f64 / m as f64).ceil() as u64;
-        for starts in &sched.starts {
+        for starts in sched.starts.iter() {
             for &s in starts {
                 assert!(s < w, "unit flit start {s} outside window {w}");
             }

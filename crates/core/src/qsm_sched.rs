@@ -60,6 +60,17 @@ impl RequestBatch {
         self.reqs.iter().map(|l| l.len() as u64).sum()
     }
 
+    /// Per-processor offsets of the requests in pid order (length `p + 1`):
+    /// the layout of a request schedule's start table.
+    fn offsets(&self) -> Vec<usize> {
+        let mut off = Vec::with_capacity(self.p() + 1);
+        off.push(0);
+        for list in &self.reqs {
+            off.push(off[off.len() - 1] + list.len());
+        }
+        off
+    }
+
     /// `x̄`: the maximum per-processor request count.
     pub fn xbar(&self) -> u64 {
         self.reqs.iter().map(|l| l.len() as u64).max().unwrap_or(0)
@@ -83,28 +94,25 @@ impl RequestBatch {
 }
 
 /// The Unbalanced-Send window schedule, applied to memory requests:
-/// returns a slot for every request (same shape as `batch.reqs`).
+/// returns a slot for every request (`starts[i][k]` for `batch.reqs[i][k]`).
 pub fn schedule_requests(batch: &RequestBatch, m: usize, eps: f64, seed: u64) -> Schedule {
     assert!(eps > 0.0 && eps < 1.0);
     let n = batch.n();
     let w = (((1.0 + eps) * n as f64 / m as f64).ceil() as u64).max(1);
-    let starts = (0..batch.p())
-        .map(|pid| {
-            let x_i = batch.reqs[pid].len() as u64;
-            if x_i == 0 {
-                return Vec::new();
-            }
-            if x_i <= w {
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                rng.set_stream(pid as u64);
-                let j = rng.gen_range(0..w);
-                (0..x_i).map(|k| (j + k) % w).collect()
-            } else {
-                (0..x_i).collect()
-            }
-        })
-        .collect();
-    Schedule { starts }
+    Schedule::lay_out(batch.offsets(), |pid, out| {
+        let x_i = batch.reqs[pid].len() as u64;
+        if x_i == 0 {
+            return;
+        }
+        if x_i <= w {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            rng.set_stream(pid as u64);
+            let j = rng.gen_range(0..w);
+            out.extend((0..x_i).map(|k| (j + k) % w));
+        } else {
+            out.extend(0..x_i);
+        }
+    })
 }
 
 /// The consecutive variant of the request schedule (the QSM(m) mirror of
@@ -121,23 +129,20 @@ pub fn schedule_requests_consecutive(
     assert!(eps > 0.0 && eps < 1.0);
     let n = batch.n();
     let w = (((1.0 + eps) * n as f64 / m as f64).ceil() as u64).max(1);
-    let starts = (0..batch.p())
-        .map(|pid| {
-            let x_i = batch.reqs[pid].len() as u64;
-            if x_i == 0 {
-                return Vec::new();
-            }
-            let j = if x_i <= w {
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                rng.set_stream(pid as u64);
-                rng.gen_range(0..w)
-            } else {
-                0
-            };
-            (0..x_i).map(|k| j + k).collect()
-        })
-        .collect();
-    Schedule { starts }
+    Schedule::lay_out(batch.offsets(), |pid, out| {
+        let x_i = batch.reqs[pid].len() as u64;
+        if x_i == 0 {
+            return;
+        }
+        let j = if x_i <= w {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            rng.set_stream(pid as u64);
+            rng.gen_range(0..w)
+        } else {
+            0
+        };
+        out.extend(j..j + x_i);
+    })
 }
 
 /// Validate a request schedule (shape + one request per processor per
@@ -161,7 +166,7 @@ pub fn validate_request_schedule(
                 got: slots.len(),
             });
         }
-        let mut s = slots.clone();
+        let mut s = slots.to_vec();
         s.sort_unstable();
         for w in s.windows(2) {
             if w[0] == w[1] {
@@ -333,7 +338,7 @@ mod tests {
         let b = uniform_batch(128, 16, 64, 6);
         let s = schedule_requests_consecutive(&b, 32, 0.25, 9);
         validate_request_schedule(&s, &b).unwrap();
-        for slots in &s.starts {
+        for slots in s.starts.iter() {
             for w in slots.windows(2) {
                 assert_eq!(w[1], w[0] + 1);
             }

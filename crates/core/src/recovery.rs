@@ -141,17 +141,14 @@ impl RecoveryOutcome {
 }
 
 /// Tracks which flits of the original workload are still undelivered, in
-/// flat arrays: message `k` of source `src` is message `msg_off[src] + k`,
-/// and flit `f` of message `m` is flit `flit_off[m] + f`. Building it costs
-/// a fixed number of allocations, however many messages the workload has.
+/// flat arrays: message `m` is the workload's `messages()[m]` (source-major,
+/// so message `k` of `src` is `offsets()[src] + k`), and flit `f` of message
+/// `m` is flit `flit_off[m] + f`. Building it costs a fixed number of
+/// allocations, however many messages the workload has.
 #[derive(Clone)]
 struct DeliveryLedger {
-    /// `msg_off[src]..msg_off[src + 1]` are `src`'s messages (length p + 1).
-    msg_off: Vec<usize>,
     /// `flit_off[m]..flit_off[m + 1]` are message `m`'s flits.
     flit_off: Vec<usize>,
-    /// Destination of each message.
-    dest: Vec<Pid>,
     /// Whether each flit is still undelivered.
     missing: Vec<bool>,
     /// Whether any flit of each message has arrived: the ack relation.
@@ -162,25 +159,16 @@ struct DeliveryLedger {
 
 impl DeliveryLedger {
     fn new(wl: &Workload) -> Self {
-        let p = wl.p();
-        let n_msgs = wl.n_messages() as usize;
-        let n_flits = wl.n_flits() as usize;
-        let mut msg_off = Vec::with_capacity(p + 1);
+        let n_msgs = wl.messages().len();
         let mut flit_off = Vec::with_capacity(n_msgs + 1);
-        let mut dest = Vec::with_capacity(n_msgs);
-        msg_off.push(0);
+        let mut n_flits = 0;
         flit_off.push(0);
-        for src in 0..p {
-            for m in wl.msgs(src) {
-                flit_off.push(flit_off[dest.len()] + m.len as usize);
-                dest.push(m.dest);
-            }
-            msg_off.push(dest.len());
-        }
+        flit_off.extend(wl.messages().iter().map(|m| {
+            n_flits += m.len as usize;
+            n_flits
+        }));
         DeliveryLedger {
-            msg_off,
             flit_off,
-            dest,
             missing: vec![true; n_flits],
             heard: vec![false; n_msgs],
             outstanding: n_flits as u64,
@@ -188,20 +176,16 @@ impl DeliveryLedger {
         }
     }
 
-    fn p(&self) -> usize {
-        self.msg_off.len() - 1
-    }
-
     /// Mark everything visible in the machine's inboxes as delivered
     /// (duplicates and acks are ignored). `now` is the number of supersteps
     /// executed so far. Only receivers are visited: O(arrivals), not O(p).
-    fn scan(&mut self, machine: &BspMachine<(), FlitTag>, now: u64) {
+    fn scan(&mut self, wl: &Workload, machine: &BspMachine<(), FlitTag>, now: u64) {
         for (_, inbox) in machine.pending_inboxes() {
             for &(src, msg_idx, flit) in inbox {
                 if src == ACK_SRC {
                     continue;
                 }
-                let m = self.msg_off[src as usize] + msg_idx as usize;
+                let m = wl.offsets()[src as usize] + msg_idx as usize;
                 let slot = &mut self.missing[self.flit_off[m] + flit as usize];
                 if *slot {
                     *slot = false;
@@ -213,25 +197,23 @@ impl DeliveryLedger {
         }
     }
 
-    /// The residual workload: one message per original message with
-    /// missing flits, each as long as its missing flits. `resend` receives
-    /// the original tags those flits must carry when resent.
-    fn residual(&self, resend: &mut ResidualTags) -> Workload {
-        let p = self.p();
-        let mut sends: Vec<Vec<Msg>> = vec![Vec::new(); p];
-        let ResidualTags {
-            msg_off,
-            flit_off,
-            tags,
-        } = resend;
-        msg_off.clear();
+    /// Rebuild `into` as the residual of `wl`: one message per original
+    /// message with missing flits, each as long as its missing flits, in
+    /// the same source-major order. `resend` receives the original tags
+    /// those flits must carry when resent. Both are refilled in place, and
+    /// each of their arrays grows at most once per call: a round resends
+    /// at most the outstanding flits, in at most as many messages.
+    fn residual(&self, wl: &Workload, into: &mut Workload, resend: &mut ResidualTags) {
+        let most = self.outstanding as usize;
+        let ResidualTags { flit_off, tags } = resend;
         flit_off.clear();
         tags.clear();
-        msg_off.push(0);
+        flit_off.reserve(most + 1);
+        tags.reserve(most);
         flit_off.push(0);
-        for (src, msgs) in sends.iter_mut().enumerate() {
-            let first_msg = self.msg_off[src];
-            for m in first_msg..self.msg_off[src + 1] {
+        into.refill(wl.p(), most, |src, out| {
+            let first_msg = wl.offsets()[src];
+            for (m, msg) in (first_msg..).zip(wl.msgs(src)) {
                 let first_flit = self.flit_off[m];
                 let before = tags.len();
                 for f in first_flit..self.flit_off[m + 1] {
@@ -240,16 +222,14 @@ impl DeliveryLedger {
                     }
                 }
                 if tags.len() > before {
-                    msgs.push(Msg {
-                        dest: self.dest[m],
+                    out.push(Msg {
+                        dest: msg.dest,
                         len: (tags.len() - before) as u64,
                     });
                     flit_off.push(tags.len());
                 }
             }
-            msg_off.push(flit_off.len() - 1);
-        }
-        Workload::new(sends)
+        });
     }
 }
 
@@ -273,10 +253,10 @@ impl AckRelation {
     /// Rebuild the relation: each processor acks every source it has
     /// received at least one data flit from so far. O(messages + p), with
     /// no p×p table and no per-processor list.
-    fn rebuild(&mut self, ledger: &DeliveryLedger) {
-        let p = ledger.p();
+    fn rebuild(&mut self, wl: &Workload, ledger: &DeliveryLedger) {
+        let p = wl.p();
         if self.inbound_off.is_empty() {
-            self.index(ledger);
+            self.index(wl);
         }
         self.off.clear();
         self.off.reserve(p + 1);
@@ -298,23 +278,23 @@ impl AckRelation {
         }
     }
 
-    /// Group the ledger's messages by destination: a counting sort of its
-    /// source-ascending message order, so each run keeps sources ascending.
-    fn index(&mut self, ledger: &DeliveryLedger) {
-        let p = ledger.p();
+    /// Group the workload's messages by destination: a counting sort of
+    /// its source-major message order, so each run keeps sources ascending.
+    fn index(&mut self, wl: &Workload) {
+        let p = wl.p();
         let off = &mut self.inbound_off;
         off.resize(p + 1, 0);
-        for &d in &ledger.dest {
-            off[d + 1] += 1;
+        for m in wl.messages() {
+            off[m.dest + 1] += 1;
         }
         for d in 0..p {
             off[d + 1] += off[d];
         }
         let mut cursor = off[..p].to_vec();
-        self.inbound.resize(ledger.dest.len(), (0, 0));
+        self.inbound.resize(wl.messages().len(), (0, 0));
         for src in 0..p {
-            for m in ledger.msg_off[src]..ledger.msg_off[src + 1] {
-                let d = ledger.dest[m];
+            for m in wl.offsets()[src]..wl.offsets()[src + 1] {
+                let d = wl.messages()[m].dest;
                 self.inbound[cursor[d]] = (src, m);
                 cursor[d] += 1;
             }
@@ -328,42 +308,39 @@ impl AckRelation {
 }
 
 /// The original tags of a retransmission's flits, flat: flit `f` of
-/// residual message `k` of `src` carries `tags[flit_off[msg_off[src] + k] +
-/// f]`. Rebuilt in place each round and never part of a
-/// [`SessionCheckpoint`].
+/// residual message `m` (source-major) carries `tags[flit_off[m] + f]`.
+/// Rebuilt in place each round and never part of a [`SessionCheckpoint`].
 #[derive(Default)]
 struct ResidualTags {
-    msg_off: Vec<usize>,
     flit_off: Vec<usize>,
     tags: Vec<FlitTag>,
 }
 
-impl ResidualTags {
-    /// The tag flit `f` of residual message `k` of `src` carries.
-    fn tag(&self, src: Pid, k: usize, f: u64) -> FlitTag {
-        self.tags[self.flit_off[self.msg_off[src] + k] + f as usize]
-    }
-}
-
-/// Execute one scheduled send superstep: flit `f` of message `k` of `pid`
-/// goes out at `starts[pid][k] + f`, carrying `tag(pid, k, f)`.
+/// Execute one scheduled send superstep: flit `f` of message `m` (the
+/// workload's source-major index) of `pid` goes out at its start slot plus
+/// `f`, carrying `tag(pid, m, f)`. `senders` is recycled scratch for the
+/// declared sender set.
 fn send_round(
     machine: &mut BspMachine<(), FlitTag>,
     wl: &Workload,
     schedule: &Schedule,
+    senders: &mut Vec<Pid>,
     tag: impl Fn(Pid, usize, u64) -> FlitTag + Sync,
 ) {
     let body = |pid: Pid, _s: &mut (), _in: &[FlitTag], out: &mut Outbox<FlitTag>| {
-        for (k, (msg, &start)) in wl.msgs(pid).iter().zip(&schedule.starts[pid]).enumerate() {
+        let msgs = wl.msgs(pid).iter().zip(&schedule.starts[pid]);
+        for (m, (msg, &start)) in (wl.offsets()[pid]..).zip(msgs) {
             for f in 0..msg.len {
-                out.send_at(msg.dest, tag(pid, k, f), start + f);
+                out.send_at(msg.dest, tag(pid, m, f), start + f);
             }
         }
     };
     // Retransmission residuals are sparse by construction (a handful of
     // lossy edges out of p processors), so the engine runs them on the
     // active-set path: recovery rounds cost O(senders + flits), not O(p).
-    machine.superstep_auto(&wl.active_senders(), body);
+    senders.clear();
+    senders.extend((0..wl.p()).filter(|&pid| !wl.msgs(pid).is_empty()));
+    machine.superstep_auto(senders, body);
 }
 
 /// Run `wl` to completion over a (possibly faulty) network, retransmitting
@@ -469,7 +446,11 @@ pub struct RecoverySession<'a> {
     machine: BspMachine<(), FlitTag>,
     ledger: DeliveryLedger,
     acks: AckRelation,
+    /// The last retransmission's residual relation, and its flits' tags
+    /// and sender set: scratch refilled in place each round.
+    residual: Workload,
     resend: ResidualTags,
+    senders: Vec<Pid>,
     resume: Resume,
     round: u32,
     resent_flits: u64,
@@ -498,7 +479,10 @@ impl<'a> RecoverySession<'a> {
         RecoverySession {
             ledger: DeliveryLedger::new(wl),
             acks: AckRelation::default(),
+            // Empty until the first retransmission refills it.
+            residual: Workload::new(Vec::new()),
             resend: ResidualTags::default(),
+            senders: Vec::new(),
             wl,
             scheduler,
             cfg,
@@ -514,8 +498,8 @@ impl<'a> RecoverySession<'a> {
     }
 
     fn scan(&mut self) {
-        self.ledger
-            .scan(&self.machine, self.machine.superstep_index() as u64);
+        let now = self.machine.superstep_index() as u64;
+        self.ledger.scan(self.wl, &self.machine, now);
     }
 
     /// Execute the next protocol superstep, or return
@@ -526,10 +510,15 @@ impl<'a> RecoverySession<'a> {
             match self.resume {
                 Resume::Send => {
                     // Round 0: the full workload, original tags.
-                    let schedule = self.scheduler.schedule(self.wl, self.params.m, self.seed);
-                    send_round(&mut self.machine, self.wl, &schedule, |src, k, f| {
-                        (src as u32, k as u32, f as u32)
-                    });
+                    let (wl, offsets) = (self.wl, self.wl.offsets());
+                    let schedule = self.scheduler.schedule(wl, self.params.m, self.seed);
+                    send_round(
+                        &mut self.machine,
+                        wl,
+                        &schedule,
+                        &mut self.senders,
+                        |src, m, f| (src as u32, (m - offsets[src]) as u32, f as u32),
+                    );
                     self.scan();
                     self.resume = Resume::LoopHead;
                     return RecoveryPhase::Send;
@@ -550,7 +539,7 @@ impl<'a> RecoverySession<'a> {
                     // Ack superstep: every destination acks the sources it
                     // heard from.
                     let round = self.round;
-                    self.acks.rebuild(&self.ledger);
+                    self.acks.rebuild(self.wl, &self.ledger);
                     self.machine.set_trace_label(format!("recovery/ack{round}"));
                     let acks = &self.acks;
                     let ack_body =
@@ -603,19 +592,24 @@ impl<'a> RecoverySession<'a> {
                     // Retransmit the residual through the same scheduler,
                     // fresh seed.
                     let round = self.round;
-                    let residual = self.ledger.residual(&mut self.resend);
-                    let resend = &self.resend;
-                    self.resent_flits += resend.tags.len() as u64;
+                    self.ledger
+                        .residual(self.wl, &mut self.residual, &mut self.resend);
+                    let ResidualTags { flit_off, tags } = &self.resend;
+                    self.resent_flits += tags.len() as u64;
                     let round_seed = self.seed ^ (round as u64).wrapping_mul(0x9E37);
-                    let schedule = self
-                        .scheduler
-                        .schedule(&residual, self.params.m, round_seed);
+                    let schedule =
+                        self.scheduler
+                            .schedule(&self.residual, self.params.m, round_seed);
                     self.machine
                         .set_trace_label(format!("recovery/retransmit{round}"));
                     self.machine.set_fault_round(round);
-                    send_round(&mut self.machine, &residual, &schedule, |src, k, f| {
-                        resend.tag(src, k, f)
-                    });
+                    send_round(
+                        &mut self.machine,
+                        &self.residual,
+                        &schedule,
+                        &mut self.senders,
+                        |_, m, f| tags[flit_off[m] + f as usize],
+                    );
                     self.scan();
                     self.resume = Resume::LoopHead;
                     return RecoveryPhase::Retransmit(round);

@@ -13,6 +13,8 @@
 //! experiment reports (makespan, `c_m`, overload counts, distance from the
 //! `max(n/m, h)` lower bound).
 
+use std::ops::{Index, IndexMut};
+
 use crate::workload::Workload;
 use pbw_models::{div_ceil, MachineParams, PenaltyFn, ProfileBuilder, SuperstepProfile};
 use pbw_trace::{TraceEvent, TraceSink, TraceSource};
@@ -23,16 +25,106 @@ use rayon::prelude::*;
 /// (DESIGN §13).
 const MIN_SOURCES_PER_CHUNK: usize = 1024;
 
-/// A start slot for every message of a workload (same shape as
-/// `workload.sends()`).
+/// Start slots in CSR form, aligned with a [`Workload`]'s source-major
+/// message order: `table[src]` is the slice of `src`'s start slots, one
+/// per message. A scheduler fills one flat vector, however many
+/// processors send.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StartTable {
+    /// `slots[offsets[src]..offsets[src + 1]]` belong to `src` (length
+    /// `p + 1`, starting at 0).
+    offsets: Vec<usize>,
+    slots: Vec<u64>,
+}
+
+impl StartTable {
+    /// Assemble from per-processor offsets into `slots`.
+    ///
+    /// # Panics
+    /// Panics unless `offsets` starts at 0 and ends at `slots.len()`.
+    pub(crate) fn new(offsets: Vec<usize>, slots: Vec<u64>) -> Self {
+        assert_eq!(offsets.first(), Some(&0), "start offsets must begin at 0");
+        assert_eq!(
+            offsets.last(),
+            Some(&slots.len()),
+            "start offsets must end at the slot count"
+        );
+        StartTable { offsets, slots }
+    }
+
+    /// Number of processors.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Whether the table covers no processor.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Each processor's start slots, in pid order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u64]> + '_ {
+        self.offsets.windows(2).map(|w| &self.slots[w[0]..w[1]])
+    }
+
+    /// Every start slot, source-major.
+    pub fn slots(&self) -> &[u64] {
+        &self.slots
+    }
+}
+
+impl Index<usize> for StartTable {
+    type Output = [u64];
+
+    fn index(&self, src: usize) -> &[u64] {
+        &self.slots[self.offsets[src]..self.offsets[src + 1]]
+    }
+}
+
+impl IndexMut<usize> for StartTable {
+    fn index_mut(&mut self, src: usize) -> &mut [u64] {
+        &mut self.slots[self.offsets[src]..self.offsets[src + 1]]
+    }
+}
+
+/// Per-processor rows, for hand-written schedules.
+impl From<Vec<Vec<u64>>> for StartTable {
+    fn from(rows: Vec<Vec<u64>>) -> Self {
+        let mut offsets = Vec::with_capacity(rows.len() + 1);
+        offsets.push(0);
+        for row in &rows {
+            offsets.push(offsets[offsets.len() - 1] + row.len());
+        }
+        StartTable::new(offsets, rows.concat())
+    }
+}
+
+/// A start slot for every message of a workload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     /// `starts[src][k]` = injection slot of the first flit of the k-th
     /// message of processor `src`.
-    pub starts: Vec<Vec<u64>>,
+    pub starts: StartTable,
 }
 
 impl Schedule {
+    /// Lay a schedule out source by source over per-source message
+    /// `offsets`: `row(src, out)` appends one start slot per message of
+    /// `src`, for `src` ascending.
+    ///
+    /// # Panics
+    /// Panics if a row's slot count differs from its message count.
+    pub(crate) fn lay_out(offsets: Vec<usize>, mut row: impl FnMut(usize, &mut Vec<u64>)) -> Self {
+        let mut slots = Vec::with_capacity(offsets[offsets.len() - 1]);
+        for src in 0..offsets.len() - 1 {
+            row(src, &mut slots);
+            assert_eq!(slots.len(), offsets[src + 1], "processor {src}'s start row");
+        }
+        Schedule {
+            starts: StartTable::new(offsets, slots),
+        }
+    }
+
     /// Sources assigned at least one start slot, in ascending pid order.
     /// For a schedule matching its workload's shape this is exactly the
     /// workload's [`Workload::active_senders`] set; executors hand it to
@@ -76,22 +168,25 @@ impl std::error::Error for ScheduleError {}
 
 /// Check shape and the one-flit-per-processor-per-step rule.
 pub fn validate_schedule(schedule: &Schedule, wl: &Workload) -> Result<(), ScheduleError> {
-    if schedule.starts.len() != wl.p() {
+    validate_starts(&schedule.starts, wl)
+}
+
+/// [`validate_schedule`] on a bare start table.
+pub(crate) fn validate_starts(starts: &StartTable, wl: &Workload) -> Result<(), ScheduleError> {
+    if starts.len() != wl.p() {
         return Err(ScheduleError::ShapeMismatch {
             src: 0,
             expected: wl.p(),
-            got: schedule.starts.len(),
+            got: starts.len(),
         });
     }
     // Per-source checks are independent; the fallible parallel collect
     // surfaces the lowest-`src` error, matching the sequential scan.
-    let checks: Result<Vec<()>, ScheduleError> = schedule
-        .starts
-        .par_iter()
+    let checks: Result<Vec<()>, ScheduleError> = (0..starts.len())
+        .into_par_iter()
         .with_min_len(MIN_SOURCES_PER_CHUNK)
-        .enumerate()
-        .map(|(src, starts)| {
-            let msgs = wl.msgs(src);
+        .map(|src| {
+            let (starts, msgs) = (&starts[src], wl.msgs(src));
             if starts.len() != msgs.len() {
                 return Err(ScheduleError::ShapeMismatch {
                     src,
@@ -122,13 +217,12 @@ pub fn slot_loads(schedule: &Schedule, wl: &Workload) -> Vec<u64> {
     // Per-source makespan maxima, then per-chunk histograms summed slot-wise
     // — both u64 merges are exact under any chunking, so the result is
     // identical at every thread count.
-    let makespan = schedule
-        .starts
-        .par_iter()
+    let starts = &schedule.starts;
+    let makespan = (0..starts.len())
+        .into_par_iter()
         .with_min_len(MIN_SOURCES_PER_CHUNK)
-        .enumerate()
-        .map(|(src, starts)| {
-            starts
+        .map(|src| {
+            starts[src]
                 .iter()
                 .zip(wl.msgs(src))
                 .map(|(&s, m)| s + m.len)
@@ -139,15 +233,13 @@ pub fn slot_loads(schedule: &Schedule, wl: &Workload) -> Vec<u64> {
         .into_iter()
         .max()
         .unwrap_or(0);
-    schedule
-        .starts
-        .par_iter()
+    (0..starts.len())
+        .into_par_iter()
         .with_min_len(MIN_SOURCES_PER_CHUNK)
-        .enumerate()
         .fold_chunks(
             || vec![0u64; makespan as usize],
-            |mut loads, (src, starts)| {
-                for (&s, m) in starts.iter().zip(wl.msgs(src)) {
+            |mut loads, src| {
+                for (&s, m) in starts[src].iter().zip(wl.msgs(src)) {
                     for t in s..s + m.len {
                         loads[t as usize] += 1;
                     }
@@ -230,16 +322,16 @@ pub fn audit_schedule_to(
 fn max_per_proc_slot_occupancy(schedule: &Schedule, wl: &Workload) -> u64 {
     // Per-source sweeps are independent; `max` over the per-source results
     // is exact under any chunking.
-    schedule
-        .starts
-        .par_iter()
+    let starts = &schedule.starts;
+    (0..starts.len())
+        .into_par_iter()
         .with_min_len(MIN_SOURCES_PER_CHUNK)
-        .enumerate()
-        .map(|(src, starts)| {
+        .map(|src| {
             // Interval sweep over [start, start+len): ends sort before
             // starts at equal slots because -1 < +1.
-            let mut deltas: Vec<(u64, i64)> = Vec::with_capacity(starts.len() * 2);
-            for (&s, m) in starts.iter().zip(wl.msgs(src)) {
+            let row = &starts[src];
+            let mut deltas: Vec<(u64, i64)> = Vec::with_capacity(row.len() * 2);
+            for (&s, m) in row.iter().zip(wl.msgs(src)) {
                 if m.len > 0 {
                     deltas.push((s, 1));
                     deltas.push((s + m.len, -1));
@@ -346,7 +438,7 @@ mod tests {
     fn validate_accepts_disjoint_slots() {
         let wl = unit_wl();
         let s = Schedule {
-            starts: vec![vec![0, 1, 2], vec![0]],
+            starts: vec![vec![0, 1, 2], vec![0]].into(),
         };
         assert!(validate_schedule(&s, &wl).is_ok());
     }
@@ -355,7 +447,7 @@ mod tests {
     fn validate_rejects_overlap() {
         let wl = unit_wl();
         let s = Schedule {
-            starts: vec![vec![0, 1, 1], vec![0]],
+            starts: vec![vec![0, 1, 1], vec![0]].into(),
         };
         assert_eq!(
             validate_schedule(&s, &wl).unwrap_err(),
@@ -367,7 +459,7 @@ mod tests {
     fn validate_rejects_shape_mismatch() {
         let wl = unit_wl();
         let s = Schedule {
-            starts: vec![vec![0, 1], vec![0]],
+            starts: vec![vec![0, 1], vec![0]].into(),
         };
         assert!(matches!(
             validate_schedule(&s, &wl).unwrap_err(),
@@ -387,14 +479,14 @@ mod tests {
             vec![],
         ]);
         let bad = Schedule {
-            starts: vec![vec![0, 2], vec![]],
+            starts: vec![vec![0, 2], vec![]].into(),
         };
         assert_eq!(
             validate_schedule(&bad, &wl).unwrap_err(),
             ScheduleError::Overlap { src: 0, slot: 2 }
         );
         let good = Schedule {
-            starts: vec![vec![0, 3], vec![]],
+            starts: vec![vec![0, 3], vec![]].into(),
         };
         assert!(validate_schedule(&good, &wl).is_ok());
     }
@@ -406,7 +498,7 @@ mod tests {
             vec![Msg { dest: 0, len: 1 }],
         ]);
         let s = Schedule {
-            starts: vec![vec![1], vec![2]],
+            starts: vec![vec![1], vec![2]].into(),
         };
         assert_eq!(slot_loads(&s, &wl), vec![0, 1, 2]);
     }
@@ -416,7 +508,7 @@ mod tests {
         let wl = unit_wl();
         // m = 1: stagger so that each slot carries one flit.
         let s = Schedule {
-            starts: vec![vec![0, 1, 2], vec![3]],
+            starts: vec![vec![0, 1, 2], vec![3]].into(),
         };
         let cost = evaluate_schedule(&s, &wl, 1, PenaltyFn::Exponential);
         assert_eq!(cost.makespan, 4);
@@ -435,7 +527,7 @@ mod tests {
         // Both processors inject at slot 0 (and proc 0 continues): load
         // [2,1,1] with m = 1.
         let s = Schedule {
-            starts: vec![vec![0, 1, 2], vec![0]],
+            starts: vec![vec![0, 1, 2], vec![0]].into(),
         };
         let cost = evaluate_schedule(&s, &wl, 1, PenaltyFn::Exponential);
         assert_eq!(cost.max_slot_load, 2);
@@ -448,7 +540,7 @@ mod tests {
     fn linear_penalty_charges_ratio() {
         let wl = unit_wl();
         let s = Schedule {
-            starts: vec![vec![0, 1, 2], vec![0]],
+            starts: vec![vec![0, 1, 2], vec![0]].into(),
         };
         let cost = evaluate_schedule(&s, &wl, 1, PenaltyFn::Linear);
         assert!((cost.c_m - (2.0 + 1.0 + 1.0)).abs() < 1e-12);
@@ -458,7 +550,7 @@ mod tests {
     fn to_profile_matches_slot_loads() {
         let wl = unit_wl();
         let s = Schedule {
-            starts: vec![vec![0, 1, 2], vec![0]],
+            starts: vec![vec![0, 1, 2], vec![0]].into(),
         };
         let prof = to_profile(&s, &wl);
         assert_eq!(prof.injections, slot_loads(&s, &wl));
@@ -471,7 +563,7 @@ mod tests {
     fn audit_matches_evaluation() {
         let wl = unit_wl();
         let s = Schedule {
-            starts: vec![vec![0, 1, 2], vec![0]],
+            starts: vec![vec![0, 1, 2], vec![0]].into(),
         };
         let params = MachineParams::new_unchecked(2, 4, 1, 1);
         let ev = audit_schedule(&s, &wl, params, "unit");
@@ -489,7 +581,7 @@ mod tests {
         // A deliberately invalid schedule: proc 0 injects two flits at slot 0.
         let wl = unit_wl();
         let s = Schedule {
-            starts: vec![vec![0, 0, 1], vec![0]],
+            starts: vec![vec![0, 0, 1], vec![0]].into(),
         };
         let ev = audit_schedule(&s, &wl, MachineParams::new_unchecked(2, 1, 2, 1), "bad");
         assert_eq!(ev.max_proc_slot_injections, 2);
@@ -499,7 +591,7 @@ mod tests {
     fn audit_to_respects_disabled_sink() {
         let wl = unit_wl();
         let s = Schedule {
-            starts: vec![vec![0, 1, 2], vec![0]],
+            starts: vec![vec![0, 1, 2], vec![0]].into(),
         };
         let params = MachineParams::new_unchecked(2, 4, 1, 1);
         let rec = pbw_trace::RecordingSink::new();
@@ -513,7 +605,7 @@ mod tests {
     fn empty_workload_evaluates_cleanly() {
         let wl = Workload::new(vec![vec![], vec![]]);
         let s = Schedule {
-            starts: vec![vec![], vec![]],
+            starts: vec![vec![], vec![]].into(),
         };
         let cost = evaluate_schedule(&s, &wl, 4, PenaltyFn::Exponential);
         assert_eq!(cost.makespan, 0);

@@ -6,7 +6,7 @@
 //! information structure of the paper: each processor knows its own `x_i`
 //! and the broadcast value `n`, nothing else.
 
-use crate::schedule::Schedule;
+use crate::schedule::{Schedule, StartTable};
 use crate::workload::Workload;
 use rand::Rng;
 use rand::SeedableRng;
@@ -84,21 +84,18 @@ impl Scheduler for UnbalancedSend {
         );
         let n = wl.n_flits();
         let w = window(n, m, self.eps);
-        let starts = (0..wl.p())
-            .map(|pid| {
-                let x_i = wl.msgs(pid).len() as u64;
-                if x_i == 0 {
-                    return Vec::new();
-                }
-                if x_i <= w {
-                    let j = proc_rng(seed, pid).gen_range(0..w);
-                    (0..x_i).map(|k| (j + k) % w).collect()
-                } else {
-                    (0..x_i).collect()
-                }
-            })
-            .collect();
-        Schedule { starts }
+        Schedule::lay_out(wl.offsets().to_vec(), |pid, out| {
+            let x_i = wl.msgs(pid).len() as u64;
+            if x_i == 0 {
+                return;
+            }
+            if x_i <= w {
+                let j = proc_rng(seed, pid).gen_range(0..w);
+                out.extend((0..x_i).map(|k| (j + k) % w));
+            } else {
+                out.extend(0..x_i);
+            }
+        })
     }
 }
 
@@ -139,21 +136,18 @@ impl Scheduler for UnbalancedConsecutiveSend {
         );
         let n = wl.n_flits();
         let w = window(n, m, self.eps);
-        let starts = (0..wl.p())
-            .map(|pid| {
-                let x_i = wl.msgs(pid).len() as u64;
-                if x_i == 0 {
-                    return Vec::new();
-                }
-                let j = if x_i <= w {
-                    proc_rng(seed, pid).gen_range(0..w)
-                } else {
-                    0
-                };
-                (0..x_i).map(|k| j + k).collect()
-            })
-            .collect();
-        Schedule { starts }
+        Schedule::lay_out(wl.offsets().to_vec(), |pid, out| {
+            let x_i = wl.msgs(pid).len() as u64;
+            if x_i == 0 {
+                return;
+            }
+            let j = if x_i <= w {
+                proc_rng(seed, pid).gen_range(0..w)
+            } else {
+                0
+            };
+            out.extend(j..j + x_i);
+        })
     }
 }
 
@@ -212,25 +206,22 @@ impl Scheduler for UnbalancedGranularSend {
         // t' = n/p, the "padded average" granularity (≥ 1).
         let t_prime = (n / p).max(1);
         let window = ((self.c * n as f64 / m as f64).ceil() as u64).max(t_prime);
-        let starts = (0..wl.p())
-            .map(|pid| {
-                let x_i = wl.msgs(pid).len() as u64;
-                if x_i == 0 {
-                    return Vec::new();
-                }
-                let j0 = if x_i <= n / (m as u64).max(1) {
-                    // Number of grid offsets that keep the run inside the
-                    // window: (window − x_i)/t', at least 1.
-                    let choices = (window.saturating_sub(x_i) / t_prime).max(1);
-                    let j = proc_rng(seed, pid).gen_range(0..choices);
-                    j * t_prime
-                } else {
-                    0
-                };
-                (0..x_i).map(|k| j0 + k).collect()
-            })
-            .collect();
-        Schedule { starts }
+        Schedule::lay_out(wl.offsets().to_vec(), |pid, out| {
+            let x_i = wl.msgs(pid).len() as u64;
+            if x_i == 0 {
+                return;
+            }
+            let j0 = if x_i <= n / (m as u64).max(1) {
+                // Number of grid offsets that keep the run inside the
+                // window: (window − x_i)/t', at least 1.
+                let choices = (window.saturating_sub(x_i) / t_prime).max(1);
+                let j = proc_rng(seed, pid).gen_range(0..choices);
+                j * t_prime
+            } else {
+                0
+            };
+            out.extend(j0..j0 + x_i);
+        })
     }
 }
 
@@ -254,9 +245,7 @@ impl Scheduler for OfflineOptimal {
         assert!(wl.is_unit(), "offline optimal packs unit messages");
         let n = wl.n_flits();
         if n == 0 {
-            return Schedule {
-                starts: vec![Vec::new(); wl.p()],
-            };
+            return Schedule::lay_out(wl.offsets().to_vec(), |_, _| {});
         }
         let t = pbw_models::div_ceil(n, m as u64).max(wl.xbar());
         // Wrap-around rule: processors in descending x_i, consecutive slots
@@ -266,12 +255,13 @@ impl Scheduler for OfflineOptimal {
         let mut order: Vec<usize> = (0..wl.p()).collect();
         let counts = wl.send_counts();
         order.sort_by_key(|&i| std::cmp::Reverse(counts[i]));
-        let mut starts = vec![Vec::new(); wl.p()];
+        let mut starts = StartTable::new(wl.offsets().to_vec(), vec![0; n as usize]);
         let mut ptr = 0u64;
         for &i in &order {
-            let x_i = counts[i];
-            starts[i] = (0..x_i).map(|k| (ptr + k) % t).collect();
-            ptr = (ptr + x_i) % t;
+            for (k, s) in starts[i].iter_mut().enumerate() {
+                *s = (ptr + k as u64) % t;
+            }
+            ptr = (ptr + counts[i]) % t;
         }
         Schedule { starts }
     }
@@ -290,20 +280,14 @@ impl Scheduler for EagerSend {
     }
 
     fn schedule(&self, wl: &Workload, _m: usize, _seed: u64) -> Schedule {
-        let starts = (0..wl.p())
-            .map(|pid| {
-                let mut t = 0u64;
-                wl.msgs(pid)
-                    .iter()
-                    .map(|msg| {
-                        let s = t;
-                        t += msg.len;
-                        s
-                    })
-                    .collect()
-            })
-            .collect();
-        Schedule { starts }
+        Schedule::lay_out(wl.offsets().to_vec(), |pid, out| {
+            let mut t = 0u64;
+            out.extend(wl.msgs(pid).iter().map(|msg| {
+                let s = t;
+                t += msg.len;
+                s
+            }))
+        })
     }
 }
 
@@ -356,21 +340,18 @@ impl Scheduler for TemplateSend {
         // sep·x_i for every in-window processor; scale n accordingly.
         let n = wl.n_flits() * sep;
         let w = (((1.0 + self.eps) * n as f64 / m as f64).ceil() as u64).max(1);
-        let starts = (0..wl.p())
-            .map(|pid| {
-                let x_i = wl.msgs(pid).len() as u64;
-                if x_i == 0 {
-                    return Vec::new();
-                }
-                if x_i * sep <= w {
-                    let j = proc_rng(seed, pid).gen_range(0..w);
-                    (0..x_i).map(|k| (j + k * sep) % w).collect()
-                } else {
-                    (0..x_i).map(|k| k * sep).collect()
-                }
-            })
-            .collect();
-        Schedule { starts }
+        Schedule::lay_out(wl.offsets().to_vec(), |pid, out| {
+            let x_i = wl.msgs(pid).len() as u64;
+            if x_i == 0 {
+                return;
+            }
+            if x_i * sep <= w {
+                let j = proc_rng(seed, pid).gen_range(0..w);
+                out.extend((0..x_i).map(|k| (j + k * sep) % w));
+            } else {
+                out.extend((0..x_i).map(|k| k * sep));
+            }
+        })
     }
 }
 
@@ -446,7 +427,7 @@ mod tests {
         let wl = workload::uniform_random(128, 32, 5);
         let sched = UnbalancedConsecutiveSend::new(0.2).schedule(&wl, 32, 3);
         validate_schedule(&sched, &wl).unwrap();
-        for starts in &sched.starts {
+        for starts in sched.starts.iter() {
             for (k, w) in starts.windows(2).enumerate() {
                 assert_eq!(w[1], w[0] + 1, "message {k} not consecutive");
             }
@@ -600,8 +581,8 @@ mod tests {
         // point, which is also ≥ sep because sep | window stride layout).
         let n = wl.n_flits() * sep;
         let w = ((1.3_f64) * n as f64 / m as f64).ceil() as u64;
-        for slots in &sched.starts {
-            let mut v = slots.clone();
+        for slots in sched.starts.iter() {
+            let mut v = slots.to_vec();
             v.sort_unstable();
             for pair in v.windows(2) {
                 let gap = pair[1] - pair[0];

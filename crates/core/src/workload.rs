@@ -28,79 +28,122 @@ impl Msg {
     }
 }
 
-/// An h-relation: for each source processor, its list of messages.
+/// An h-relation in CSR form: one flat, source-major message array and
+/// `p + 1` offsets into it, so building, copying or scheduling a relation
+/// costs a fixed number of allocations however many processors send.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Workload {
-    sends: Vec<Vec<Msg>>,
+    /// `msgs[offsets[i]..offsets[i + 1]]` are processor `i`'s messages
+    /// (length `p + 1`, starting at 0).
+    offsets: Vec<usize>,
+    /// Every message, source-major.
+    msgs: Vec<Msg>,
 }
 
 impl Workload {
-    /// Build from explicit per-source message lists.
+    /// Build from explicit per-source message lists (a validating adapter
+    /// onto the flat layout).
     ///
     /// # Panics
     /// Panics on an out-of-range destination or a zero-length message.
     pub fn new(sends: Vec<Vec<Msg>>) -> Self {
-        let p = sends.len();
-        for list in &sends {
-            for m in list {
-                assert!(m.dest < p, "destination {} out of range (p={p})", m.dest);
-                assert!(m.len >= 1, "zero-length message");
-            }
+        Workload::from_fn(sends.len(), |i, out| out.extend_from_slice(&sends[i]))
+    }
+
+    /// Build source by source: `source(i, out)` appends processor `i`'s
+    /// messages to `out`, for `i` in `0..p` ascending, so generators keep
+    /// their draw order.
+    ///
+    /// # Panics
+    /// Panics on an out-of-range destination or a zero-length message.
+    pub fn from_fn(p: usize, source: impl FnMut(usize, &mut Vec<Msg>)) -> Self {
+        let mut wl = Workload {
+            offsets: Vec::new(),
+            msgs: Vec::new(),
+        };
+        wl.refill(p, 0, source);
+        for m in &wl.msgs {
+            assert!(m.dest < p, "destination {} out of range (p={p})", m.dest);
+            assert!(m.len >= 1, "zero-length message");
         }
-        Workload { sends }
+        wl
+    }
+
+    /// Rebuild in place for `p` processors, as [`from_fn`](Self::from_fn)
+    /// does but reusing this relation's arrays and with no validation
+    /// walk: the caller vouches that every message `source` appends is
+    /// valid. Reserving `capacity` messages up front lets the message
+    /// array grow at most once.
+    pub(crate) fn refill(
+        &mut self,
+        p: usize,
+        capacity: usize,
+        mut source: impl FnMut(usize, &mut Vec<Msg>),
+    ) {
+        let Workload { offsets, msgs } = self;
+        offsets.clear();
+        msgs.clear();
+        offsets.reserve(p + 1);
+        msgs.reserve(capacity);
+        offsets.push(0);
+        for i in 0..p {
+            source(i, msgs);
+            offsets.push(msgs.len());
+        }
     }
 
     /// Build a unit-message workload from `(src → [dest...])` lists.
     pub fn from_dests(dests: Vec<Vec<usize>>) -> Self {
-        Workload::new(
-            dests
-                .into_iter()
-                .map(|l| l.into_iter().map(Msg::unit).collect())
-                .collect(),
-        )
+        Workload::from_fn(dests.len(), |i, out| {
+            out.extend(dests[i].iter().copied().map(Msg::unit))
+        })
     }
 
     /// Number of processors.
     pub fn p(&self) -> usize {
-        self.sends.len()
+        self.offsets.len() - 1
     }
 
     /// Messages sent by processor `i`.
     pub fn msgs(&self, i: usize) -> &[Msg] {
-        &self.sends[i]
+        &self.msgs[self.offsets[i]..self.offsets[i + 1]]
     }
 
-    /// All per-source message lists.
-    pub fn sends(&self) -> &[Vec<Msg>] {
-        &self.sends
+    /// Every message, source-major: processor `i`'s are
+    /// `messages()[offsets()[i]..offsets()[i + 1]]`.
+    pub(crate) fn messages(&self) -> &[Msg] {
+        &self.msgs
+    }
+
+    /// Per-source message offsets into [`messages`](Self::messages)
+    /// (length `p + 1`).
+    pub(crate) fn offsets(&self) -> &[usize] {
+        &self.offsets
     }
 
     /// Total number of messages.
     pub fn n_messages(&self) -> u64 {
-        self.sends.iter().map(|l| l.len() as u64).sum()
+        self.msgs.len() as u64
     }
 
     /// Total number of flits `n` (equals `n_messages` for unit workloads);
     /// this is the `n` of Theorems 6.2–6.4.
     pub fn n_flits(&self) -> u64 {
-        self.sends.iter().flatten().map(|m| m.len).sum()
+        self.msgs.iter().map(|m| m.len).sum()
     }
 
     /// Per-source flit totals `x_i`.
     pub fn send_counts(&self) -> Vec<u64> {
-        self.sends
-            .iter()
-            .map(|l| l.iter().map(|m| m.len).sum())
+        (0..self.p())
+            .map(|i| self.msgs(i).iter().map(|m| m.len).sum())
             .collect()
     }
 
     /// Per-destination flit totals `y_i`.
     pub fn recv_counts(&self) -> Vec<u64> {
         let mut y = vec![0u64; self.p()];
-        for list in &self.sends {
-            for m in list {
-                y[m.dest] += m.len;
-            }
+        for m in &self.msgs {
+            y[m.dest] += m.len;
         }
         y
     }
@@ -122,12 +165,7 @@ impl Workload {
 
     /// `ℓ̂`: maximum message length.
     pub fn lhat(&self) -> u64 {
-        self.sends
-            .iter()
-            .flatten()
-            .map(|m| m.len)
-            .max()
-            .unwrap_or(0)
+        self.msgs.iter().map(|m| m.len).max().unwrap_or(0)
     }
 
     /// `ℓ̄`: mean message length (0 when empty).
@@ -142,7 +180,7 @@ impl Workload {
 
     /// Whether every message is a single flit.
     pub fn is_unit(&self) -> bool {
-        self.sends.iter().flatten().all(|m| m.len == 1)
+        self.msgs.iter().all(|m| m.len == 1)
     }
 
     /// Sources with at least one message, in ascending pid order — the
@@ -151,7 +189,7 @@ impl Workload {
     /// O(senders + messages) per superstep instead of O(p).
     pub fn active_senders(&self) -> Vec<usize> {
         (0..self.p())
-            .filter(|&i| !self.sends[i].is_empty())
+            .filter(|&i| self.offsets[i] < self.offsets[i + 1])
             .collect()
     }
 
@@ -175,15 +213,9 @@ impl Workload {
 /// to uniformly random destinations.
 pub fn uniform_random(p: usize, per_proc: u64, seed: u64) -> Workload {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    Workload::new(
-        (0..p)
-            .map(|_| {
-                (0..per_proc)
-                    .map(|_| Msg::unit(rng.gen_range(0..p)))
-                    .collect()
-            })
-            .collect(),
-    )
+    Workload::from_fn(p, |_, out| {
+        out.extend((0..per_proc).map(|_| Msg::unit(rng.gen_range(0..p))))
+    })
 }
 
 /// A random permutation relation: each processor sends exactly one message,
@@ -196,7 +228,7 @@ pub fn permutation(p: usize, seed: u64) -> Workload {
         let j = rng.gen_range(0..=i);
         dests.swap(i, j);
     }
-    Workload::new(dests.into_iter().map(|d| vec![Msg::unit(d)]).collect())
+    Workload::from_fn(p, |src, out| out.push(Msg::unit(dests[src])))
 }
 
 /// Single hot sender: processor 0 sends `hot` messages (random
@@ -204,24 +236,18 @@ pub fn permutation(p: usize, seed: u64) -> Workload {
 /// regime where the globally-limited models win by `Θ(g)`.
 pub fn single_hot_sender(p: usize, hot: u64, cold: u64, seed: u64) -> Workload {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    Workload::new(
-        (0..p)
-            .map(|src| {
-                let count = if src == 0 { hot } else { cold };
-                (0..count)
-                    .map(|_| {
-                        // Avoid self-sends from the hot processor so the
-                        // receive side spreads.
-                        let mut d = rng.gen_range(0..p);
-                        if d == src {
-                            d = (d + 1) % p;
-                        }
-                        Msg::unit(d)
-                    })
-                    .collect()
-            })
-            .collect(),
-    )
+    Workload::from_fn(p, |src, out| {
+        let count = if src == 0 { hot } else { cold };
+        out.extend((0..count).map(|_| {
+            // Avoid self-sends from the hot processor so the receive side
+            // spreads.
+            let mut d = rng.gen_range(0..p);
+            if d == src {
+                d = (d + 1) % p;
+            }
+            Msg::unit(d)
+        }))
+    })
 }
 
 /// Single hot receiver: every processor sends `per_proc` messages, all to
@@ -230,21 +256,15 @@ pub fn single_hot_sender(p: usize, hot: u64, cold: u64, seed: u64) -> Workload {
 pub fn single_hot_receiver(p: usize, per_proc: u64, focus: f64, seed: u64) -> Workload {
     assert!((0.0..=1.0).contains(&focus));
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    Workload::new(
-        (0..p)
-            .map(|_| {
-                (0..per_proc)
-                    .map(|_| {
-                        if rng.gen_bool(focus) {
-                            Msg::unit(0)
-                        } else {
-                            Msg::unit(rng.gen_range(0..p))
-                        }
-                    })
-                    .collect()
-            })
-            .collect(),
-    )
+    Workload::from_fn(p, |_, out| {
+        out.extend((0..per_proc).map(|_| {
+            if rng.gen_bool(focus) {
+                Msg::unit(0)
+            } else {
+                Msg::unit(rng.gen_range(0..p))
+            }
+        }))
+    })
 }
 
 /// Zipf-skewed send counts: processor of rank `r` (random rank assignment)
@@ -258,15 +278,11 @@ pub fn zipf_senders(p: usize, scale: u64, theta: f64, seed: u64) -> Workload {
         let j = rng.gen_range(0..=i);
         ranks.swap(i, j);
     }
-    Workload::new(
-        (0..p)
-            .map(|src| {
-                let r = ranks[src] as f64;
-                let count = (scale as f64 / (r + 1.0).powf(theta)).ceil() as u64;
-                (0..count).map(|_| Msg::unit(rng.gen_range(0..p))).collect()
-            })
-            .collect(),
-    )
+    Workload::from_fn(p, |src, out| {
+        let r = ranks[src] as f64;
+        let count = (scale as f64 / (r + 1.0).powf(theta)).ceil() as u64;
+        out.extend((0..count).map(|_| Msg::unit(rng.gen_range(0..p))))
+    })
 }
 
 /// Bimodal relation: a fraction `hot_frac` of processors send `hot`
@@ -275,32 +291,28 @@ pub fn bimodal(p: usize, hot_frac: f64, hot: u64, cold: u64, seed: u64) -> Workl
     assert!((0.0..=1.0).contains(&hot_frac));
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let hot_count = ((p as f64) * hot_frac).round() as usize;
-    Workload::new(
-        (0..p)
-            .map(|src| {
-                let count = if src < hot_count { hot } else { cold };
-                (0..count).map(|_| Msg::unit(rng.gen_range(0..p))).collect()
-            })
-            .collect(),
-    )
+    Workload::from_fn(p, |src, out| {
+        let count = if src < hot_count { hot } else { cold };
+        out.extend((0..count).map(|_| Msg::unit(rng.gen_range(0..p))))
+    })
 }
 
 /// Total exchange (all-to-all personalized communication): every processor
 /// sends one unit message to every other processor.
 pub fn total_exchange(p: usize) -> Workload {
-    Workload::new(
-        (0..p)
-            .map(|src| (0..p).filter(|&d| d != src).map(Msg::unit).collect())
-            .collect(),
-    )
+    Workload::from_fn(p, |src, out| {
+        out.extend((0..p).filter(|&d| d != src).map(Msg::unit))
+    })
 }
 
 /// One-to-all personalized communication: processor 0 sends a distinct
 /// message to each other processor (the Section 1 motivating example).
 pub fn one_to_all(p: usize) -> Workload {
-    let mut sends = vec![Vec::new(); p];
-    sends[0] = (1..p).map(Msg::unit).collect();
-    Workload::new(sends)
+    Workload::from_fn(p, |src, out| {
+        if src == 0 {
+            out.extend((1..p).map(Msg::unit))
+        }
+    })
 }
 
 /// Geometric message-length sampler used by the flit experiments: lengths
@@ -320,18 +332,12 @@ pub fn geometric_len<R: Rng>(rng: &mut R, mean_len: f64) -> u64 {
 /// geometric lengths of the given mean.
 pub fn variable_length(p: usize, per_proc: u64, mean_len: f64, seed: u64) -> Workload {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    Workload::new(
-        (0..p)
-            .map(|_| {
-                (0..per_proc)
-                    .map(|_| Msg {
-                        dest: rng.gen_range(0..p),
-                        len: geometric_len(&mut rng, mean_len),
-                    })
-                    .collect()
-            })
-            .collect(),
-    )
+    Workload::from_fn(p, |_, out| {
+        out.extend((0..per_proc).map(|_| Msg {
+            dest: rng.gen_range(0..p),
+            len: geometric_len(&mut rng, mean_len),
+        }))
+    })
 }
 
 // ---------------------------------------------------------------------------

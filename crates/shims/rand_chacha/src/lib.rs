@@ -11,6 +11,11 @@
 //!   sequences;
 //! * `set_stream` rewinds to the start of the selected stream, matching how
 //!   every call site uses it (construct → `set_stream` → draw).
+//!
+//! Expanding `(seed, stream)` into the xoshiro state is deferred to the
+//! first draw, so the construct → `set_stream` → draw idiom expands once,
+//! not twice. The all-zero state, which the expansion never produces,
+//! marks "not yet expanded"; the output is the same as expanding eagerly.
 
 use rand::{RngCore, SeedableRng};
 
@@ -30,10 +35,15 @@ fn splitmix64(state: &mut u64) -> u64 {
 pub struct ChaCha8Rng {
     seed: u64,
     stream: u64,
+    /// The xoshiro state, or all zero until the first draw expands it.
     s: [u64; 4],
 }
 
 impl ChaCha8Rng {
+    /// Expand `(seed, stream)` into the xoshiro state: once per stream,
+    /// out of line so the draw stays small enough to inline.
+    #[cold]
+    #[inline(never)]
     fn reset_state(&mut self) {
         // Key the state from both seed and stream so streams are independent.
         let mut key = self.seed ^ self.stream.wrapping_mul(0xA24B_AED4_963E_E407);
@@ -53,7 +63,7 @@ impl ChaCha8Rng {
     /// `proc_rng`-style helpers: one stream per simulated processor.
     pub fn set_stream(&mut self, stream: u64) {
         self.stream = stream;
-        self.reset_state();
+        self.s = [0; 4];
     }
 
     /// The stream currently selected.
@@ -64,18 +74,22 @@ impl ChaCha8Rng {
 
 impl SeedableRng for ChaCha8Rng {
     fn seed_from_u64(state: u64) -> Self {
-        let mut rng = ChaCha8Rng {
+        ChaCha8Rng {
             seed: state,
             stream: 0,
             s: [0; 4],
-        };
-        rng.reset_state();
-        rng
+        }
     }
 }
 
 impl RngCore for ChaCha8Rng {
+    #[inline]
     fn next_u64(&mut self) -> u64 {
+        // A nonzero xoshiro state never steps to zero, so zero means the
+        // state has not been expanded since construction or `set_stream`.
+        if self.s[0] | self.s[1] | self.s[2] | self.s[3] == 0 {
+            self.reset_state();
+        }
         // xoshiro256++ step.
         let result = self.s[0]
             .wrapping_add(self.s[3])
@@ -131,6 +145,52 @@ mod tests {
         a.set_stream(3);
         let replay: Vec<u64> = (0..4).map(|_| a.next_u64()).collect();
         assert_eq!(first, replay);
+    }
+
+    fn first3(mut rng: ChaCha8Rng) -> [u64; 3] {
+        [rng.next_u64(), rng.next_u64(), rng.next_u64()]
+    }
+
+    fn streamed(seed: u64, stream: u64) -> ChaCha8Rng {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        rng.set_stream(stream);
+        rng
+    }
+
+    /// The first draws of a few `(seed, stream)` keys, recorded while the
+    /// state was still expanded eagerly at construction and again at every
+    /// `set_stream`: deferring the expansion must not change a single bit.
+    #[test]
+    fn first_draws_match_the_eagerly_expanded_generator() {
+        assert_eq!(
+            first3(ChaCha8Rng::seed_from_u64(42)),
+            [0xd0764d4f4476689f, 0x519e4174576f3791, 0xfbe07cfb0c24ed8c]
+        );
+        assert_eq!(
+            first3(ChaCha8Rng::seed_from_u64(0)),
+            [0x53175d61490b23df, 0x61da6f3dc380d507, 0x5c0fdf91ec9a7bfc]
+        );
+        assert_eq!(
+            first3(streamed(7, 3)),
+            [0xc2d6e853b91217c3, 0x335108f3bc1d5076, 0x3c17559a672991b2]
+        );
+        assert_eq!(
+            first3(streamed(u64::MAX, 8191)),
+            [0xf032a64e1db47f44, 0xde42a3a39a3dfea8, 0x5baac100a99473f4]
+        );
+        // A clone taken before the first draw draws the same sequence.
+        let original = streamed(11, 5);
+        let expected = [0xf7a0c4b42ccaaba9, 0xf871bf2a62104dfb, 0xb6e79908d30bba0d];
+        assert_eq!(first3(original.clone()), expected);
+        assert_eq!(first3(original), expected);
+        // `set_stream` after a draw rewinds to the new stream's start.
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        rng.next_u64();
+        rng.set_stream(2);
+        assert_eq!(
+            first3(rng),
+            [0x8ce7a3821c44006b, 0xf4267ba49fafa927, 0xa35e1b253aff8f86]
+        );
     }
 
     #[test]

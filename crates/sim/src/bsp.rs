@@ -692,18 +692,25 @@ impl<S: Send, M: Send> BspMachine<S, M> {
     /// surviving sends and due late arrivals, straight into the arena's
     /// segment table) and by the placement replay, which applies the fates
     /// in the canonical delivery order the ledger, pending queue and traces
-    /// are defined by. The receive maximum is read back from the arena.
+    /// are defined by. With no retained inbox, every counted payload is
+    /// this boundary's delivery and the layout's largest segment is the
+    /// receive maximum; otherwise it is read back from the arena, less
+    /// each retained inbox.
     fn deliver_hooked(&mut self, st: Step, due: Vec<(Pid, M)>, counters: &mut FaultCounters) -> u64
     where
         M: Clone,
     {
         let (inboxes, spare) = (&mut self.inboxes, &self.spare);
+        let mut retained = false;
         charge_fault_masks(
             &self.stalled,
             &self.crashed,
             &mut self.fault_stats,
             counters,
-            |pid| inboxes.count(pid, spare.len(pid)),
+            |pid| {
+                retained = true;
+                inboxes.count(pid, spare.len(pid));
+            },
         );
         for &b in &self.live {
             let lane = &self.lanes[b].lane;
@@ -718,7 +725,7 @@ impl<S: Send, M: Send> BspMachine<S, M> {
                 self.inboxes.count(dest, 1);
             }
         }
-        self.inboxes.begin_counted();
+        let max_seg = self.inboxes.begin_counted();
         place_retained(&self.spare, &self.stalled, &self.crashed, &mut self.inboxes);
 
         // Late arrivals land at the same boundary as this superstep's sends,
@@ -761,14 +768,17 @@ impl<S: Send, M: Send> BspMachine<S, M> {
         }
         delivered += at.land_due(due);
         self.inboxes.finish();
-        let faults = Some((&self.stalled, &self.crashed));
-        let max_recv = self
-            .inboxes
-            .touched()
-            .iter()
-            .map(|d| received(&self.inboxes, &self.spare, faults, d))
-            .max()
-            .unwrap_or(0);
+        let max_recv = if retained {
+            let faults = Some((&self.stalled, &self.crashed));
+            self.inboxes
+                .touched()
+                .iter()
+                .map(|d| received(&self.inboxes, &self.spare, faults, d))
+                .max()
+                .unwrap_or(0)
+        } else {
+            max_seg
+        };
         self.builder.record_traffic(0, max_recv);
         delivered
     }
@@ -1546,6 +1556,64 @@ mod tests {
         m.superstep(|_pid, s, inbox, _out| s.extend_from_slice(inbox));
         assert_eq!(m.state(1), &vec![5]);
         assert_eq!(m.fault_stats().stalled_steps, 1);
+    }
+
+    #[test]
+    fn a_retained_inbox_does_not_count_toward_the_receive_maximum() {
+        let mut m: BspMachine<(), u8> = BspMachine::new(params(4), |_| ());
+        m.set_delivery_hook(Arc::new(StallPid(1, 1)));
+        m.superstep(|pid, _s, _in, out| {
+            if pid == 0 {
+                for _ in 0..3 {
+                    out.send(1, 0);
+                }
+            }
+        });
+        // Superstep 1: pid 1 is stalled and keeps its 3 payloads while 1
+        // more lands on it; pid 3 receives 2.
+        let report = m.superstep(|pid, _s, _in, out| match pid {
+            0 => out.send(1, 1),
+            2 => {
+                out.send(3, 2);
+                out.send(3, 2);
+            }
+            _ => {}
+        });
+        assert_eq!(m.pending_inbox(1).len(), 4);
+        assert_eq!(report.profile.max_received, 2);
+    }
+
+    #[test]
+    fn late_arrivals_alone_can_set_the_receive_maximum() {
+        struct DelayFirstStep;
+        impl DeliveryHook for DelayFirstStep {
+            fn fate(&self, ctx: &DeliveryCtx) -> Fate {
+                if ctx.superstep == 0 {
+                    Fate::Delay(1)
+                } else {
+                    Fate::Deliver
+                }
+            }
+        }
+        let mut m: BspMachine<(), u8> = BspMachine::new(params(4), |_| ());
+        m.set_delivery_hook(Arc::new(DelayFirstStep));
+        let first = m.superstep(|pid, _s, _in, out| {
+            if pid == 0 {
+                for _ in 0..3 {
+                    out.send(2, 0);
+                }
+            }
+        });
+        assert_eq!(first.profile.max_received, 0);
+        // Superstep 1: the 3 delayed payloads land on pid 2, and pid 3
+        // receives the step's only send.
+        let report = m.superstep(|pid, _s, _in, out| {
+            if pid == 1 {
+                out.send(3, 1);
+            }
+        });
+        assert_eq!(m.pending_inbox(2).len(), 3);
+        assert_eq!(report.profile.max_received, 3);
     }
 
     #[test]

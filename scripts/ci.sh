@@ -295,9 +295,17 @@ stage_perfbench() {
 # The same-host A/B script, run A/A: it builds the checkout's own commit
 # in a worktree under target/ and runs one alternating pair of 1-s
 # `recovery` runs against the working tree, each of which must check out,
-# so the script cannot rot. Its report informs; it gates nothing.
+# and every report row must end in a verdict, so the script cannot rot.
+# Its report informs; it gates nothing.
 stage_perfbench-ab() {
-  scripts/perfbench_ab.sh --base HEAD --pairs 1 --seconds 1 --workload recovery
+  local report
+  report="$(scripts/perfbench_ab.sh --base HEAD --pairs 1 --seconds 1 --workload recovery)"
+  echo "$report"
+  local rows
+  rows="$(grep -cE '^recovery +[a-z_]+ .* (gain|worse|unresolved|same)$' <<<"$report" || true)"
+  [ "$rows" -eq "$(jq '.end_to_end | length' BENCHMARK.json)" ] \
+    || { echo "perfbench-ab: expected a verdict on every end-to-end metric, got $rows row(s)" >&2; exit 1; }
+  echo "ok: perfbench_ab.sh printed a verdict for each end-to-end metric"
 }
 
 stage_bench-gate() {

@@ -14,8 +14,21 @@
 #
 # For each workload and each end-to-end metric BENCHMARK.json lists, the
 # report gives both sides' median and quartiles, the ratio of medians
-# (working tree / base), and how many pairs the working tree won in the
-# metric's better direction. The report informs; it does not gate.
+# (working tree / base), how many pairs the working tree won in the
+# metric's better direction (ties count for neither side), and a verdict:
+#
+#   gain        the tree won at least 9/10 of the pairs and its median is
+#               better than the base's by more than the base's quartile
+#               spread (q3 - q1)
+#   worse       the tree's median is worse than the base's by more than the
+#               metric's BENCHMARK.json bound (a share of the base median)
+#   unresolved  the base's own quartile spread exceeds that bound, so the
+#               runs cannot tell a change within it (unless every tree run
+#               is better than every base run)
+#   same        otherwise
+#
+# The verdicts are checked in that order. The report informs; it does not
+# gate.
 #
 # Usage:
 #   scripts/perfbench_ab.sh --base <rev> [--pairs N] [--seconds S]
@@ -113,8 +126,22 @@ def quartiles(xs):
     q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, q2, q3
 
+def verdict(base, tree, bq, tq, won, bound, higher):
+    """See the verdict list at the top of perfbench_ab.sh."""
+    sign = 1 if higher else -1
+    gap = (tq[1] - bq[1]) * sign  # > 0: the tree's median is better
+    spread = bq[2] - bq[0]
+    if 10 * won >= 9 * len(base) and gap > spread:
+        return "gain"
+    if -gap > bound * abs(bq[1]):
+        return "worse"
+    separated = min(t * sign for t in tree) > max(b * sign for b in base)
+    if spread > bound * abs(bq[1]) and not separated:
+        return "unresolved"
+    return "same"
+
 print(f"\nworking tree against base {sys.argv[2]} (ratio = tree / base)")
-head = f"{'workload':<14} {'metric':<12} {'base median [q1, q3]':>30} {'tree median [q1, q3]':>30} {'ratio':>7} {'won':>7}"
+head = f"{'workload':<14} {'metric':<12} {'base median [q1, q3]':>30} {'tree median [q1, q3]':>30} {'ratio':>7} {'won':>7} {'verdict':>10}"
 print(head)
 print("-" * len(head))
 for w in dict.fromkeys(k[0] for k in rows):
@@ -129,6 +156,7 @@ for w in dict.fromkeys(k[0] for k in rows):
         higher = m["better"] == "higher"
         won = sum((t > b) if higher else (t < b) for b, t in zip(base, tree))
         ratio = tq[1] / bq[1] if bq[1] else float("nan")
+        v = verdict(base, tree, bq, tq, won, m["bound"], higher)
         fmt = lambda q: f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
-        print(f"{w:<14} {m['name']:<12} {fmt(bq):>30} {fmt(tq):>30} {ratio:>7.3f} {won:>3}/{len(pairs)}")
+        print(f"{w:<14} {m['name']:<12} {fmt(bq):>30} {fmt(tq):>30} {ratio:>7.3f} {won:>3}/{len(pairs)} {v:>10}")
 PY

@@ -33,8 +33,16 @@ use parallel_bandwidth::algos::sample_sort::{
 use parallel_bandwidth::faults::FaultScript;
 use parallel_bandwidth::models::MachineParams;
 use parallel_bandwidth::pram::{AccessMode, Pram};
+use parallel_bandwidth::sched::flits::{OverheadSend, UnbalancedFlitSend};
+use parallel_bandwidth::sched::qsm_sched::{
+    schedule_requests, schedule_requests_consecutive, RequestBatch,
+};
+use parallel_bandwidth::sched::schedulers::TemplateSend;
 use parallel_bandwidth::sched::workload::{Msg, Workload};
-use parallel_bandwidth::sched::{EagerSend, RecoveryConfig, RecoveryPhase, RecoverySession};
+use parallel_bandwidth::sched::{
+    EagerSend, OfflineOptimal, RecoveryConfig, RecoveryPhase, RecoverySession, Scheduler,
+    UnbalancedConsecutiveSend, UnbalancedGranularSend, UnbalancedSend,
+};
 use parallel_bandwidth::sim::{BspMachine, Fate, QsmMachine};
 use parallel_bandwidth::trace::NullSink;
 
@@ -404,6 +412,98 @@ fn recovery_setup_allocs(per: usize) -> u64 {
     count
 }
 
+/// A `p`-processor relation whose first `senders` processors each send two
+/// unit messages, to their two successors.
+fn two_message_senders(p: usize, senders: usize) -> Workload {
+    Workload::new(
+        (0..p)
+            .map(|src| match src < senders {
+                true => vec![Msg::unit((src + 1) % p), Msg::unit((src + 2) % p)],
+                false => Vec::new(),
+            })
+            .collect(),
+    )
+}
+
+/// Allocations of one `schedule` call of every scheduler, and of both QSM
+/// request schedules, when the first `senders` of `P` processors have two
+/// messages (or requests) each. Each call runs once unmeasured first.
+fn schedule_allocs(senders: usize) -> Vec<(&'static str, u64)> {
+    let wl = two_message_senders(P, senders);
+    let measure = |f: &dyn Fn()| {
+        f();
+        let before = allocs();
+        f();
+        allocs() - before
+    };
+    let schedulers: [&dyn Scheduler; 7] = [
+        &UnbalancedSend::new(0.3),
+        &UnbalancedConsecutiveSend::new(0.3),
+        &UnbalancedGranularSend::default(),
+        &OfflineOptimal,
+        &EagerSend,
+        &TemplateSend::new(0.3, 2),
+        &UnbalancedFlitSend::new(0.3),
+    ];
+    let mut out: Vec<(&'static str, u64)> = schedulers
+        .iter()
+        .map(|s| (s.name(), measure(&|| drop(s.schedule(&wl, 4, 7)))))
+        .collect();
+    let overhead = OverheadSend::new(0.3, 2);
+    out.push((
+        "Overhead-Send",
+        measure(&|| drop(overhead.schedule(&wl, 4, 7))),
+    ));
+    let reqs = (0..P)
+        .map(|pid| match pid < senders {
+            true => vec![pid, (pid + 1) % P],
+            false => Vec::new(),
+        })
+        .collect();
+    let batch = RequestBatch::new(reqs, P);
+    out.push((
+        "schedule_requests",
+        measure(&|| drop(schedule_requests(&batch, 4, 0.3, 7))),
+    ));
+    out.push((
+        "schedule_requests_consecutive",
+        measure(&|| drop(schedule_requests_consecutive(&batch, 4, 0.3, 7))),
+    ));
+    out
+}
+
+/// Allocations of round 1's retransmission superstep of a recovery
+/// session in which each of `senders` senders (two messages each, on a
+/// 2048-processor machine, so every round stays on the sparse path) loses
+/// its first message in the send superstep.
+fn recovery_retransmit_allocs(senders: usize) -> u64 {
+    const RP: usize = 2048;
+    let wl = two_message_senders(RP, senders);
+    let script = (0..senders).fold(FaultScript::new(), |s, src| {
+        s.with_fate(0, src, 0, Fate::Drop)
+    });
+    let cfg = RecoveryConfig::default();
+    let mut session = RecoverySession::new(
+        std::sync::Arc::new(NullSink),
+        &wl,
+        &EagerSend,
+        MachineParams::from_gap(RP, 2, 4),
+        7,
+        Some(std::sync::Arc::new(script)),
+        &cfg,
+    );
+    loop {
+        let before = allocs();
+        let phase = session.step();
+        let count = allocs() - before;
+        match phase {
+            RecoveryPhase::Retransmit(1) => return count,
+            RecoveryPhase::Done => panic!("the session ended without a retransmission"),
+            _ => {}
+        }
+    }
+}
+
 /// Per-superstep allocation count must not grow with message volume, and
 /// must stay under a small absolute budget. `budget` covers the profile
 /// snapshot, the amortized `profiles` push and the pool dispatch; it is
@@ -611,6 +711,44 @@ fn recovery_session_setup_allocations_do_not_scale_with_messages() {
                 small, large,
                 "session setup allocations scale with messages \
                  ({small} at 32 messages vs {large} at 512)"
+            );
+        });
+}
+
+/// A schedule is one flat start table: a scheduler allocates the same
+/// number of times for 8 senders as for 64, where one vector per sender
+/// would add 56.
+#[test]
+fn schedule_calls_allocate_the_same_for_8_and_64_senders() {
+    let _guard = serial();
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap()
+        .install(|| {
+            let few = schedule_allocs(8);
+            let many = schedule_allocs(64);
+            assert_eq!(few, many, "schedule allocations at 8 senders vs 64");
+        });
+}
+
+/// A retransmission round builds its residual relation, the residual's
+/// tags and its schedule as flat arrays: round 1 allocates the same number
+/// of times whether 8 or 64 senders have a flit to resend.
+#[test]
+fn recovery_retransmit_allocations_do_not_scale_with_senders() {
+    let _guard = serial();
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap()
+        .install(|| {
+            let few = recovery_retransmit_allocs(8);
+            let many = recovery_retransmit_allocs(64);
+            assert_eq!(
+                few, many,
+                "retransmit-step allocations scale with senders \
+                 ({few} at 8 senders vs {many} at 64)"
             );
         });
 }

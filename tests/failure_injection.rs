@@ -79,9 +79,13 @@ fn corrupted_schedule_is_rejected_before_costing() {
 #[test]
 fn truncated_schedule_shape_is_rejected() {
     let wl = workload::uniform_random(16, 4, 1);
-    let mut sched = UnbalancedSend::new(0.2).schedule(&wl, 4, 0);
-    sched.starts.pop();
-    assert!(validate_schedule(&sched, &wl).is_err());
+    let sched = UnbalancedSend::new(0.2).schedule(&wl, 4, 0);
+    // Drop the last processor's row.
+    let rows: Vec<Vec<u64>> = sched.starts.iter().take(15).map(<[u64]>::to_vec).collect();
+    let truncated = Schedule {
+        starts: rows.into(),
+    };
+    assert!(validate_schedule(&truncated, &wl).is_err());
 }
 
 #[test]
@@ -91,7 +95,7 @@ fn extreme_overload_saturates_instead_of_panicking() {
     let p = 64usize;
     let wl = workload::permutation(p, 2);
     let sched = Schedule {
-        starts: vec![vec![0]; p],
+        starts: vec![vec![0]; p].into(),
     };
     let cost = evaluate_schedule(&sched, &wl, 1, PenaltyFn::Exponential);
     assert!(cost.c_m.is_finite());
