@@ -147,6 +147,25 @@ impl ProfileBuilder {
         self
     }
 
+    /// Move one injection already recorded at step `slot` to step
+    /// `slot + d`, growing the histogram as needed: a router displacement.
+    /// The message count stays, so recording at `slot` and then moving is
+    /// bit-equivalent to recording at `slot + d` (pinned by a proptest
+    /// below).
+    ///
+    /// # Panics
+    /// If no injection is recorded at `slot`.
+    pub fn displace_injection(&mut self, slot: u64, d: u64) -> &mut Self {
+        let to = usize::try_from(slot + d).expect("slot exceeds addressable range");
+        if self.profile.injections.len() <= to {
+            self.profile.injections.resize(to + 1, 0);
+        }
+        let from = &mut self.profile.injections[slot as usize];
+        *from = from.checked_sub(1).expect("no injection recorded at slot");
+        self.profile.injections[to] += 1;
+        self
+    }
+
     /// Record the injections of a whole population of *sequentially-slotted*
     /// senders at once: `senders_by_len[k]` senders each injected exactly
     /// `k + 1` messages at slots `0..=k`. Bit-equivalent to calling
@@ -329,22 +348,38 @@ mod tests {
             // The batched injection scatter is bit-identical to recording
             // each slot individually — including the empty batch, a single
             // slot, odd tail lengths, and a builder with prior history.
+            // Each slot then carries a displacement (0 for none): moving
+            // the batch-recorded injection by `d` must equal recording it
+            // at `slot + d` — past the histogram's end as well as onto an
+            // occupied slot.
             #[test]
             fn injections_batch_matches_scalar(
-                slots in proptest::collection::vec(0u64..64, 0..50),
+                sends in proptest::collection::vec((0u64..64, 0u64..4), 0..50),
                 pre in proptest::collection::vec(0u64..16, 0..4),
+                edges in any::<bool>(),
             ) {
+                // With `edges`, three more messages: one at slot 1, one
+                // moved from slot 0 onto it, and one moved past every slot
+                // the batch or the history can reach.
+                let mut sends = sends;
+                if edges {
+                    sends.extend([(1, 0), (0, 1), (63, 70)]);
+                }
+                let slots: Vec<u64> = sends.iter().map(|&(s, _)| s).collect();
                 let mut batch = ProfileBuilder::new();
                 for &s in &pre {
                     batch.record_injection(s);
                 }
                 batch.record_injections_batch(&slots);
+                for &(s, d) in sends.iter().filter(|&&(_, d)| d != 0) {
+                    batch.displace_injection(s, d);
+                }
                 let mut scalar = ProfileBuilder::new();
                 for &s in &pre {
                     scalar.record_injection(s);
                 }
-                for &s in &slots {
-                    scalar.record_injection(s);
+                for &(s, d) in &sends {
+                    scalar.record_injection(s + d);
                 }
                 prop_assert_eq!(batch.build(), scalar.build());
             }

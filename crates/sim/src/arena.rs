@@ -80,8 +80,10 @@ struct Seg {
 const _: () = assert!(std::mem::size_of::<Seg>() == 8);
 
 /// A reusable flat message store with one contiguous segment per
-/// destination and O(touched) reset.
-#[derive(Debug)]
+/// destination and O(touched) reset. A clone between fills is a whole
+/// snapshot of the inboxes, touched mask included (BSP checkpoints keep
+/// one).
+#[derive(Debug, Clone)]
 pub(crate) struct MsgArena<M> {
     /// Backing storage; `len()` is 0 while a fill is open, the segment total
     /// once published.
@@ -321,6 +323,12 @@ impl<M> MsgArena<M> {
     pub(crate) fn len(&self, d: usize) -> usize {
         let Seg { start, end } = self.segs[d];
         (end - start) as usize
+    }
+
+    /// Payloads the last fill published (while a fill is open: counted).
+    #[inline]
+    pub(crate) fn total(&self) -> u64 {
+        self.total
     }
 
     /// Destinations holding at least one message in the current fill, as a

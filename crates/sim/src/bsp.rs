@@ -22,8 +22,7 @@ use std::sync::Arc;
 
 use crate::arena::MsgArena;
 use crate::hook::{
-    charge_fault_masks, place_retained, received, Boundary, DeliveryHook, FaultStats,
-    PENDING_POOL_CAP,
+    open_fill, received, traffic_rows, Boundary, DeliveryHook, Fate, FaultStats, PENDING_POOL_CAP,
 };
 use crate::lane::{block_len, max_slot_multiplicity, ranged, AsLane, Lane, Pass};
 use crate::{Pid, SimError};
@@ -166,8 +165,6 @@ pub struct BspMachine<S, M> {
     /// the declared active set OR-ed word-at-a-time with the arena's
     /// touched mask. Insertion *is* dedup, iteration *is* the sort.
     frontier_mask: FrontierMask,
-    /// Tracing scratch for per-processor send counts.
-    per_proc_sent: Vec<u64>,
     /// Profile accumulator, snapshot-and-reset every superstep.
     builder: ProfileBuilder,
     profiles: Vec<SuperstepProfile>,
@@ -210,7 +207,6 @@ impl<S: Send, M: Send> BspMachine<S, M> {
             crashed: FrontierMask::new(p),
             seq_lens: Vec::new(),
             frontier_mask: FrontierMask::new(p),
-            per_proc_sent: Vec::new(),
             builder: ProfileBuilder::new(),
             profiles: Vec::new(),
             superstep: 0,
@@ -509,7 +505,7 @@ impl<S: Send, M: Send> BspMachine<S, M> {
     /// None` runs every block of pids in parallel (dense); `Some(set)` runs
     /// the sorted frontier sequentially (sparse). Either pass leaves sealed
     /// lanes in `live` whose block order is the canonical delivery order
-    /// (source pid ascending, then send order), and both deliveries walk
+    /// (source pid ascending, then send order), and the one delivery walks
     /// them in that order before the due late arrivals, which is what makes
     /// every entry point byte-identical.
     fn superstep_core<F>(
@@ -553,11 +549,6 @@ impl<S: Send, M: Send> BspMachine<S, M> {
             self.stalled.clear();
             self.crashed.clear();
             h.fill_fault_masks(st.index, &mut self.stalled, &mut self.crashed);
-        }
-        if tracing {
-            // Trace events carry dense per-processor traffic vectors.
-            self.per_proc_sent.clear();
-            self.per_proc_sent.resize(p, 0);
         }
 
         let pass = Pass {
@@ -610,33 +601,49 @@ impl<S: Send, M: Send> BspMachine<S, M> {
             return Err(e);
         }
 
-        let mut counters = FaultCounters {
-            retransmit_round: self.fault_round,
-            ..Default::default()
-        };
         // Payloads the network is due to release at this boundary (queued by
         // earlier Delay/Duplicate fates). Popped before this superstep's
         // sends are queued, so a `Delay(k)` waits exactly `k` extra steps.
         let due = self.pending.pop_front().unwrap_or_default();
-        let delivered = match &hook {
-            Some(_) => self.deliver_hooked(st, due, &mut counters),
-            None => self.deliver_fused(st, due, &mut counters),
+        let before = self.fault_stats;
+        let (delivered, late) = self.deliver(st, due);
+        let counters = FaultCounters {
+            retransmit_round: self.fault_round,
+            ..self.fault_stats.counters_since(&before, late)
         };
         Ok(self.finish_superstep(st, delivered, counters))
     }
 
-    /// Unhooked delivery: one walk over the live lanes records each
-    /// sender's work and injections and counts the lane's destinations
-    /// into the arena; a second drains the payloads into place. Every
-    /// counted payload is placed, so the largest segment is the receive
-    /// maximum.
-    fn deliver_fused(&mut self, st: Step, due: Vec<(Pid, M)>, counters: &mut FaultCounters) -> u64 {
-        let mut max_sent = 0u64;
+    /// The one delivery. A counting walk over the live lanes records each
+    /// sender's work and injections and counts what lands now into the
+    /// arena: every key of a lane with no fates (an unhooked step) and,
+    /// hooked, each send whose fate lands it at a live pid; [`open_fill`]
+    /// adds the retained inboxes and due late arrivals and lays the arena
+    /// out. A placement walk then replays the canonical delivery order:
+    /// every `Deliver` to a live pid goes straight into the arena, and only
+    /// the other fates go through [`Boundary::apply`]. With no retained
+    /// inbox the largest segment is the receive maximum; otherwise it is
+    /// read back from the arena, less each retained inbox. Returns the
+    /// payloads delivered and how many of them were late arrivals.
+    fn deliver(&mut self, st: Step, due: Vec<(Pid, M)>) -> (u64, u64)
+    where
+        M: Clone,
+    {
+        let faults = st.hooked.then_some((&self.stalled, &self.crashed));
+        let mut at = Boundary {
+            arena: &mut self.inboxes,
+            pending: &mut self.pending,
+            pool: &mut self.pending_pool,
+            stats: &mut self.fault_stats,
+            builder: &mut self.builder,
+            dead: faults.map(|(_, crashed)| crashed),
+        };
+        let (mut sent, mut max_sent) = (0u64, 0u64);
         for &b in &self.live {
             let lane = &self.lanes[b].lane;
             for (s, r) in ranged(&lane.senders) {
                 if s.work != 0 {
-                    self.builder.record_work(s.work);
+                    at.builder.record_work(s.work);
                 }
                 let n = r.len();
                 if n == 0 {
@@ -645,175 +652,96 @@ impl<S: Send, M: Send> BspMachine<S, M> {
                 if lane.slots.is_empty() {
                     bucket_len(&mut self.seq_lens, n);
                 } else {
-                    self.builder.record_injections_batch(&lane.slots[r]);
-                }
-                if st.tracing {
-                    self.per_proc_sent[s.pid] = n as u64;
+                    at.builder.record_injections_batch(&lane.slots[r]);
                 }
                 max_sent = max_sent.max(n as u64);
             }
-            self.inboxes.count_ones(&lane.keys);
-        }
-        self.builder.record_traffic(max_sent, 0);
-        self.builder.record_injections_by_len(&self.seq_lens);
-        self.seq_lens.fill(0);
-        for &(dest, _) in &due {
-            self.inboxes.count(dest, 1);
-        }
-        let max_recv = self.inboxes.begin_counted();
-        let mut delivered = 0u64;
-        for &b in &self.live {
-            let lane = &mut self.lanes[b].lane;
-            delivered += lane.keys.len() as u64;
-            for (&dest, payload) in lane.keys.iter().zip(lane.items.drain(..)) {
-                self.inboxes.place(dest, payload);
+            sent += lane.keys.len() as u64;
+            if lane.fates.is_empty() {
+                at.arena.count_ones(&lane.keys);
+                continue;
             }
-        }
-        self.fault_stats.injected += delivered;
-        self.fault_stats.delivered += delivered;
-        delivered += Boundary {
-            arena: &mut self.inboxes,
-            pending: &mut self.pending,
-            pool: &mut self.pending_pool,
-            stats: &mut self.fault_stats,
-            counters,
-            builder: &mut self.builder,
-            dead: None,
-        }
-        .land_due(due);
-        self.inboxes.finish();
-        self.builder.record_traffic(0, max_recv);
-        delivered
-    }
-
-    /// Hooked delivery over the live lanes. Each lane's seal computed its
-    /// fates (pure in `(superstep, src, dest, msg_idx, slot)`), so they are
-    /// consulted twice here: by the counting pass (retained inboxes,
-    /// surviving sends and due late arrivals, straight into the arena's
-    /// segment table) and by the placement replay, which applies the fates
-    /// in the canonical delivery order the ledger, pending queue and traces
-    /// are defined by. With no retained inbox, every counted payload is
-    /// this boundary's delivery and the layout's largest segment is the
-    /// receive maximum; otherwise it is read back from the arena, less
-    /// each retained inbox.
-    fn deliver_hooked(&mut self, st: Step, due: Vec<(Pid, M)>, counters: &mut FaultCounters) -> u64
-    where
-        M: Clone,
-    {
-        let (inboxes, spare) = (&mut self.inboxes, &self.spare);
-        let mut retained = false;
-        charge_fault_masks(
-            &self.stalled,
-            &self.crashed,
-            &mut self.fault_stats,
-            counters,
-            |pid| {
-                retained = true;
-                inboxes.count(pid, spare.len(pid));
-            },
-        );
-        for &b in &self.live {
-            let lane = &self.lanes[b].lane;
             for (&d, &fate) in lane.keys.iter().zip(&lane.fates) {
                 if fate.arrives_now() && !self.crashed.contains(d) {
-                    self.inboxes.count(d, 1);
+                    at.arena.count(d, 1);
                 }
             }
         }
-        for &(dest, _) in &due {
-            if !self.crashed.contains(dest) {
-                self.inboxes.count(dest, 1);
-            }
-        }
-        let max_seg = self.inboxes.begin_counted();
-        place_retained(&self.spare, &self.stalled, &self.crashed, &mut self.inboxes);
+        at.builder.record_traffic(max_sent, 0);
+        at.builder.record_injections_by_len(&self.seq_lens);
+        self.seq_lens.fill(0);
+        let (max_seg, retained) = open_fill(at.arena, &self.spare, faults, at.stats, &due);
 
-        // Late arrivals land at the same boundary as this superstep's sends,
-        // after them, and are charged receive bandwidth here. A late arrival
-        // whose destination is dead *now* is destroyed now — its earlier
-        // delay only deferred the custody transfer.
-        let mut at = Boundary {
-            arena: &mut self.inboxes,
-            pending: &mut self.pending,
-            pool: &mut self.pending_pool,
-            stats: &mut self.fault_stats,
-            counters,
-            builder: &mut self.builder,
-            dead: Some(&self.crashed),
-        };
         let mut delivered = 0u64;
         for &b in &self.live {
             let Lane {
                 keys,
                 items,
-                senders,
                 slots,
                 fates,
                 ..
             } = &mut self.lanes[b].lane;
-            let mut payloads = items.drain(..);
-            for (s, r) in ranged(senders) {
-                if s.work != 0 {
-                    at.builder.record_work(s.work);
+            if fates.is_empty() {
+                delivered += keys.len() as u64;
+                for (&dest, payload) in keys.iter().zip(items.drain(..)) {
+                    at.arena.place(dest, payload);
                 }
-                if st.tracing {
-                    self.per_proc_sent[s.pid] = r.len() as u64;
-                }
-                at.builder.record_traffic(r.len() as u64, 0);
-                for i in r {
-                    let payload = payloads.next();
-                    delivered += u64::from(at.apply(fates[i], slots[i], keys[i], payload));
-                }
+                continue;
+            }
+            for (i, payload) in items.drain(..).enumerate() {
+                let landed = match fates[i] {
+                    Fate::Deliver => at.land(keys[i], payload),
+                    fate => at.apply(fate, slots[i], keys[i], Some(payload)),
+                };
+                delivered += u64::from(landed);
             }
         }
-        delivered += at.land_due(due);
-        self.inboxes.finish();
+        // Late arrivals land after this superstep's sends and are charged
+        // receive bandwidth here.
+        let late = at.land_due(due);
+        at.stats.injected += sent;
+        at.stats.delivered += delivered + late;
+        at.arena.finish();
         let max_recv = if retained {
-            let faults = Some((&self.stalled, &self.crashed));
-            self.inboxes
+            let arena = &*at.arena;
+            let recv = arena
                 .touched()
                 .iter()
-                .map(|d| received(&self.inboxes, &self.spare, faults, d))
-                .max()
-                .unwrap_or(0)
+                .map(|d| received(arena, &self.spare, faults, d));
+            recv.max().unwrap_or(0)
         } else {
             max_seg
         };
-        self.builder.record_traffic(0, max_recv);
-        delivered
+        at.builder.record_traffic(0, max_recv);
+        (delivered + late, late)
     }
 
     /// Snapshot the profile, emit the trace event, and advance the
-    /// superstep index. Trace rows are dense by format (length p), filled
-    /// O(touched) from the arena.
+    /// superstep index.
     fn finish_superstep(
         &mut self,
         st: Step,
         delivered: u64,
         counters: FaultCounters,
     ) -> SuperstepReport {
-        let p = self.params.p;
         let profile = self.builder.snapshot_reset();
         // Taken unconditionally so mark consumption is sink-independent.
         let mark = self.recovery_mark.take();
         if st.tracing {
-            let mut row = vec![0u64; p];
+            let lanes = || self.live.iter().map(|&b| &self.lanes[b].lane);
             let faults = st.hooked.then_some((&self.stalled, &self.crashed));
-            for d in self.inboxes.touched().iter() {
-                row[d] = received(&self.inboxes, &self.spare, faults, d);
-            }
+            let (sent, recv) =
+                traffic_rows(self.params.p, lanes(), &self.inboxes, &self.spare, faults);
             // Tracing materializes every sender's slots.
-            let lanes = self.live.iter().map(|&b| &self.lanes[b].lane);
-            let max_mult = max_slot_multiplicity(lanes);
             let mut ev = TraceEvent::for_superstep(
                 TraceSource::Bsp,
                 self.trace_label.clone(),
                 st.index,
                 self.params,
                 profile.clone(),
-                std::mem::take(&mut self.per_proc_sent),
-                row,
-                max_mult,
+                sent,
+                recv,
+                max_slot_multiplicity(lanes()),
                 delivered,
             );
             if st.hooked {
@@ -857,7 +785,7 @@ impl<S: Send, M: Send> BspMachine<S, M> {
 pub struct MachineCheckpoint<S, M> {
     superstep: usize,
     states: Vec<S>,
-    inboxes: Vec<Vec<M>>,
+    inboxes: MsgArena<M>,
     pending: Vec<Vec<(Pid, M)>>,
     fault_stats: FaultStats,
 }
@@ -875,7 +803,7 @@ impl<S, M> MachineCheckpoint<S, M> {
 
     /// Payloads captured in `pid`'s inbox.
     pub fn inbox_payloads(&self, pid: Pid) -> u64 {
-        self.inboxes[pid].len() as u64
+        self.inboxes.len(pid) as u64
     }
 
     /// State volume `pid` contributes to a checkpoint write, in payload
@@ -887,8 +815,7 @@ impl<S, M> MachineCheckpoint<S, M> {
 
     /// Total payloads captured across inboxes and the pending network.
     pub fn total_payloads(&self) -> u64 {
-        let inboxed: u64 = self.inboxes.iter().map(|b| b.len() as u64).sum();
-        inboxed + self.pending_payloads()
+        self.inboxes.total() + self.pending_payloads()
     }
 
     /// Payloads captured inside the pending network queue.
@@ -915,9 +842,7 @@ impl<S: Send + Clone, M: Send + Clone> BspMachine<S, M> {
         MachineCheckpoint {
             superstep: self.superstep,
             states: self.states.clone(),
-            inboxes: (0..self.params.p)
-                .map(|pid| self.inboxes.inbox(pid).to_vec())
-                .collect(),
+            inboxes: self.inboxes.clone(),
             pending: self.pending.iter().cloned().collect(),
             fault_stats: self.fault_stats,
         }
@@ -957,7 +882,7 @@ impl<S: Send + Clone, M: Send + Clone> BspMachine<S, M> {
     /// Panics if the snapshot was taken on a machine with a different `p`.
     pub fn rollback(&mut self, ckpt: &MachineCheckpoint<S, M>) {
         let discarded = self.fault_stats.in_flight;
-        let inboxed: u64 = ckpt.inboxes.iter().map(|b| b.len() as u64).sum();
+        let inboxed = ckpt.inboxes.total();
         let pending = ckpt.pending_payloads();
         self.load_snapshot(ckpt);
         self.fault_stats.crashed += discarded;
@@ -976,20 +901,9 @@ impl<S: Send + Clone, M: Send + Clone> BspMachine<S, M> {
         );
         self.superstep = ckpt.superstep;
         self.states.clone_from(&ckpt.states);
-        // Rebuild the inbox arena through its normal count/place/finish
-        // protocol so segment layout and touched-tracking (the sparse
-        // frontier source) match a machine that arrived here by executing.
-        self.inboxes.clear();
-        for (pid, inbox) in ckpt.inboxes.iter().enumerate() {
-            self.inboxes.count(pid, inbox.len());
-        }
-        self.inboxes.begin_counted();
-        for (pid, inbox) in ckpt.inboxes.iter().enumerate() {
-            for msg in inbox {
-                self.inboxes.place(pid, msg.clone());
-            }
-        }
-        self.inboxes.finish();
+        // The arena comes back whole, touched mask (the sparse frontier's
+        // source) included.
+        self.inboxes.clone_from(&ckpt.inboxes);
         // Recycle the abandoned pending levels, then clone the snapshot's.
         while let Some(mut level) = self.pending.pop_front() {
             level.clear();

@@ -10,10 +10,19 @@
 //!
 //! * **Cost accounting.** Every injected message consumes send bandwidth and
 //!   an injection slot in the superstep it was posted, whatever its fate —
-//!   the network accepted it; the models price the attempt. Receive
-//!   bandwidth is charged in the superstep a payload actually arrives, so a
-//!   delayed message shifts `max_received` (and any resulting overload
-//!   penalty) to the arrival superstep.
+//!   the network accepted it; the models price the attempt. The engines
+//!   record each sender's injections in one batch from its resolved slots,
+//!   hooked or not, and a [`Fate::Displace`] only moves its injection to
+//!   the later slot. Receive bandwidth is charged in the superstep a
+//!   payload actually arrives, so a delayed message shifts `max_received`
+//!   (and any resulting overload penalty) to the arrival superstep.
+//! * **One delivery.** Hooked or not, an engine counts what lands now into
+//!   its inbox arena in one walk over its send lanes and places it in a
+//!   second. A [`Fate::Deliver`] to a live processor is placed as an
+//!   unhooked message is; only the other fates go through the boundary's
+//!   fault bookkeeping. So a hook that delivers everything prices, traces
+//!   and hashes exactly like no hook, apart from the trace's fault
+//!   counters.
 //! * **Determinism.** `fate` must be a pure function of the hook's
 //!   pre-superstep state and the presented [`DeliveryCtx`] (and `stalled`
 //!   pure in `(superstep, pid)`): the engines *compute* all fates for a
@@ -29,11 +38,13 @@
 //!   and enumerated exhaustively by `pbw-check`). The `crashed` and
 //!   `restored` columns exist so crash-stop failures and checkpoint
 //!   rollback stay inside the same balance sheet instead of silently
-//!   resetting it.
+//!   resetting it. The ledger is the only fault record: a step's trace
+//!   counters are its change across the boundary.
 
 use std::collections::VecDeque;
 
 use crate::arena::MsgArena;
+use crate::lane::{ranged, Lane};
 use crate::Pid;
 use pbw_models::{FrontierMask, ProfileBuilder};
 use pbw_trace::FaultCounters;
@@ -245,6 +256,23 @@ impl FaultStats {
         self.injected + self.duplicated + self.restored
             == self.delivered + self.dropped + self.crashed + self.in_flight
     }
+
+    /// A step's trace counters: the change in the ledger since `before`,
+    /// taken as the step's boundary opened. `delivered` cannot tell late
+    /// arrivals from on-time ones, so the caller passes their count.
+    pub(crate) fn counters_since(&self, before: &FaultStats, late_arrivals: u64) -> FaultCounters {
+        FaultCounters {
+            dropped: self.dropped - before.dropped,
+            duplicated: self.duplicated - before.duplicated,
+            delayed: self.delayed - before.delayed,
+            displaced: self.displaced - before.displaced,
+            stalled_procs: self.stalled_steps - before.stalled_steps,
+            late_arrivals,
+            crashed: self.crashed - before.crashed,
+            crashed_procs: self.crash_steps - before.crash_steps,
+            retransmit_round: 0,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -269,47 +297,50 @@ fn for_each_retained(stalled: &FrontierMask, crashed: &FrontierMask, mut f: impl
     }
 }
 
-/// Charge this step's crash-stopped and stalled processors to the ledger
-/// and the trace counters, and hand every processor that retains its inbox
-/// to `retain` (ascending), so the caller can count the retained payloads
-/// into its arena layout.
-pub(crate) fn charge_fault_masks(
-    stalled: &FrontierMask,
-    crashed: &FrontierMask,
-    stats: &mut FaultStats,
-    counters: &mut FaultCounters,
-    mut retain: impl FnMut(Pid),
-) {
-    let down = crashed.count() as u64;
-    stats.crash_steps += down;
-    counters.crashed_procs += down;
-    for_each_retained(stalled, crashed, |pid| {
-        stats.stalled_steps += 1;
-        counters.stalled_procs += 1;
-        retain(pid);
-    });
-}
-
-/// Re-place every retained inbox of `spare` into the open fill of `arena`,
-/// ahead of this step's deliveries (the retaining processor sees it again
-/// next step).
-pub(crate) fn place_retained<T: Clone>(
-    spare: &MsgArena<T>,
-    stalled: &FrontierMask,
-    crashed: &FrontierMask,
+/// Finish a fill's counting pass and open it, once the caller has counted
+/// this step's sends into `arena`. On a hooked step (`faults` holds the
+/// stall and crash masks) the step's crashed and stalled processors are
+/// charged to the ledger and every retained inbox of `spare` is counted;
+/// every due late arrival at a live pid is counted. The arena is then laid
+/// out and the retained inboxes re-placed, ahead of this step's deliveries
+/// (the retaining processor sees them again next step). Returns the
+/// largest segment and whether any processor retained its inbox.
+pub(crate) fn open_fill<T: Clone>(
     arena: &mut MsgArena<T>,
-) {
-    for_each_retained(stalled, crashed, |pid| {
-        for payload in spare.inbox(pid) {
-            arena.place(pid, payload.clone());
+    spare: &MsgArena<T>,
+    faults: Option<(&FrontierMask, &FrontierMask)>,
+    stats: &mut FaultStats,
+    due: &[(Pid, T)],
+) -> (u64, bool) {
+    let mut retained = false;
+    if let Some((stalled, crashed)) = faults {
+        stats.crash_steps += crashed.count() as u64;
+        for_each_retained(stalled, crashed, |pid| {
+            stats.stalled_steps += 1;
+            retained = true;
+            arena.count(pid, spare.len(pid));
+        });
+    }
+    for &(dest, _) in due {
+        if !faults.is_some_and(|(_, crashed)| crashed.contains(dest)) {
+            arena.count(dest, 1);
         }
-    });
+    }
+    let max_seg = arena.begin_counted();
+    if let Some((stalled, crashed)) = faults {
+        for_each_retained(stalled, crashed, |pid| {
+            for payload in spare.inbox(pid) {
+                arena.place(pid, payload.clone());
+            }
+        });
+    }
+    (max_seg, retained)
 }
 
 /// Payloads delivered to `d` at this boundary: its segment of `fill` less
 /// the inbox it retained from `spare` through a stall. `faults` holds the
 /// stall and crash masks on hooked steps only — they are stale otherwise.
-/// Both engines' trace rows, and BSP's hooked receive maximum, use it.
+/// The trace rows and BSP's receive maximum after a stall use it.
 pub(crate) fn received<T>(
     fill: &MsgArena<T>,
     spare: &MsgArena<T>,
@@ -321,15 +352,39 @@ pub(crate) fn received<T>(
     (fill.len(d) - if retained { spare.len(d) } else { 0 }) as u64
 }
 
+/// A trace event's per-processor rows, dense by format (length `p`) and
+/// filled O(senders + touched): the messages each sender of `lanes`
+/// posted, and what each processor [`received`] at this boundary.
+pub(crate) fn traffic_rows<'a, T: 'a, U>(
+    p: usize,
+    lanes: impl Iterator<Item = &'a Lane<T>>,
+    fill: &MsgArena<U>,
+    spare: &MsgArena<U>,
+    faults: Option<(&FrontierMask, &FrontierMask)>,
+) -> (Vec<u64>, Vec<u64>) {
+    let mut sent = vec![0u64; p];
+    for lane in lanes {
+        for (s, r) in ranged(&lane.senders) {
+            sent[s.pid] = r.len() as u64;
+        }
+    }
+    let mut recv = vec![0u64; p];
+    for d in fill.touched().iter() {
+        recv[d] = received(fill, spare, faults, d);
+    }
+    (sent, recv)
+}
+
 /// One delivery boundary's mutable bookkeeping: what applying fates and
 /// landing late arrivals write, in both engines. `pending[k]` holds the
 /// payloads due `k + 1` boundaries from now; `pool` recycles its levels.
+/// The engines book what they inject and what lands (`injected`,
+/// `delivered`) themselves; the boundary keeps every other column.
 pub(crate) struct Boundary<'a, T> {
     pub(crate) arena: &'a mut MsgArena<T>,
     pub(crate) pending: &'a mut VecDeque<Vec<(Pid, T)>>,
     pub(crate) pool: &'a mut Vec<Vec<(Pid, T)>>,
     pub(crate) stats: &'a mut FaultStats,
-    pub(crate) counters: &'a mut FaultCounters,
     pub(crate) builder: &'a mut ProfileBuilder,
     /// The crash set (hooked steps only): a payload whose custody would
     /// transfer to a crashed processor is destroyed instead.
@@ -348,24 +403,28 @@ impl<T> Boundary<'_, T> {
         self.stats.in_flight += 1;
     }
 
+    /// Place `payload` for `dest`, unless `dest` is crash-stopped: then the
+    /// payload is destroyed, charged to the crash column. Returns whether
+    /// it landed. A `Deliver` fate needs nothing more.
+    #[inline]
+    pub(crate) fn land(&mut self, dest: Pid, payload: T) -> bool {
+        if self.dead.is_some_and(|d| d.contains(dest)) {
+            self.stats.crashed += 1;
+            return false;
+        }
+        self.arena.place(dest, payload);
+        true
+    }
+
     /// Land the late arrivals due at this boundary, after the step's own
-    /// deliveries. A payload due at a dead destination dies in the network,
-    /// charged to the crash column; every other one is placed and counted
-    /// as delivered. The drained level buffer goes back to the pool.
-    /// Returns the number placed.
+    /// deliveries: a payload due at a dead destination dies in the network
+    /// (its delay only deferred the custody transfer). The drained level
+    /// buffer goes back to the pool. Returns the number placed.
     pub(crate) fn land_due(&mut self, mut due: Vec<(Pid, T)>) -> u64 {
         let mut placed = 0u64;
         for (dest, payload) in due.drain(..) {
             self.stats.in_flight -= 1;
-            if self.dead.is_some_and(|d| d.contains(dest)) {
-                self.stats.crashed += 1;
-                self.counters.crashed += 1;
-                continue;
-            }
-            self.arena.place(dest, payload);
-            placed += 1;
-            self.stats.delivered += 1;
-            self.counters.late_arrivals += 1;
+            placed += u64::from(self.land(dest, payload));
         }
         if due.capacity() > 0 && self.pool.len() < PENDING_POOL_CAP {
             self.pool.push(due);
@@ -375,54 +434,35 @@ impl<T> Boundary<'_, T> {
 }
 
 impl<T: Clone> Boundary<'_, T> {
-    /// Apply one message's fate, in the canonical delivery order. Every
-    /// fate consumes bandwidth and an injection slot — the network accepted
-    /// the send — displaced ones a later slot. A payload then is dropped,
-    /// queued late, or placed for `dest` (a duplicate also queues a copy
-    /// for the next boundary, which meets *that* boundary's crash set). A
-    /// QSM write has no payload: the memory absorbs it in order, so only a
-    /// drop stops it. Returns whether the message landed at this boundary.
+    /// Apply one message's fate, in the canonical delivery order. The
+    /// engine has already recorded its injection at `slot`; a displaced
+    /// one moves to its later slot. A payload then is dropped, queued
+    /// late, or landed for `dest` (a duplicate also queues a copy for the
+    /// next boundary, which meets *that* boundary's crash set). A QSM write
+    /// has no payload: the memory absorbs it in order, so only a drop stops
+    /// it. Returns whether the message landed at this boundary.
     pub(crate) fn apply(&mut self, fate: Fate, slot: u64, dest: Pid, payload: Option<T>) -> bool {
-        self.stats.injected += 1;
-        self.builder.record_injection(match fate {
-            Fate::Displace(d) => {
-                self.stats.displaced += 1;
-                self.counters.displaced += 1;
-                slot + d
-            }
-            _ => slot,
-        });
+        if let Fate::Displace(d) = fate {
+            self.stats.displaced += 1;
+            self.builder.displace_injection(slot, d);
+        }
         match (fate, payload) {
             (Fate::Drop, _) => {
                 self.stats.dropped += 1;
-                self.counters.dropped += 1;
                 false
             }
-            (_, None) => {
-                self.stats.delivered += 1;
-                true
-            }
+            (_, None) => true,
             (Fate::Delay(k), Some(payload)) => {
                 self.queue(k, dest, payload);
                 self.stats.delayed += 1;
-                self.counters.delayed += 1;
                 false
             }
             (_, Some(payload)) => {
                 if fate == Fate::Duplicate {
                     self.queue(1, dest, payload.clone());
                     self.stats.duplicated += 1;
-                    self.counters.duplicated += 1;
                 }
-                if self.dead.is_some_and(|d| d.contains(dest)) {
-                    self.stats.crashed += 1;
-                    self.counters.crashed += 1;
-                    false
-                } else {
-                    self.arena.place(dest, payload);
-                    self.stats.delivered += 1;
-                    true
-                }
+                self.land(dest, payload)
             }
         }
     }

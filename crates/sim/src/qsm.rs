@@ -22,9 +22,7 @@
 //!   into the earliest free slots.
 
 use crate::arena::MsgArena;
-use crate::hook::{
-    charge_fault_masks, place_retained, received, Boundary, DeliveryHook, Fate, FaultStats,
-};
+use crate::hook::{open_fill, traffic_rows, Boundary, DeliveryHook, Fate, FaultStats};
 use crate::lane::{block_len, max_slot_multiplicity, ranged, AsLane, Lane, Pass};
 use crate::{Pid, SimError};
 use pbw_models::{AccessTally, FrontierMask, MachineParams, ProfileBuilder, SuperstepProfile};
@@ -369,14 +367,15 @@ impl<S: Send + Sync> QsmMachine<S> {
         }
         self.audit_contention()?;
 
-        let mut counters = FaultCounters::default();
         // Responses the memory system is due to release this phase (queued
         // by earlier Delay/Duplicate fates).
         let due = self.pending_results.pop_front().unwrap_or_default();
-        self.lay_out_results(&due, hooked, &mut counters);
-        let (reads, writes) = self.serve(hooked, due, &mut counters);
+        let before = self.fault_stats;
+        self.lay_out_results(&due, hooked);
+        let (reads, writes, late) = self.serve(hooked, due);
         self.read_results.finish();
         self.apply_writes(hooked);
+        let counters = self.fault_stats.counters_since(&before, late);
         Ok(self.finish_phase(step, hooked, reads, writes, counters))
     }
 
@@ -438,27 +437,12 @@ impl<S: Send + Sync> QsmMachine<S> {
         Ok(())
     }
 
-    /// Counting pass: exact per-processor response counts (results a
-    /// stalled processor retains, reads served now by fate, plus due late
-    /// responses) accumulate in the arena's own segment table and lay out
-    /// the segments before any result moves; the retained results are then
-    /// re-placed ahead of this phase's serves.
-    fn lay_out_results(
-        &mut self,
-        due: &[(Pid, ReadResult)],
-        hooked: bool,
-        counters: &mut FaultCounters,
-    ) {
-        if hooked {
-            let (arena, spare) = (&mut self.read_results, &self.spare);
-            charge_fault_masks(
-                &self.stalled,
-                &self.crashed,
-                &mut self.fault_stats,
-                counters,
-                |pid| arena.count(pid, spare.len(pid)),
-            );
-        }
+    /// Counting pass: exact per-processor response counts (reads served
+    /// now by fate here; results a stalled processor retains and due late
+    /// responses in [`open_fill`]) accumulate in the arena's own segment
+    /// table and lay out the segments before any result moves; the
+    /// retained results are then re-placed ahead of this phase's serves.
+    fn lay_out_results(&mut self, due: &[(Pid, ReadResult)], hooked: bool) {
         for ctx in &self.lanes {
             let lane = &ctx.lane;
             for (s, r) in ranged(&lane.senders) {
@@ -472,46 +456,31 @@ impl<S: Send + Sync> QsmMachine<S> {
                 self.read_results.count(s.pid, served);
             }
         }
-        for &(pid, _) in due {
-            if !(hooked && self.crashed.contains(pid)) {
-                self.read_results.count(pid, 1);
-            }
-        }
-        self.read_results.begin_counted();
-        if hooked {
-            place_retained(
-                &self.spare,
-                &self.stalled,
-                &self.crashed,
-                &mut self.read_results,
-            );
-        }
+        let faults = hooked.then_some((&self.stalled, &self.crashed));
+        let stats = &mut self.fault_stats;
+        open_fill(&mut self.read_results, &self.spare, faults, stats, due);
     }
 
     /// The sequential serve loop: visit every requesting processor in pid
-    /// order, record its memory-op and work observations, then apply each
-    /// request's (precomputed) fate — serving reads against the pre-phase
-    /// memory; surviving writes land in [`QsmMachine::apply_writes`]. Late
-    /// responses land after the on-time serves. Returns `(reads, writes)`
-    /// landed.
-    fn serve(
-        &mut self,
-        hooked: bool,
-        due: Vec<(Pid, ReadResult)>,
-        counters: &mut FaultCounters,
-    ) -> (u64, u64) {
+    /// order, record its memory-op, work and injection observations, then
+    /// apply each request's (precomputed) fate — serving reads against the
+    /// pre-phase memory; surviving writes land in
+    /// [`QsmMachine::apply_writes`]. Late responses land after the on-time
+    /// serves. Returns `(reads, writes)` landed and, of the reads, the late
+    /// arrivals.
+    fn serve(&mut self, hooked: bool, due: Vec<(Pid, ReadResult)>) -> (u64, u64, u64) {
         let mut at = Boundary {
             arena: &mut self.read_results,
             pending: &mut self.pending_results,
             pool: &mut self.pending_pool,
             stats: &mut self.fault_stats,
-            counters,
             builder: &mut self.builder,
             dead: hooked.then_some(&self.crashed),
         };
-        let (mut reads, mut writes) = (0u64, 0u64);
+        let (mut reads, mut writes, mut requests) = (0u64, 0u64, 0u64);
         for ctx in &self.lanes {
             let lane = &ctx.lane;
+            requests += lane.keys.len() as u64;
             for (s, r) in ranged(&lane.senders) {
                 let items = &lane.items[r.clone()];
                 let r_i = items
@@ -520,6 +489,7 @@ impl<S: Send + Sync> QsmMachine<S> {
                     .count() as u64;
                 at.builder.record_memory_ops(r_i, items.len() as u64 - r_i);
                 at.builder.record_work(s.work);
+                at.builder.record_injections_batch(&lane.slots[r.clone()]);
                 let msgs = lane.keys[r.clone()]
                     .iter()
                     .zip(items)
@@ -546,8 +516,10 @@ impl<S: Send + Sync> QsmMachine<S> {
                 }
             }
         }
-        reads += at.land_due(due);
-        (reads, writes)
+        let late = at.land_due(due);
+        at.stats.injected += requests;
+        at.stats.delivered += reads + writes + late;
+        (reads + late, writes, late)
     }
 
     /// Land every write that was not dropped, from the highest pid down and
@@ -582,16 +554,17 @@ impl<S: Send + Sync> QsmMachine<S> {
         writes: u64,
         counters: FaultCounters,
     ) -> PhaseReport {
-        let p = self.params.p;
         let profile = self.builder.snapshot_reset();
         if self.sink.enabled() {
-            let mut sent = vec![0u64; p];
-            for ctx in &self.lanes {
-                for (s, r) in ranged(&ctx.lane.senders) {
-                    sent[s.pid] = r.len() as u64;
-                }
-            }
+            let lanes = || self.lanes.iter().map(|ctx| &ctx.lane);
             let faults = hooked.then_some((&self.stalled, &self.crashed));
+            let (sent, recv) = traffic_rows(
+                self.params.p,
+                lanes(),
+                &self.read_results,
+                &self.spare,
+                faults,
+            );
             let mut ev = TraceEvent::for_superstep(
                 TraceSource::Qsm,
                 self.trace_label.clone(),
@@ -599,10 +572,8 @@ impl<S: Send + Sync> QsmMachine<S> {
                 self.params,
                 profile.clone(),
                 sent,
-                (0..p)
-                    .map(|d| received(&self.read_results, &self.spare, faults, d))
-                    .collect(),
-                max_slot_multiplicity(self.lanes.iter().map(|ctx| &ctx.lane)),
+                recv,
+                max_slot_multiplicity(lanes()),
                 reads + writes,
             );
             if hooked {

@@ -45,6 +45,7 @@ STAGES=(
   chaos-soak
   perfbench
   perfbench-ab
+  trace-ab
   bench-gate
   parallel-gate
   tsan
@@ -306,6 +307,15 @@ stage_perfbench-ab() {
   [ "$rows" -eq "$(jq '.end_to_end | length' BENCHMARK.json)" ] \
     || { echo "perfbench-ab: expected a verdict on every end-to-end metric, got $rows row(s)" >&2; exit 1; }
   echo "ok: perfbench_ab.sh printed a verdict for each end-to-end metric"
+}
+
+# The same-host trace A/B script, run A/A: it builds the checkout's own
+# commit's `reproduce` in a worktree under target/ and runs every
+# experiment `reproduce --list` prints at width 1, and the five with
+# parallel engine passes at width 8, on both sides. Every run's stdout and
+# JSONL trace must match byte for byte, so the script cannot rot.
+stage_trace-ab() {
+  scripts/trace_ab.sh --base HEAD
 }
 
 stage_bench-gate() {

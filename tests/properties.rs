@@ -836,23 +836,37 @@ proptest! {
     /// density rule's freedom — either branch of
     /// `pbw_sim::density::crossover` gives the same bytes.
     ///
-    /// With `hooked` set, every mode runs under a seeded `FaultPlan` with
-    /// every fault kind enabled (drops, duplicates, delays ≤ 2, displacement
-    /// ≤ 3, stalls and crashes ≤ 2), so the hooked delivery is held to the
-    /// same bytes — fault ledger included — at every density.
+    /// The senders charge work and pin some sends with `send_at`. Every
+    /// mode runs with no hook, under a reliable `FaultPlan` (`FaultSpec::
+    /// none()`: every fate `Deliver`, no stall or crash), or under a seeded
+    /// plan with every fault kind enabled (drops, duplicates, delays ≤ 2,
+    /// displacement ≤ 3, stalls and crashes ≤ 2), so the hooked delivery
+    /// is held to the same bytes — fault ledger included — at every
+    /// density. The reliable plan must also be invisible: its states,
+    /// `canonical_hash` and trace events (with their `faults` counters
+    /// unset) equal the unhooked run's, which checks the hooked lanes'
+    /// `Deliver` path against lanes with no fates at widths 1 and 8.
     #[test]
     fn masked_declared_and_dense_paths_agree_at_any_density(
         p_sel in 0usize..3,
         sender_pct in 0usize..=100,
         max_fanout in 1usize..6,
         seed in 0u64..1000,
-        hooked in any::<bool>(),
+        hook_sel in 0usize..3,
     ) {
         use parallel_bandwidth::prelude::{FaultPlan, FaultSpec, FaultStats};
         use parallel_bandwidth::sim::{BspMachine, Outbox};
-        use parallel_bandwidth::trace::RecordingSink;
+        use parallel_bandwidth::trace::{RecordingSink, TraceEvent};
         use rayon::ThreadPoolBuilder;
         use std::sync::Arc;
+
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        enum Hook {
+            None,
+            Reliable,
+            Faulty,
+        }
+        let hook = [Hook::None, Hook::Reliable, Hook::Faulty][hook_sel];
 
         // 64/72 straddle the mask's word boundary (one exact word, one
         // word plus a ragged tail); 1024 spans many words. All keep g=8.
@@ -894,8 +908,8 @@ proptest! {
             crash_rate: 0.05,
             max_crash_len: 2,
         };
-        // Hooked runs drain two more supersteps, so the last delays land.
-        let drains = if hooked { 4 } else { 2 };
+        // Faulty runs drain two more supersteps, so the last delays land.
+        let drains = if hook == Hook::Faulty { 4 } else { 2 };
 
         #[derive(Clone, Copy, PartialEq)]
         enum Mode {
@@ -905,7 +919,7 @@ proptest! {
             Auto,
         }
 
-        let run = |mode: Mode, width: usize| -> (Vec<String>, Vec<u64>, u64, FaultStats) {
+        let run = |hook: Hook, mode: Mode, width: usize| -> (Vec<TraceEvent>, Vec<u64>, u64, FaultStats) {
             ThreadPoolBuilder::new()
                 .num_threads(width)
                 .build()
@@ -915,14 +929,27 @@ proptest! {
                     let sink = Arc::new(RecordingSink::new());
                     let mut machine: BspMachine<u64, u64> = BspMachine::new(params, |_| 0);
                     machine.set_sink(sink.clone()).set_trace_label("mask-vs-vec");
-                    if hooked {
-                        machine.set_delivery_hook(Arc::new(FaultPlan::new(spec, seed ^ 0x5A)));
+                    let plan = match hook {
+                        Hook::None => None,
+                        Hook::Reliable => Some(FaultPlan::new(FaultSpec::none(), seed)),
+                        Hook::Faulty => Some(FaultPlan::new(spec, seed ^ 0x5A)),
+                    };
+                    if let Some(plan) = plan {
+                        machine.set_delivery_hook(Arc::new(plan));
                     }
+                    // Every third send is pinned, to a distinct odd slot per
+                    // sender; the plain ones take the gaps.
                     let send = |pid: usize, s: &mut u64, inbox: &[u64], out: &mut Outbox<u64>| {
                         *s = s.wrapping_add(inbox.iter().sum::<u64>());
                         if is_sender[pid] {
+                            out.charge_work(1 + pid as u64 % 3);
                             for j in 0..fanout_of(pid) {
-                                out.send((pid * 7 + j * 13 + 1) % p, (pid + j) as u64);
+                                let (dest, v) = ((pid * 7 + j * 13 + 1) % p, (pid + j) as u64);
+                                if (pid + j).is_multiple_of(3) {
+                                    out.send_at(dest, v, 2 * j as u64 + 1);
+                                } else {
+                                    out.send(dest, v);
+                                }
                             }
                         }
                     };
@@ -957,31 +984,48 @@ proptest! {
                             }
                         }
                     }
-                    let events: Vec<String> = sink.take().iter().map(|e| e.to_json()).collect();
                     let hash = machine.canonical_hash();
-                    (events, machine.states().to_vec(), hash, machine.fault_stats())
+                    (sink.take(), machine.states().to_vec(), hash, machine.fault_stats())
                 })
         };
+        let json = |events: &[TraceEvent]| -> Vec<String> {
+            events.iter().map(TraceEvent::to_json).collect()
+        };
 
-        let baseline = run(Mode::Dense, 1);
+        let baseline = run(hook, Mode::Dense, 1);
+        let want = (json(&baseline.0), &baseline.1, baseline.2, baseline.3);
         for mode in [Mode::Dense, Mode::Declared, Mode::Masked, Mode::Auto] {
             for width in [1usize, 8] {
                 if mode == Mode::Dense && width == 1 {
                     continue;
                 }
-                let other = run(mode, width);
+                let other = run(hook, mode, width);
                 prop_assert_eq!(
-                    &baseline, &other,
-                    "mode={} width={} diverged from the dense width-1 run (p={}, {}% active, hooked={})",
+                    &want,
+                    &(json(&other.0), &other.1, other.2, other.3),
+                    "mode={} width={} diverged from the dense width-1 run (p={}, {}% active, hook={:?})",
                     match mode {
                         Mode::Dense => "dense",
                         Mode::Declared => "declared",
                         Mode::Masked => "masked",
                         Mode::Auto => "auto",
                     },
-                    width, p, sender_pct, hooked
+                    width, p, sender_pct, hook
                 );
             }
+        }
+        if hook == Hook::Reliable {
+            // Every mode and width above matched this baseline, so the
+            // unhooked dense width-1 run stands for all of them.
+            let plain = run(Hook::None, Mode::Dense, 1);
+            let unset = |events: &[TraceEvent]| -> Vec<String> {
+                let events: Vec<TraceEvent> =
+                    events.iter().cloned().map(|e| TraceEvent { faults: None, ..e }).collect();
+                json(&events)
+            };
+            prop_assert_eq!(&baseline.1, &plain.1, "reliable hook changed the states");
+            prop_assert_eq!(baseline.2, plain.2, "reliable hook changed canonical_hash");
+            prop_assert_eq!(unset(&baseline.0), json(&plain.0), "reliable hook changed the trace");
         }
     }
 }
