@@ -19,7 +19,7 @@
 //! trajectories for the stability experiments.
 
 use crate::adversary::Adversary;
-use pbw_core::schedule::{audit_schedule, slot_loads};
+use pbw_core::schedule::{audit_schedule, slot_loads, Schedule};
 use pbw_core::schedulers::{Scheduler, UnbalancedSend};
 use pbw_core::workload::Workload;
 use pbw_models::{MachineParams, PenaltyFn};
@@ -339,6 +339,15 @@ where
     trace
 }
 
+/// The real elapsed machine time of a schedule on the BSP(m): every step
+/// of its span costs `max(1, f_m(load))` under the exponential penalty.
+pub(crate) fn service_time(sched: &Schedule, wl: &Workload, m: usize) -> f64 {
+    slot_loads(sched, wl)
+        .iter()
+        .map(|&l| PenaltyFn::Exponential.charge(l, m).max(1.0))
+        .sum()
+}
+
 /// The paper's Algorithm B on the BSP(m): interval length `w`, per-batch
 /// service measured from an actual Unbalanced-Send schedule under the
 /// exponential penalty.
@@ -470,11 +479,7 @@ impl AlgorithmB {
                 ev.superstep = batch_idx - 1;
                 sink.record(ev);
             }
-            // Real elapsed time: every step of the span costs
-            // max(1, f_m(load)) under the exponential penalty.
-            let loads = slot_loads(&sched, &wl);
-            let table = PenaltyFn::Exponential.table(m);
-            loads.iter().map(|&l| table.charge(l).max(1.0)).sum()
+            service_time(&sched, &wl, m)
         })
     }
 }

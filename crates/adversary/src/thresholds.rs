@@ -13,10 +13,10 @@
 //! theorem's `(u, α*, β*)`. The dynamic experiments then verify that
 //! traffic below the derived `α*` is in fact absorbed.
 
-use pbw_core::schedule::slot_loads;
+use crate::dynamic::service_time;
 use pbw_core::schedulers::{Scheduler, UnbalancedSend};
 use pbw_core::workload::{self, Workload};
-use pbw_models::{bounds, PenaltyFn};
+use pbw_models::bounds;
 
 /// Calibration result for algorithm A = Unbalanced-Send(ε).
 #[derive(Debug, Clone, Copy)]
@@ -38,10 +38,7 @@ pub struct Calibration {
 /// The real elapsed machine time of a batch scheduled by Unbalanced-Send
 /// under the exponential penalty (the service-time notion of `dynamic.rs`).
 pub fn batch_service(wl: &Workload, m: usize, eps: f64, seed: u64) -> f64 {
-    let sched = UnbalancedSend::new(eps).schedule(wl, m, seed);
-    let loads = slot_loads(&sched, wl);
-    let table = PenaltyFn::Exponential.table(m);
-    loads.iter().map(|&l| table.charge(l).max(1.0)).sum()
+    service_time(&UnbalancedSend::new(eps).schedule(wl, m, seed), wl, m)
 }
 
 /// Calibrate `(a, b, r)` over `batches` random workloads of roughly

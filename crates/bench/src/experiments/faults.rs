@@ -3,6 +3,7 @@
 //! seeded message loss, and the stability-margin erosion the same loss
 //! inflicts on the Section 6.2 dynamic router.
 
+use super::{replay, with_point_sink};
 use crate::table::{fmt, Table};
 use pbw_adversary::{AlgorithmB, AqtParams, BackpressureConfig, SteadyAdversary};
 use pbw_core::recovery::{run_with_recovery_to, RecoveryConfig};
@@ -10,27 +11,8 @@ use pbw_core::schedulers::UnbalancedSend;
 use pbw_core::workload;
 use pbw_faults::{FaultPlan, FaultSpec};
 use pbw_models::MachineParams;
-use pbw_trace::{NullSink, RecordingSink, TraceEvent, TraceSink};
 use rayon::prelude::*;
 use std::sync::Arc;
-
-/// Run one sweep point against a private sink so points can execute in
-/// parallel: the recorded events are replayed into the global sink in sweep
-/// order afterwards, keeping trace output byte-identical at every thread
-/// count. When the global sink is disabled nothing is recorded at all,
-/// matching the sequential path's cost.
-fn with_point_sink<R>(
-    tracing: bool,
-    run: impl FnOnce(Arc<dyn TraceSink>) -> R,
-) -> (R, Vec<TraceEvent>) {
-    if tracing {
-        let rec = Arc::new(RecordingSink::new());
-        let result = run(rec.clone());
-        (result, rec.take())
-    } else {
-        (run(Arc::new(NullSink)), Vec::new())
-    }
-}
 
 /// The drop rates the sweep visits.
 const PHIS: [f64; 4] = [0.0, 0.01, 0.05, 0.1];
@@ -93,10 +75,7 @@ pub fn faults_seeded(quick: bool, seed: u64) -> String {
         })
         .collect();
     let mut base: Option<(f64, f64)> = None;
-    for (phi, (outcome, events)) in PHIS.into_iter().zip(outcomes) {
-        for ev in events {
-            global.record(ev);
-        }
+    for (phi, outcome) in PHIS.into_iter().zip(replay(&*global, outcomes)) {
         let (g0, m0) = *base.get_or_insert((outcome.summary.bsp_g, outcome.summary.bsp_m_exp));
         t.row(vec![
             fmt(phi),
@@ -161,10 +140,7 @@ pub fn faults_seeded(quick: bool, seed: u64) -> String {
             })
         })
         .collect();
-    for (phi, (tr, events)) in erosion_phis.into_iter().zip(traces) {
-        for ev in events {
-            global.record(ev);
-        }
+    for (phi, tr) in erosion_phis.into_iter().zip(replay(&*global, traces)) {
         t2.row(vec![
             fmt(phi),
             fmt(5.0 / (1.0 - phi)),

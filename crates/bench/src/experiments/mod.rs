@@ -9,6 +9,41 @@ pub mod scheduling;
 pub mod separations;
 pub mod sorting;
 
+use pbw_trace::{NullSink, RecordingSink, TraceEvent, TraceSink};
+use std::sync::Arc;
+
+/// Run one sweep point against a private sink so points can execute in
+/// parallel; [`replay`] then hands the recorded events to the global sink
+/// in sweep order, keeping trace output byte-identical at every thread
+/// count. When the global sink is disabled nothing is recorded at all,
+/// matching the sequential path's cost.
+fn with_point_sink<R>(
+    tracing: bool,
+    run: impl FnOnce(Arc<dyn TraceSink>) -> R,
+) -> (R, Vec<TraceEvent>) {
+    if tracing {
+        let rec = Arc::new(RecordingSink::new());
+        let result = run(rec.clone());
+        (result, rec.take())
+    } else {
+        (run(Arc::new(NullSink)), Vec::new())
+    }
+}
+
+/// Record each sweep point's events into `global`, in sweep order, and
+/// return the points' results in the same order.
+fn replay<R>(global: &dyn TraceSink, points: Vec<(R, Vec<TraceEvent>)>) -> Vec<R> {
+    points
+        .into_iter()
+        .map(|(result, events)| {
+            for ev in events {
+                global.record(ev);
+            }
+            result
+        })
+        .collect()
+}
+
 /// All experiment ids in presentation order.
 pub const ALL: &[&str] = &[
     "table1",

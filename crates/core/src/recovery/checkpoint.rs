@@ -51,7 +51,7 @@ use super::{RecoveryConfig, RecoveryOutcome, RecoveryPhase, RecoverySession, Ses
 use crate::schedulers::Scheduler;
 use crate::workload::Workload;
 use pbw_models::{MachineParams, ProfileBuilder, SuperstepProfile};
-use pbw_sim::{CostSummary, DeliveryCtx, DeliveryHook, Fate, Pid};
+use pbw_sim::{BatchDests, CostSummary, DeliveryCtx, DeliveryHook, Fate, FrontierMask, Pid};
 use pbw_trace::RecoveryMark;
 
 /// Knobs of the checkpoint/rollback driver.
@@ -99,6 +99,10 @@ impl CheckpointConfig {
 /// supersteps (at rollback, driven by the single-threaded driver), so
 /// within any superstep the hook is pure in `(superstep, pid)` exactly as
 /// the engines require.
+///
+/// Every hook entry point is forwarded at wall time, the batched ones
+/// included, so a wrapped hook's overrides (`FaultPlan`'s hoisted fate
+/// batches and closed-form fault masks) still run under checkpointing.
 pub struct WallClockHook {
     inner: Arc<dyn DeliveryHook>,
     offset: AtomicU64,
@@ -137,12 +141,34 @@ impl DeliveryHook for WallClockHook {
         })
     }
 
+    fn fate_batch(
+        &self,
+        superstep: u64,
+        src: Pid,
+        dests: BatchDests<'_>,
+        slots: &[u64],
+        out: &mut Vec<Fate>,
+    ) {
+        self.inner
+            .fate_batch(superstep + self.offset(), src, dests, slots, out);
+    }
+
     fn stalled(&self, superstep: u64, pid: Pid) -> bool {
         self.inner.stalled(superstep + self.offset(), pid)
     }
 
     fn crashed(&self, superstep: u64, pid: Pid) -> bool {
         self.inner.crashed(superstep + self.offset(), pid)
+    }
+
+    fn fill_fault_masks(
+        &self,
+        superstep: u64,
+        stalled: &mut FrontierMask,
+        crashed: &mut FrontierMask,
+    ) {
+        self.inner
+            .fill_fault_masks(superstep + self.offset(), stalled, crashed);
     }
 }
 
@@ -524,6 +550,64 @@ mod tests {
         assert!(out.gave_up);
         assert_eq!(out.rollbacks, 3);
         assert!(out.recovery.fault_stats.conserved());
+    }
+
+    #[test]
+    fn wall_clock_hook_forwards_the_batch_entry_points_at_wall_time() {
+        use pbw_sim::BspMachine;
+        use std::sync::Mutex;
+
+        /// Logs the superstep each batch entry point is called at.
+        #[derive(Default)]
+        struct BatchLog {
+            fate_batches: Mutex<Vec<u64>>,
+            mask_fills: Mutex<Vec<u64>>,
+        }
+        impl DeliveryHook for BatchLog {
+            fn fate_batch(
+                &self,
+                superstep: u64,
+                _src: Pid,
+                _dests: BatchDests<'_>,
+                slots: &[u64],
+                out: &mut Vec<Fate>,
+            ) {
+                self.fate_batches.lock().unwrap().push(superstep);
+                out.extend(slots.iter().map(|_| Fate::Deliver));
+            }
+
+            fn fill_fault_masks(
+                &self,
+                superstep: u64,
+                _stalled: &mut FrontierMask,
+                _crashed: &mut FrontierMask,
+            ) {
+                self.mask_fills.lock().unwrap().push(superstep);
+            }
+        }
+
+        let log = Arc::new(BatchLog::default());
+        let wall = WallClockHook::new(log.clone());
+        wall.set_offset(3);
+        let mut machine: BspMachine<(), u32> = BspMachine::new(params(4, 2), |_| ());
+        machine.set_delivery_hook(Arc::new(wall));
+        // Machine superstep 0: pids 0 and 2 send, 1 and 3 stay silent.
+        machine.superstep(|pid, _, _, out| {
+            if pid % 2 == 0 {
+                out.send((pid + 1) % 4, 1);
+                out.send((pid + 3) % 4, 2);
+            }
+        });
+        // Machine superstep 1: only pid 1 sends.
+        machine.superstep(|pid, _, _, out| {
+            if pid == 1 {
+                out.send(0, 3);
+            }
+        });
+        // One batch per sender with messages, one mask fill per superstep,
+        // each at machine superstep + 3.
+        assert_eq!(*log.fate_batches.lock().unwrap(), [3, 3, 4]);
+        assert_eq!(*log.mask_fills.lock().unwrap(), [3, 4]);
     }
 
     #[test]

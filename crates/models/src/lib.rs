@@ -39,7 +39,7 @@ pub mod tally;
 pub use cost::{BspG, BspM, CostModel, QsmG, QsmM, SelfSchedulingBspM};
 pub use mask::FrontierMask;
 pub use params::MachineParams;
-pub use penalty::{PenaltyFn, PenaltyTable};
+pub use penalty::PenaltyFn;
 pub use profile::{ProfileBuilder, SuperstepProfile};
 pub use summary::CostSummary;
 pub use tally::{AccessTally, CellAccess};

@@ -23,8 +23,6 @@
 //! that is what makes "never exceed `m`" a real algorithmic obligation — and
 //! the experiment harness prices schedules under both.
 
-use std::sync::{Arc, Mutex, OnceLock};
-
 use serde::{Deserialize, Serialize};
 
 /// The overload charge `f_m` applied per machine step by BSP(m)/QSM(m).
@@ -73,138 +71,17 @@ impl PenaltyFn {
     }
 
     /// Total superstep communication charge `c_m = Σ_t f_m(m_t)` for a
-    /// per-step injection histogram.
+    /// per-step injection histogram, summed left to right.
+    ///
+    /// An empty histogram costs `+0.0`: a bare `.sum()` would fold from
+    /// `-0.0` (the IEEE additive identity), which prints differently in
+    /// trace JSON.
     #[inline]
     pub fn total_charge(&self, injections: &[u64], m: usize) -> f64 {
         if injections.is_empty() {
             return 0.0;
         }
-        let table = PenaltyTable::shared(*self, m);
-        table.total_charge(injections)
-    }
-
-    /// The memoized charge table for this penalty at bandwidth `m`, shared
-    /// process-wide. Convenience alias for [`PenaltyTable::shared`].
-    #[inline]
-    pub fn table(&self, m: usize) -> Arc<PenaltyTable> {
-        PenaltyTable::shared(*self, m)
-    }
-}
-
-/// Default memoized span, as a multiple of `m`: loads up to `8·m` hit the
-/// lookup table; rarer heavier loads fall back to the direct computation.
-const TABLE_SPAN_FACTOR: usize = 8;
-
-/// How many distinct `(PenaltyFn, m)` tables the process-wide cache retains.
-/// Simulations use a handful of bandwidths; the bound only matters for
-/// adversarial sweeps over thousands of distinct `m` values.
-const SHARED_CACHE_CAP: usize = 64;
-
-/// A memoized `f_m` table: the charge for every load `m_t ∈ 0..=8·m` is
-/// precomputed once, so the per-slot pricing done every superstep by the
-/// engines and the trace layer is a bounds check + indexed load instead of a
-/// division and an `exp` call.
-///
-/// Bit-exactness is by construction: every table entry is produced by calling
-/// [`PenaltyFn::charge`] itself, and loads beyond the memoized span fall back
-/// to the same function, so `table.charge(m_t) == penalty.charge(m_t, m)`
-/// bit-for-bit for all `m_t`.
-#[derive(Debug, Clone)]
-pub struct PenaltyTable {
-    penalty: PenaltyFn,
-    m: usize,
-    table: Vec<f64>,
-}
-
-impl PenaltyTable {
-    /// Build a table for `penalty` at bandwidth `m`, memoizing loads up to
-    /// `8·m`.
-    ///
-    /// # Panics
-    /// Panics if `m == 0` (no admissible bandwidth).
-    pub fn new(penalty: PenaltyFn, m: usize) -> Self {
-        assert!(m > 0, "aggregate bandwidth m must be positive");
-        let span = m.saturating_mul(TABLE_SPAN_FACTOR);
-        let table = (0..=span as u64)
-            .map(|m_t| penalty.charge(m_t, m))
-            .collect();
-        PenaltyTable { penalty, m, table }
-    }
-
-    /// The process-wide shared table for `(penalty, m)`, built on first use.
-    ///
-    /// # Panics
-    /// Panics if `m == 0`.
-    pub fn shared(penalty: PenaltyFn, m: usize) -> Arc<PenaltyTable> {
-        assert!(m > 0, "aggregate bandwidth m must be positive");
-        static CACHE: OnceLock<Mutex<Vec<Arc<PenaltyTable>>>> = OnceLock::new();
-        let cache = CACHE.get_or_init(|| Mutex::new(Vec::new()));
-        // A poisoned cache only ever holds fully-built tables, so recover.
-        let mut tables = match cache.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if let Some(t) = tables.iter().find(|t| t.penalty == penalty && t.m == m) {
-            return Arc::clone(t);
-        }
-        let t = Arc::new(PenaltyTable::new(penalty, m));
-        if tables.len() == SHARED_CACHE_CAP {
-            // Evict the oldest entry; callers holding an Arc keep theirs.
-            tables.remove(0);
-        }
-        tables.push(Arc::clone(&t));
-        t
-    }
-
-    /// The penalty function this table memoizes.
-    #[inline]
-    pub fn penalty(&self) -> PenaltyFn {
-        self.penalty
-    }
-
-    /// The aggregate bandwidth `m` this table is built for.
-    #[inline]
-    pub fn bandwidth(&self) -> usize {
-        self.m
-    }
-
-    /// The per-step charge `f_m(m_t)`: a table lookup for `m_t ≤ 8·m`, the
-    /// direct computation beyond.
-    #[inline]
-    pub fn charge(&self, m_t: u64) -> f64 {
-        match self.table.get(m_t as usize) {
-            Some(&c) => c,
-            None => self.penalty.charge(m_t, self.m),
-        }
-    }
-
-    /// Total superstep communication charge `c_m = Σ_t f_m(m_t)`.
-    ///
-    /// Batched: one branch-free max-scan over the `u64` histogram decides
-    /// whether *every* load is memoized; on that (overwhelmingly common)
-    /// path the sum is a tight gather over the table with no per-element
-    /// fallback test left in the loop. Terms are added left-to-right from
-    /// `0.0` either way — the same order `iter().map(charge).sum()` used —
-    /// so the result is bit-identical to the per-element path (pinned by a
-    /// proptest below).
-    #[inline]
-    pub fn total_charge(&self, injections: &[u64]) -> f64 {
-        let memoized =
-            injections.iter().fold(0u64, |top, &m_t| top.max(m_t)) < self.table.len() as u64;
-        // `iter().sum::<f64>()` folds from -0.0 (the true additive identity
-        // for IEEE addition); seed identically so even the empty histogram
-        // is bit-equal.
-        let mut sum = -0.0f64;
-        if memoized {
-            for &m_t in injections {
-                sum += self.table[m_t as usize];
-            }
-        } else {
-            for &m_t in injections {
-                sum += self.charge(m_t);
-            }
-        }
-        sum
+        injections.iter().map(|&m_t| self.charge(m_t, m)).sum()
     }
 }
 
@@ -288,76 +165,5 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn zero_bandwidth_panics() {
         let _ = PenaltyFn::Linear.charge(1, 0);
-    }
-
-    #[test]
-    fn table_matches_direct_charge_bit_exact() {
-        for penalty in [PenaltyFn::Linear, PenaltyFn::Exponential] {
-            for m in [1usize, 2, 7, 64] {
-                let table = PenaltyTable::new(penalty, m);
-                // Memoized span, plus loads past it (fallback path).
-                for m_t in 0..=(8 * m as u64 + 17) {
-                    let direct = penalty.charge(m_t, m);
-                    let memo = table.charge(m_t);
-                    assert_eq!(
-                        direct.to_bits(),
-                        memo.to_bits(),
-                        "{penalty:?} m={m} m_t={m_t}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn shared_table_is_cached_per_key() {
-        let a = PenaltyTable::shared(PenaltyFn::Exponential, 12);
-        let b = PenaltyTable::shared(PenaltyFn::Exponential, 12);
-        assert!(Arc::ptr_eq(&a, &b));
-        let c = PenaltyTable::shared(PenaltyFn::Linear, 12);
-        assert!(!Arc::ptr_eq(&a, &c));
-    }
-
-    #[test]
-    #[should_panic(expected = "must be positive")]
-    fn table_zero_bandwidth_panics() {
-        let _ = PenaltyTable::new(PenaltyFn::Exponential, 0);
-    }
-
-    #[test]
-    fn table_metadata_accessors() {
-        let t = PenaltyTable::new(PenaltyFn::Linear, 5);
-        assert_eq!(t.penalty(), PenaltyFn::Linear);
-        assert_eq!(t.bandwidth(), 5);
-    }
-
-    mod batch_props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-
-            // The batched gather sum is bit-identical to the per-element
-            // `iter().map(charge).sum()` it replaced — empty histograms, a
-            // single step, odd lengths, and loads past the memoized span
-            // (which force the fallback branch) all included.
-            #[test]
-            fn batched_total_charge_is_bit_exact(
-                m in 1usize..32,
-                kind in 0u8..2,
-                injections in proptest::collection::vec(0u64..2_000, 0..50),
-            ) {
-                let penalty = if kind == 0 {
-                    PenaltyFn::Linear
-                } else {
-                    PenaltyFn::Exponential
-                };
-                let table = PenaltyTable::new(penalty, m);
-                let batched = table.total_charge(&injections);
-                let scalar: f64 = injections.iter().map(|&m_t| table.charge(m_t)).sum();
-                prop_assert_eq!(batched.to_bits(), scalar.to_bits());
-            }
-        }
     }
 }

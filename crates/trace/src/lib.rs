@@ -184,11 +184,10 @@ impl TraceEvent {
     ) -> Self {
         let breakdown = Breakdown::of(params, &profile);
         let costs = CostSummary::price(params, std::slice::from_ref(&profile));
-        let penalty_table = PenaltyFn::Exponential.table(params.m);
         let slot_penalties = profile
             .injections
             .iter()
-            .map(|&m_t| penalty_table.charge(m_t))
+            .map(|&m_t| PenaltyFn::Exponential.charge(m_t, params.m))
             .collect();
         TraceEvent {
             source,

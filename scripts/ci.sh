@@ -46,6 +46,7 @@ STAGES=(
   perfbench
   perfbench-ab
   trace-ab
+  loc
   bench-gate
   parallel-gate
   tsan
@@ -316,6 +317,21 @@ stage_perfbench-ab() {
 # JSONL trace must match byte for byte, so the script cannot rot.
 stage_trace-ab() {
   scripts/trace_ab.sh --base HEAD
+}
+
+# The line-count script, run A/A: it counts the working tree and HEAD's
+# files (read through `git archive`, nothing built), and must print a row
+# for every crate under crates/ (the shims as one row) and the total, so
+# the number a simplicity change reports cannot rot.
+stage_loc() {
+  local report crate
+  report="$(scripts/loc.sh --base HEAD)"
+  echo "$report"
+  for crate in $(cd crates && ls -d */ | tr -d /) total; do
+    grep -qE "^$crate +([0-9]+ +){4}[+-][0-9]+ +[+-][0-9]+$" <<<"$report" \
+      || { echo "loc: no row for $crate" >&2; exit 1; }
+  done
+  echo "ok: loc.sh printed a row for every crate and the total"
 }
 
 stage_bench-gate() {

@@ -563,41 +563,31 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The memoized penalty table ([`PenaltyFn::table`]) is bit-exact
-    /// against direct computation for every load in and beyond its span —
-    /// the table is built by calling `charge` itself, so any divergence
-    /// (recomputation, rounding, wrong span handling) is a bug in the
-    /// memoization layer, not floating-point noise. Covers both penalty
-    /// variants and the out-of-span fallback path.
+    /// `PenaltyFn::total_charge` is the left-to-right sum of `charge`,
+    /// bit for bit, and an empty histogram costs exactly `+0.0` (a bare
+    /// `.sum()` would give `-0.0`, which serializes differently). Both
+    /// globally-limited cost models price their `c_m` term through it.
     #[test]
-    fn penalty_table_bit_exact_vs_direct(
+    fn total_charge_is_the_ordered_sum_of_charge(
         m in 1usize..128,
         linear in any::<bool>(),
-        probe in 0u64..32,
+        draws in proptest::collection::vec(any::<u64>(), 0..=64),
     ) {
+        use parallel_bandwidth::models::{BspM, QsmM, SuperstepProfile};
+
         let penalty = if linear { PenaltyFn::Linear } else { PenaltyFn::Exponential };
-        let table = penalty.table(m);
-        // Every load inside the memoized span 0..=8·m…
-        for m_t in 0..=(8 * m as u64) {
-            prop_assert_eq!(
-                table.charge(m_t).to_bits(),
-                penalty.charge(m_t, m).to_bits(),
-                "span load {} at m={}", m_t, m
-            );
+        // Loads span 0..=16·m: empty steps, steps within m and overloads.
+        let h: Vec<u64> = draws.iter().map(|&d| d % (16 * m as u64 + 1)).collect();
+        // Checked on every case, since a random draw is rarely empty.
+        prop_assert_eq!(penalty.total_charge(&[], m).to_bits(), 0.0f64.to_bits());
+        let total = penalty.total_charge(&h, m);
+        if !h.is_empty() {
+            let sum: f64 = h.iter().map(|&l| penalty.charge(l, m)).sum();
+            prop_assert_eq!(total.to_bits(), sum.to_bits());
         }
-        // …and a probe beyond it (the direct-compute fallback).
-        let beyond = 8 * m as u64 + 1 + probe;
-        prop_assert_eq!(
-            table.charge(beyond).to_bits(),
-            penalty.charge(beyond, m).to_bits(),
-            "fallback load {} at m={}", beyond, m
-        );
-        // The histogram-summing entry point agrees too.
-        let loads: Vec<u64> = (0..=(4 * m as u64)).chain([beyond]).collect();
-        prop_assert_eq!(
-            table.total_charge(&loads).to_bits(),
-            loads.iter().map(|&l| penalty.charge(l, m)).sum::<f64>().to_bits()
-        );
+        let profile = SuperstepProfile { injections: h, ..SuperstepProfile::default() };
+        prop_assert_eq!(BspM { m, l: 1, penalty }.c_m(&profile).to_bits(), total.to_bits());
+        prop_assert_eq!(QsmM { m, penalty }.c_m(&profile).to_bits(), total.to_bits());
     }
 }
 

@@ -153,7 +153,8 @@ fn qsm_trace_conserves_requests_and_reprices_exactly() {
 #[test]
 fn trace_breakdown_slot_penalties_sum_to_bandwidth_term() {
     // The per-slot penalty vector in an event is the exact decomposition of
-    // its exponential bandwidth term: Σ_t f_m(m_t) == breakdown.bandwidth.
+    // its exponential bandwidth term: summed in slot order, exactly as
+    // `total_charge` sums, Σ_t f_m(m_t) == breakdown.bandwidth.
     let params = quickstart_params();
     let sink = Arc::new(RecordingSink::new());
     let _machine = run_bsp_hot_sender(params, 2048, 4, 2, sink.clone());
@@ -161,9 +162,6 @@ fn trace_breakdown_slot_penalties_sum_to_bandwidth_term() {
         assert_eq!(ev.slot_penalties.len(), ev.profile.injections.len());
         let total: f64 = ev.slot_penalties.iter().sum();
         let expect = PenaltyFn::Exponential.total_charge(&ev.profile.injections, params.m);
-        assert!(
-            (total - expect).abs() <= 1e-9 * expect.max(1.0),
-            "slot penalties sum {total} != c_m {expect}"
-        );
+        assert_eq!(total, expect, "slot penalties sum != c_m");
     }
 }
